@@ -7,12 +7,13 @@ Identical invocations with identical seeds produce identical output up
 to the timing field.
 
 Exit codes: 0 success, 1 infeasible or negative decision, 2 usage error,
-3 size-cap error, 4 internal invariant failure.
+3 size-cap error, 4 internal invariant failure or unexpected error.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Optional
@@ -212,6 +213,11 @@ def _cmd_kernel(args) -> tuple[int, dict]:
         "kernel_n": res.graph.n,
         "kernel_m": res.graph.m,
     }
+    try:
+        str(res.threshold)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        report["threshold"] = None
+        report["threshold_log10"] = round(math.log10(res.threshold), 3)
     if args.emit_core:
         report["core"] = _vertices(res.core)
     if args.emit_kernel:
@@ -359,6 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        return _run(argv)
+    except Exception as exc:  # any other fault exits 4, without a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _run(argv: Optional[list[str]]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -30,18 +30,18 @@ def wreach_all(g: Digraph, order: LinearOrder, r: int) -> tuple[frozenset, ...]:
     """Weak-r-reachability sets for every vertex at once.
 
     For each u, a bounded search through strictly L-larger vertices finds
-    everything u weakly reaches; u is then recorded in those sets.
+    everything u weakly reaches; u is then recorded in those sets.  The
+    L-larger test compares positions, so the cost is O(sum of the r-balls
+    searched), not O(n) per vertex.
     """
     if len(order) != g.n:
         raise ValueError("order size does not match the graph")
     if r < 0:
         raise ValueError("radius must be nonnegative")
+    pos = [order.position(v) for v in range(g.n)]
     result = [{v} for v in range(g.n)]
     for u in range(g.n):
-        pu = order.position(u)
-        allowed = frozenset(
-            w for w in range(g.n) if order.position(w) >= pu
-        )
+        pu = pos[u]
         for adj in (g.out_neighbors, g.in_neighbors):
             seen = {u}
             frontier = [u]
@@ -51,7 +51,7 @@ def wreach_all(g: Digraph, order: LinearOrder, r: int) -> tuple[frozenset, ...]:
                 nxt = []
                 for x in frontier:
                     for y in adj(x):
-                        if y not in seen and y in allowed:
+                        if y not in seen and pos[y] > pu:
                             seen.add(y)
                             nxt.append(y)
                 frontier = nxt

@@ -14,6 +14,7 @@ The plain-text exchange format is::
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -72,11 +73,9 @@ class Digraph:
     def underlying_neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in the underlying undirected graph."""
         if self._und is None:
-            und = [set() for _ in range(self.n)]
-            for u, w in self._arcs:
-                und[u].add(w)
-                und[w].add(u)
-            self._und = tuple(tuple(sorted(s)) for s in und)
+            self._und = tuple(
+                tuple(sorted({*out, *inc})) for out, inc in zip(self._out, self._in)
+            )
         return self._und[v]
 
     def underlying_edges(self) -> list[tuple[int, int]]:
@@ -391,6 +390,34 @@ def remove_vertices(g: Digraph, removed: Iterable[int]) -> Digraph:
 # degeneracy
 
 
+def _peel(neighbors: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
+    """Min-degree peel: yield each removed vertex with its degree at removal.
+
+    ``neighbors[v]`` lists v's neighbors, repeats counting with
+    multiplicity.  Each step removes the live vertex of smallest current
+    degree, ties broken towards the smallest index.  A lazy min-heap holds
+    one key ``degree * n + vertex`` per degree a vertex has had (plain ints
+    compare faster than tuples).  Degrees only fall, so a vertex's newest
+    key is its smallest and pops first; later pops of its stale keys find
+    it removed and are skipped.  Costs O((n + m) log n).
+    """
+    n = len(neighbors)
+    deg = [len(a) for a in neighbors]
+    alive = [True] * n
+    heap = [d * n + v for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    while heap:
+        d, v = divmod(heapq.heappop(heap), n)
+        if not alive[v]:
+            continue
+        alive[v] = False
+        yield v, d
+        for u in neighbors[v]:
+            if alive[u]:
+                deg[u] -= 1
+                heapq.heappush(heap, deg[u] * n + u)
+
+
 def degeneracy(g: Digraph) -> tuple[int, LinearOrder, list[tuple[int, int]]]:
     """Min-degree peel of the underlying undirected graph.
 
@@ -399,30 +426,20 @@ def degeneracy(g: Digraph) -> tuple[int, LinearOrder, list[tuple[int, int]]]:
     at most d underlying neighbors earlier in the order (the peel sequence
     reversed), and ``orientation`` directs every underlying edge from the
     later position to the earlier one, which gives out-degree <= d.
-    Ties are broken towards the smallest vertex index.
+    Ties are broken towards the smallest vertex index.  Costs
+    O((n + m) log n).
     """
-    n = g.n
-    neigh = [set(g.underlying_neighbors(v)) for v in range(n)]
-    deg = [len(s) for s in neigh]
-    alive = set(range(n))
-    peel: list[int] = []
+    und = [g.underlying_neighbors(v) for v in range(g.n)]
     d = 0
-    for _ in range(n):
-        v = min(alive, key=lambda x: (deg[x], x))
-        d = max(d, deg[v])
+    peel: list[int] = []
+    for v, deg_v in _peel(und):
+        d = max(d, deg_v)
         peel.append(v)
-        alive.remove(v)
-        for u in neigh[v]:
-            if u in alive:
-                deg[u] -= 1
     order = LinearOrder(peel[::-1])
-    orientation = []
-    for u, v in g.underlying_edges():
-        if order.position(u) > order.position(v):
-            orientation.append((u, v))
-        else:
-            orientation.append((v, u))
-    return d, order, sorted(orientation)
+    pos = order._pos
+    # u ascending, then each sorted neighbor list: already in sorted order
+    orientation = [(u, v) for u in range(g.n) for v in und[u] if pos[v] < pos[u]]
+    return d, order, orientation
 
 
 # ---------------------------------------------------------------------------

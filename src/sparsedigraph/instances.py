@@ -7,6 +7,7 @@ in lexicographic (i, j) order; the apex, when present, comes last.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,9 +80,29 @@ def random_digraph(n: int, m: int, seed: int) -> Digraph:
         raise ValueError("need at least one vertex")
     if m > n * (n - 1):
         raise ValueError(f"m={m} exceeds the {n * (n - 1)} possible arcs")
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     rng = random.Random(seed)
-    return Digraph(n, rng.sample(pairs, m))
+    return Digraph(n, rng.sample(_OrderedPairs(n), m))
+
+
+class _OrderedPairs(Sequence):
+    """The n(n-1) pairs (u, v), u != v, in lexicographic order.
+
+    Items are computed on demand, so ``random.sample`` draws m of them in
+    O(m) when m is small against n^2, and picks exactly the pairs it would
+    pick from the materialized list.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n * (self.n - 1)
+
+    def __getitem__(self, j: int) -> tuple[int, int]:
+        if not 0 <= j < len(self):
+            raise IndexError(j)
+        u, w = divmod(j, self.n - 1)
+        return u, w + (w >= u)
 
 
 _FAMILIES = ("path", "crown", "apex-crown", "random", "bidirected-clique")

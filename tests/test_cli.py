@@ -1,5 +1,9 @@
 """Command line surface: subcommands, formats, exit codes, determinism."""
+import dataclasses
 import json
+import sys
+
+from sparsedigraph import cli
 
 from sparsedigraph.cli import main
 from sparsedigraph import format_digraph, parse_digraph, random_digraph
@@ -146,6 +150,57 @@ def test_kernel_roundtrip(tmp_path, capsys):
     assert code in (0, 1)
     kernel = parse_digraph(target.read_text())
     assert kernel.n == rep["kernel_n"]
+
+
+def test_kernel_threshold_too_long_to_print(tmp_path, capsys, monkeypatch):
+    huge = 10 ** (sys.get_int_max_str_digits() + 5) * 3
+    real = cli.kernelize
+    monkeypatch.setattr(
+        cli, "kernelize",
+        lambda g, r, k: dataclasses.replace(real(g, r, k), threshold=huge),
+    )
+    path = write_graph(tmp_path, random_digraph(9, 20, 2))
+    code, out, err = run(capsys, "kernel", path, "--radius", "1", "--budget", "2")
+    assert code in (0, 1) and err == ""
+    rep = json_out(out)
+    assert rep["threshold"] is None
+    assert rep["threshold_log10"] == round(sys.get_int_max_str_digits() + 5.477, 3)
+    code, out, _ = run(
+        capsys, "--format", "tsv", "kernel", path, "--radius", "1", "--budget", "2",
+    )
+    rows = dict(ln.split("\t", 1) for ln in out.strip().splitlines())
+    assert code in (0, 1) and rows["threshold"] == "None"
+
+
+def test_kernel_threshold_printable_stays_int(tmp_path, capsys):
+    path = write_graph(tmp_path, random_digraph(9, 20, 2))
+    code, out, _ = run(capsys, "kernel", path, "--radius", "1", "--budget", "2")
+    rep = json_out(out)
+    assert isinstance(rep["threshold"], int)
+    assert "threshold_log10" not in rep
+
+
+def test_unexpected_error_exits_internal(tmp_path, capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_wcol", boom)
+    path = write_graph(tmp_path, directed_path(4))
+    code, out, err = run(capsys, "wcol", path, "--radius", "2")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_error_while_emitting_exits_internal(tmp_path, capsys, monkeypatch):
+    def unprintable(report, fmt):
+        raise ValueError("cannot print")
+
+    monkeypatch.setattr(cli, "_emit", unprintable)
+    path = write_graph(tmp_path, directed_path(4))
+    code, _, err = run(capsys, "wcol", path, "--radius", "2")
+    assert code == 4
+    assert err == "internal error: ValueError: cannot print\n"
 
 
 def test_oracle_gamma(tmp_path, capsys):

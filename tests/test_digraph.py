@@ -1,4 +1,6 @@
 """Core digraph representation, balls, SCCs, contraction, degeneracy."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from sparsedigraph import (
     bidirected_clique,
     directed_path,
     format_digraph,
+    grad_lower_bound,
     in_ball,
     out_ball,
     parse_digraph,
@@ -265,6 +268,106 @@ def test_degeneracy_orientation_outdegree_bound():
             1 for u in g.underlying_neighbors(v) if order.position(u) < order.position(v)
         )
         assert earlier <= d
+
+
+def reference_degeneracy(g):
+    """Quadratic min-scan peel: the straightforward version of degeneracy."""
+    n = g.n
+    neigh = [set(g.underlying_neighbors(v)) for v in range(n)]
+    deg = [len(s) for s in neigh]
+    alive = set(range(n))
+    peel = []
+    d = 0
+    for _ in range(n):
+        v = min(alive, key=lambda x: (deg[x], x))
+        d = max(d, deg[v])
+        peel.append(v)
+        alive.remove(v)
+        for u in neigh[v]:
+            if u in alive:
+                deg[u] -= 1
+    order = LinearOrder(peel[::-1])
+    orientation = []
+    for u, v in g.underlying_edges():
+        if order.position(u) > order.position(v):
+            orientation.append((u, v))
+        else:
+            orientation.append((v, u))
+    return d, order, sorted(orientation)
+
+
+def reference_grad_lower_bound(g):
+    """Quadratic min-scan densest-subgraph peel on out+in degree."""
+    if g.n == 0:
+        return Fraction(0)
+    alive = set(range(g.n))
+    deg = [len(g.out_neighbors(v)) + len(g.in_neighbors(v)) for v in range(g.n)]
+    arcs = g.m
+    best = Fraction(arcs, g.n)
+    while len(alive) > 1:
+        v = min(alive, key=lambda x: (deg[x], x))
+        for u in g.out_neighbors(v):
+            if u in alive:
+                deg[u] -= 1
+                arcs -= 1
+        for u in g.in_neighbors(v):
+            if u in alive:
+                deg[u] -= 1
+                arcs -= 1
+        alive.remove(v)
+        best = max(best, Fraction(arcs, len(alive)))
+    return best
+
+
+@st.composite
+def digraphs(draw, max_n=14):
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return Digraph(n)
+    arcs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    return Digraph(n, [(u, v) for u, v in arcs if u != v])
+
+
+@given(digraphs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_peel_matches_min_scan_reference(g):
+    d, order, orientation = degeneracy(g)
+    ref_d, ref_order, ref_orientation = reference_degeneracy(g)
+    assert (d, order.seq, orientation) == (ref_d, ref_order.seq, ref_orientation)
+    assert grad_lower_bound(g) == reference_grad_lower_bound(g)
+
+
+@given(digraphs(max_n=40))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_degeneracy_matches_networkx_core_number(g):
+    nx = pytest.importorskip("networkx")
+    und = nx.Graph()
+    und.add_nodes_from(range(g.n))
+    und.add_edges_from(g.underlying_edges())
+    assert degeneracy(g)[0] == max(nx.core_number(und).values(), default=0)
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: directed_path(20000), 1),
+        (lambda: random_digraph(20000, 60000, seed=1), 4),
+    ],
+    ids=["path", "random"],
+)
+def test_peel_large_graphs(build, expected):
+    """Regression for the quadratic peel: n = 20000 takes well under a second."""
+    g = build()
+    d, order, orientation = degeneracy(g)
+    assert d == expected
+    assert len(orientation) == len(g.underlying_edges())
+    outdeg = [0] * g.n
+    for u, v in orientation:
+        assert order.position(v) < order.position(u)
+        outdeg[u] += 1
+    assert max(outdeg) <= d
+    # every subgraph has at most 2d arcs per vertex (antiparallel pairs twice)
+    assert Fraction(g.m, g.n) <= grad_lower_bound(g) <= 2 * d
 
 
 # ---------------------------------------------------------------------------
