@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .digraph import Digraph, LinearOrder, degeneracy, out_distances
+from .digraph import Digraph, LinearOrder, _degeneracy, degeneracy, out_distances
 from .errors import InternalInvariantError, SizeCapError
 
 
@@ -321,16 +321,22 @@ class Augmentation:
             acc |= layer
         return frozenset(acc)
 
-    def union_graph(self) -> Digraph:
-        return Digraph(self.n, self.union_arcs())
+
+def _undirected_lists(n: int, pairs) -> list[list[int]]:
+    """Sorted, duplicate-free neighbor lists of the pairs' underlying
+    graph, the form ``Digraph.underlying_neighbors`` gives."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return [sorted(set(a)) for a in nbrs]
 
 
-def _orient_pairs(n: int, pairs: set) -> frozenset:
-    """Degeneracy-orient a set of unordered pairs (as 2-frozensets)."""
+def _orient_pairs(n: int, pairs) -> frozenset:
+    """Degeneracy-orient unordered pairs, each given as (u, v) once."""
     if not pairs:
         return frozenset()
-    proxy = Digraph(n, (tuple(sorted(p)) for p in pairs))
-    _, _, orientation = degeneracy(proxy)
+    _, _, orientation = _degeneracy(_undirected_lists(n, pairs))
     return frozenset(orientation)
 
 
@@ -347,13 +353,12 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
         raise ValueError("augmentation depth must be at least 1")
     n = g.n
     dist = [out_distances(g, v, cap=r) for v in range(n)]
-
-    def joined_within(u: int, v: int, cap: int) -> bool:
-        return dist[u].get(v, r + 1) <= cap or dist[v].get(u, r + 1) <= cap
+    far = r + 1
 
     _, _, first = degeneracy(g)
     layers: list[frozenset] = [frozenset(first)]
-    present = {frozenset((u, v)) for u, v in first}
+    # unordered pairs {u, v} are kept as the int min(u, v) * n + max(u, v)
+    present = {u * n + v if u < v else v * n + u for u, v in first}
     outs = [[set() for _ in range(n)]]
     ins = [[set() for _ in range(n)]]
     for u, v in first:
@@ -362,32 +367,32 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
 
     for t in range(2, r + 1):
         fresh: set = set()
+        checked: set = set()  # pairs already decided for this layer
         for j1 in range(1, t):
             j2 = t - j1
             o1, o2 = outs[j1 - 1], outs[j2 - 1]
             i1 = ins[j1 - 1]
             for w in range(n):
-                # fraternal: two arcs leaving w in layers summing to t
-                for u in o1[w]:
-                    for v in o2[w]:
-                        if u == v:
-                            continue
-                        pair = frozenset((u, v))
-                        if pair in present or pair in fresh:
-                            continue
-                        if joined_within(u, v, t):
-                            fresh.add(pair)
-                # transitive: u -> w in j1 followed by w -> x in j2
-                for u in i1[w]:
-                    for x in o2[w]:
-                        if u == x:
-                            continue
-                        pair = frozenset((u, x))
-                        if pair in present or pair in fresh:
-                            continue
-                        if joined_within(u, x, t):
-                            fresh.add(pair)
-        layer = _orient_pairs(n, fresh)
+                ends = o2[w]
+                if not ends:
+                    continue
+                # fraternal: w -> u in E_j1 and w -> v in E_j2;
+                # transitive: u -> w in E_j1 followed by w -> v in E_j2
+                for starts in (o1[w], i1[w]):
+                    for u in starts:
+                        du = dist[u]
+                        for v in ends:
+                            if u == v:
+                                continue
+                            key = u * n + v if u < v else v * n + u
+                            if key in checked:
+                                continue
+                            checked.add(key)
+                            if key not in present and (
+                                du.get(v, far) <= t or dist[v].get(u, far) <= t
+                            ):
+                                fresh.add(key)
+        layer = _orient_pairs(n, [divmod(key, n) for key in fresh])
         layers.append(layer)
         present |= fresh
         outs.append([set() for _ in range(n)])
@@ -418,9 +423,12 @@ def order_from_augmentation(g: Digraph, aug: Augmentation) -> WcolOrder:
     """Greedy order of the augmentation union graph with its bound."""
     if aug.n != g.n:
         raise ValueError("augmentation does not fit the graph")
-    union = aug.union_graph()
-    d = max((len(union.out_neighbors(v)) for v in range(union.n)), default=0)
-    c, order, _ = degeneracy(union)
+    arcs = aug.union_arcs()
+    outdeg = [0] * g.n
+    for u, _ in arcs:
+        outdeg[u] += 1
+    d = max(outdeg, default=0)
+    c, order, _ = _degeneracy(_undirected_lists(g.n, arcs))
     return WcolOrder(
         order=order,
         guarantee=(d + 1) * c + 1,
@@ -431,8 +439,18 @@ def order_from_augmentation(g: Digraph, aug: Augmentation) -> WcolOrder:
 
 
 def compute_wcol_order(g: Digraph, r: int) -> WcolOrder:
-    """Augment to depth r, then extract the order and its guarantee."""
-    return order_from_augmentation(g, tfa_augment(g, r))
+    """Augment to depth r, then extract the order and its guarantee.
+
+    The result is kept on the (immutable) graph, so repeated calls with
+    the same graph object and radius return the same ``WcolOrder`` in
+    O(1); the first call costs the augmentation plus an O((n + m') log n)
+    peel of its union (m' its arcs).  The computation is deterministic,
+    so the memo changes no output.
+    """
+    key = ("wcol_order", r)
+    if key not in g._derived:
+        g._derived[key] = order_from_augmentation(g, tfa_augment(g, r))
+    return g._derived[key]
 
 
 # ---------------------------------------------------------------------------

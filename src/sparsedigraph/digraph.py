@@ -25,10 +25,12 @@ class Digraph:
     """Immutable digraph with out/in adjacency lists.
 
     Adjacency tuples are sorted so that every traversal in the package
-    is deterministic without further care.
+    is deterministic without further care.  ``_derived`` holds data other
+    modules compute from the graph (keyed by name and parameters), so it
+    is computed once per graph and freed with it.
     """
 
-    __slots__ = ("n", "_arcs", "_out", "_in", "_und")
+    __slots__ = ("n", "_arcs", "_out", "_in", "_und", "_derived")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -52,6 +54,7 @@ class Digraph:
         self._out = tuple(tuple(a) for a in out)
         self._in = tuple(tuple(sorted(a)) for a in inc)
         self._und: Optional[tuple[tuple[int, ...], ...]] = None
+        self._derived: dict = {}
 
     @property
     def m(self) -> int:
@@ -429,7 +432,16 @@ def degeneracy(g: Digraph) -> tuple[int, LinearOrder, list[tuple[int, int]]]:
     Ties are broken towards the smallest vertex index.  Costs
     O((n + m) log n).
     """
-    und = [g.underlying_neighbors(v) for v in range(g.n)]
+    return _degeneracy([g.underlying_neighbors(v) for v in range(g.n)])
+
+
+def _degeneracy(und: Sequence[Sequence[int]]) -> tuple[int, LinearOrder, list[tuple[int, int]]]:
+    """``degeneracy`` on undirected adjacency lists.
+
+    ``und[v]`` must be sorted and free of duplicates, as
+    ``Digraph.underlying_neighbors`` returns it; callers holding plain
+    pair or arc sets use this to skip building a ``Digraph``.
+    """
     d = 0
     peel: list[int] = []
     for v, deg_v in _peel(und):
@@ -438,7 +450,7 @@ def degeneracy(g: Digraph) -> tuple[int, LinearOrder, list[tuple[int, int]]]:
     order = LinearOrder(peel[::-1])
     pos = order._pos
     # u ascending, then each sorted neighbor list: already in sorted order
-    orientation = [(u, v) for u in range(g.n) for v in und[u] if pos[v] < pos[u]]
+    orientation = [(u, v) for u in range(len(und)) for v in und[u] if pos[v] < pos[u]]
     return d, order, orientation
 
 

@@ -15,6 +15,8 @@ stitches the result together with shortest paths through v.
 from __future__ import annotations
 
 import bisect
+import heapq
+import itertools
 import math
 import random
 from typing import Iterable, Optional, Sequence
@@ -88,33 +90,73 @@ def vc_dimension_distance_r(g: Digraph, r: int,
 
 
 def _greedy_hitting_set(members: list[frozenset], blues: list[int]) -> frozenset:
-    """Deterministic greedy set cover over the blue candidates."""
-    remaining = list(range(len(members)))
+    """Deterministic greedy set cover over the blue candidates.
+
+    Each step picks the blue vertex hitting the most sets not yet hit,
+    ties broken towards the smallest index, and raises InfeasibleError
+    when no blue vertex hits a remaining set.  This is the lazy greedy of
+    Minoux (1978): an inverted index lists the sets each blue vertex
+    hits, live gain counts drop as sets get hit, and a max-heap keeps
+    possibly stale ``(-gain, b)`` entries.  Gains only fall, so an entry
+    that matches its vertex's live gain when it reaches the top is the
+    exact ``max(blues, key=(gain, -b))`` of a full rescan, and the picks
+    are the same.  Costs O(sum of |members| + heap pushes * log |blues|),
+    with at most one push per gain decrement.
+    """
+    hits: dict[int, list[int]] = {b: [] for b in blues}
+    for i, m in enumerate(members):
+        for x in m:
+            if x in hits:
+                hits[x].append(i)
+    gain = {b: len(sets) for b, sets in hits.items()}
+    heap = [(-gain[b], b) for b in hits if gain[b]]
+    heapq.heapify(heap)
+    alive = [True] * len(members)
+    remaining = len(members)
     chosen: set[int] = set()
     while remaining:
-        gain = {
-            b: sum(1 for i in remaining if b in members[i]) for b in blues
-        }
-        b = max(blues, key=lambda x: (gain[x], -x))
-        if gain[b] == 0:
+        if not heap:
             raise InfeasibleError("greedy cover stalled: some set has no blue member")
+        neg, b = heapq.heappop(heap)
+        if -neg != gain[b]:
+            if gain[b]:
+                heapq.heappush(heap, (-gain[b], b))
+            continue
         chosen.add(b)
-        remaining = [i for i in remaining if b not in members[i]]
+        for i in hits[b]:
+            if alive[i]:
+                alive[i] = False
+                remaining -= 1
+                for x in members[i]:
+                    if x in gain:
+                        gain[x] -= 1
     return frozenset(chosen)
 
 
 def _weighted_sample(blues: list[int], weights: dict, count: int,
                      rng: random.Random) -> frozenset:
-    """``count`` independent draws by inversion over the prefix sums."""
-    prefix = []
-    total = 0
-    for b in blues:
-        total += weights[b]
-        prefix.append(total)
-    picked = set()
-    for _ in range(count):
-        shot = rng.randrange(total)
-        picked.add(blues[bisect.bisect_right(prefix, shot)])
+    """``count`` independent draws by inversion over the prefix sums.
+
+    Each draw is CPython's ``randrange(total)`` done by hand: redraw
+    ``getrandbits(total.bit_length())`` until it falls below ``total``.
+    Draws are taken in batches of the number still missing, and a batch
+    keeps its values below ``total`` in order, so the generator makes the
+    same calls as ``count`` calls of ``randrange`` and every seeded net is
+    unchanged.  The per-draw loop runs in C (``map``, ``filter``,
+    ``bisect``); costs O(|blues| + count * log |blues|).
+    """
+    prefix = list(itertools.accumulate(map(weights.__getitem__, blues)))
+    total = prefix[-1] if prefix else 0
+    if count and total <= 0:
+        raise ValueError("empty range for the weighted sample")
+    bits = total.bit_length()
+    picked: set = set()
+    need = count
+    while need:
+        shots = list(filter(total.__gt__, map(rng.getrandbits, itertools.repeat(bits, need))))
+        need -= len(shots)
+        picked.update(map(blues.__getitem__,
+                          map(bisect.bisect_right, itertools.repeat(prefix), shots)))
     return frozenset(picked)
 
 
@@ -165,7 +207,7 @@ def redblue_dominate_approx(g: Digraph, red: Iterable[int], blue: Iterable[int],
         rounds = math.ceil(4 * k_guess * math.log2(g.n / k_guess + 2))
         for _ in range(rounds):
             net = _weighted_sample(blues, weights, net_size, rng)
-            unhit = next((m for m in members if not (m & net)), None)
+            unhit = next(filter(net.isdisjoint, members), None)
             if unhit is None:
                 candidate = net
                 break

@@ -207,14 +207,15 @@ class IndependenceTree:
 
     def insert(self, v: int):
         self.sequence.append(v)
+        ball = self._ball(v)
         if not self.nodes:
             self.nodes.append(_Node(v))
             return
-        ball = self._ball(v)
+        balls = self._balls
         at = 0
         while True:
             node = self.nodes[at]
-            go_right = bool(self._ball(node.vertex) & ball)
+            go_right = not ball.isdisjoint(balls[node.vertex])
             child = node.right if go_right else node.left
             if child is None:
                 self.nodes.append(_Node(v))
@@ -228,37 +229,40 @@ class IndependenceTree:
     def node_count(self) -> int:
         return len(self.nodes)
 
+    def _subtree_table(self) -> tuple[list[int], list[int], list[int]]:
+        """Per node i, over the subtree rooted at i: the nodes on its
+        longest root-leaf path, its longest right chain and its longest
+        left chain (each counted in nodes, chains as in ``max_left_chain``).
+
+        Children are appended after their parent, so sweeping the node
+        indices downwards visits every child before its parent: one
+        iterative post-order pass, O(nodes), with no recursion.
+        """
+        size = len(self.nodes)
+        height = [1] * size
+        right = [1] * size
+        left = [1] * size
+        for i in range(size - 1, -1, -1):
+            node = self.nodes[i]
+            if node.left is not None:
+                a = node.left
+                height[i] = max(height[i], 1 + height[a])
+                right[i] = max(right[i], right[a])
+                left[i] = max(left[i], 1 + left[a])
+            if node.right is not None:
+                b = node.right
+                height[i] = max(height[i], 1 + height[b])
+                right[i] = max(right[i], 1 + right[b])
+                left[i] = max(left[i], left[b])
+        return height, right, left
+
     def height(self) -> int:
         """Nodes on the longest root-leaf path."""
-        if not self.nodes:
-            return 0
-
-        def depth(i):
-            node = self.nodes[i]
-            best = 1
-            if node.left is not None:
-                best = max(best, 1 + depth(node.left))
-            if node.right is not None:
-                best = max(best, 1 + depth(node.right))
-            return best
-
-        return depth(0)
+        return self._subtree_table()[0][0] if self.nodes else 0
 
     def longest_right_chain(self) -> int:
         """Longest pairwise right-descendant chain on a root-leaf path."""
-        if not self.nodes:
-            return 0
-
-        def walk(i):
-            node = self.nodes[i]
-            best = 1
-            if node.left is not None:
-                best = max(best, walk(node.left))
-            if node.right is not None:
-                best = max(best, 1 + walk(node.right))
-            return best
-
-        return walk(0)
+        return self._subtree_table()[1][0] if self.nodes else 0
 
     def assert_size_law(self):
         """Height-h trees with no right chain of length t hold at most
@@ -291,22 +295,13 @@ def max_left_chain(tree: IndependenceTree) -> list[int]:
     """
     if not tree.nodes:
         return []
-
-    def value(i) -> int:
-        node = tree.nodes[i]
-        best = 1
-        if node.left is not None:
-            best = max(best, 1 + value(node.left))
-        if node.right is not None:
-            best = max(best, value(node.right))
-        return best
-
+    value = tree._subtree_table()[2]
     chain = []
     at = 0
     while at is not None:
         node = tree.nodes[at]
-        left_val = 1 + value(node.left) if node.left is not None else 1
-        right_val = value(node.right) if node.right is not None else 0
+        left_val = 1 + value[node.left] if node.left is not None else 1
+        right_val = value[node.right] if node.right is not None else 0
         if node.left is not None and left_val >= max(right_val, 2):
             chain.append(node.vertex)
             at = node.left
@@ -343,7 +338,16 @@ class DualityResult:
 
 def dominator_or_scattered(g: Digraph, targets, r: int, k: int) -> DualityResult:
     """Either a distance-r dominator of the targets, or an r-scattered
-    subset of k+1 targets proving no k-vertex dominator exists."""
+    subset of k+1 targets proving no k-vertex dominator exists.
+
+    The anchors are picked by one walk along the order, each the
+    L-smallest target not yet dominated, exactly as a ``min`` over the
+    undominated targets picks them.  Besides the order (computed once per
+    graph and radius, see ``compute_wcol_order``) and ``wreach_all``, the
+    walk costs O(n) plus an r-out-ball per hull vertex; the guarantee
+    check costs one r-out-ball per vertex and the tree O(anchors^2)
+    ball intersections at worst.
+    """
     if r < 1:
         raise ValueError("radius must be at least 1")
     if k < 0:
@@ -358,8 +362,11 @@ def dominator_or_scattered(g: Digraph, targets, r: int, k: int) -> DualityResult
     undominated = set(target_set)
     anchors: list[int] = []
     dominating: set = set()
-    while undominated:
-        x = min(undominated, key=res.order.position)
+    # undominated only shrinks, so its L-smallest member is the next
+    # vertex of the order still in it
+    for x in res.order:
+        if x not in undominated:
+            continue
         anchors.append(x)
         hull = sets[x]
         dominating |= hull

@@ -152,6 +152,16 @@ def test_kernel_roundtrip(tmp_path, capsys):
     assert kernel.n == rep["kernel_n"]
 
 
+def test_kernel_long_path_reports(tmp_path, capsys):
+    # the independence tree on this path is 1501 nodes deep
+    path = write_graph(tmp_path, directed_path(3000))
+    code, out, err = run(capsys, "kernel", path, "--radius", "1", "--budget", "2000")
+    assert (code, err) == (0, "")
+    rep = json_out(out)
+    assert rep["infeasible"] is False
+    assert (rep["core_size"], rep["kernel_n"]) == (3000, 3002)
+
+
 def test_kernel_threshold_too_long_to_print(tmp_path, capsys, monkeypatch):
     huge = 10 ** (sys.get_int_max_str_digits() + 5) * 3
     real = cli.kernelize

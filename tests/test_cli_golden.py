@@ -1,0 +1,96 @@
+"""Golden CLI outputs: stdout must stay byte-identical apart from timing.
+
+Each case runs one subcommand on a small seeded instance and compares the
+SHA-256 of its stdout, with the ``timing_ms`` line removed, and its exit
+code against values recorded from an earlier, slower implementation.  A
+speed-up that changes any answer, order, guess or formatting fails here.
+To re-record after an intended output change, print ``_digest(...)`` for
+every case and say in the change log why the outputs moved.
+"""
+import contextlib
+import hashlib
+import io
+import re
+
+import pytest
+
+from sparsedigraph import format_digraph, random_digraph
+from sparsedigraph.cli import main
+from sparsedigraph.instances import apex_crown
+
+TIMING_LINE = re.compile(r'^  "timing_ms": .*\n', re.M)
+
+GRAPHS = {
+    "random60-1": lambda: random_digraph(60, 180, 1),
+    "random60-2": lambda: random_digraph(60, 180, 2),
+    "random60-3": lambda: random_digraph(60, 180, 3),
+    "apex10": lambda: apex_crown(10),
+}
+
+# subcommand arguments after the graph path; "RED" is replaced by a file
+# listing every third vertex
+COMMANDS = {
+    "wcol-r2": ("wcol", "--radius", "2"),
+    "domset-r1": ("domset", "--radius", "1"),
+    "domset-r1-red": ("domset", "--radius", "1", "--red", "RED"),
+    "domset-r2": ("domset", "--radius", "2"),
+    "domset-r2-red": ("domset", "--radius", "2", "--red", "RED"),
+    "kernel-r1-k3": ("kernel", "--radius", "1", "--budget", "3"),
+    "kernel-r2-k3": ("kernel", "--radius", "2", "--budget", "3", "--emit-core"),
+}
+
+# (graph, command) -> (exit code, first 16 hex digits of the stdout digest)
+EXPECTED = {
+    ("random60-1", "wcol-r2"): (0, "acc4825bc97a21a3"),
+    ("random60-1", "domset-r1"): (0, "e912f258af1113ad"),
+    ("random60-1", "domset-r1-red"): (0, "39bcf558caedcfeb"),
+    ("random60-1", "domset-r2"): (0, "07a32c92739613dd"),
+    ("random60-1", "domset-r2-red"): (0, "3acf45ce5a0df9ee"),
+    ("random60-1", "kernel-r1-k3"): (1, "7044f7c7c23bfb5c"),
+    ("random60-1", "kernel-r2-k3"): (0, "1e4dc7f17968e933"),
+    ("random60-2", "wcol-r2"): (0, "6b6ab58028416b9a"),
+    ("random60-2", "domset-r1"): (0, "05630da26b2eb81b"),
+    ("random60-2", "domset-r1-red"): (0, "5d1fef74aada67d3"),
+    ("random60-2", "domset-r2"): (0, "f821f97ea12dc8a8"),
+    ("random60-2", "domset-r2-red"): (0, "32a46c243699f0e7"),
+    ("random60-2", "kernel-r1-k3"): (1, "1d8ac4b1784673bc"),
+    ("random60-2", "kernel-r2-k3"): (0, "f2adbe1bf3d99b1e"),
+    ("random60-3", "wcol-r2"): (0, "ca7a361baef0f8da"),
+    ("random60-3", "domset-r1"): (0, "a993d0f36795a70f"),
+    ("random60-3", "domset-r1-red"): (0, "a2c6d86feb492ab0"),
+    ("random60-3", "domset-r2"): (0, "0fd17ad0196733d7"),
+    ("random60-3", "domset-r2-red"): (0, "5eba9072bd71aea5"),
+    ("random60-3", "kernel-r1-k3"): (1, "496ae152cc13b6d0"),
+    ("random60-3", "kernel-r2-k3"): (0, "a206724b0dc463f2"),
+    ("apex10", "wcol-r2"): (0, "bf04240516b6d250"),
+    ("apex10", "domset-r1"): (0, "dcb35dca5a636679"),
+    ("apex10", "domset-r1-red"): (0, "f51a844fbf0b8c32"),
+    ("apex10", "domset-r2"): (0, "3cdc4700e082dc20"),
+    ("apex10", "domset-r2-red"): (0, "3cdc4700e082dc20"),
+    ("apex10", "kernel-r1-k3"): (0, "8aa5b9f01759814c"),
+    ("apex10", "kernel-r2-k3"): (0, "7ff82667e27f2145"),
+}
+
+
+def _digest(tmp_path, graph: str, command: str) -> tuple[int, str]:
+    g = GRAPHS[graph]()
+    path = tmp_path / "g.dg"
+    path.write_text(format_digraph(g))
+    red = tmp_path / "red.txt"
+    red.write_text("".join(f"{v}\n" for v in range(0, g.n, 3)))
+    sub, *rest = COMMANDS[command]
+    argv = [sub, str(path)] + [str(red) if a == "RED" else a for a in rest]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    out = TIMING_LINE.sub("", buf.getvalue())
+    return code, hashlib.sha256(out.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("graph,command", sorted(EXPECTED))
+def test_cli_output_matches_golden(tmp_path, graph, command):
+    assert _digest(tmp_path, graph, command) == EXPECTED[graph, command]
+
+
+def test_golden_table_covers_every_case():
+    assert set(EXPECTED) == {(g, c) for g in GRAPHS for c in COMMANDS}

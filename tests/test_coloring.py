@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sparsedigraph import Digraph, LinearOrder, apex_crown, directed_path, random_digraph
 from sparsedigraph.acceptance import check_augmentation
 from sparsedigraph.coloring import (
+    Augmentation,
     adm_exact,
     adm_of_order,
     compute_wcol_order,
@@ -22,7 +23,7 @@ from sparsedigraph.coloring import (
     wreach,
     wreach_all,
 )
-from sparsedigraph.digraph import remove_vertices
+from sparsedigraph.digraph import degeneracy, remove_vertices
 from sparsedigraph.errors import SizeCapError
 
 
@@ -272,6 +273,25 @@ def test_path_pattern_in_augmentation():
 def test_order_from_augmentation_edgeless():
     res = order_from_augmentation(Digraph(3), tfa_augment(Digraph(3), 2))
     assert res.guarantee == 1
+
+
+@given(st.integers(1, 12), st.lists(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                                             max_size=25), min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_order_from_augmentation_matches_union_digraph(n, raw_layers):
+    # reference: peel a Digraph of the union, as the order was once built;
+    # layers may join a pair in both directions, which the underlying
+    # neighbor lists must count once
+    layers = tuple(
+        frozenset((u % n, v % n) for u, v in layer if u % n != v % n) for layer in raw_layers
+    )
+    aug = Augmentation(n=n, depth=len(layers), layers=layers)
+    union = Digraph(n, aug.union_arcs())
+    c, order, _ = degeneracy(union)
+    d = max((len(union.out_neighbors(v)) for v in range(n)), default=0)
+    res = order_from_augmentation(Digraph(n), aug)
+    assert (res.order, res.smaller_neighbors, res.max_outdegree) == (order, c, d)
+    assert res.guarantee == (d + 1) * c + 1
 
 
 def test_order_guarantee_holds():

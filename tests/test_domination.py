@@ -3,12 +3,18 @@ import math
 import random
 from itertools import combinations
 
+import bisect
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsedigraph import Digraph, bidirected_clique, directed_path, random_digraph
 from sparsedigraph.coloring import compute_wcol_order, wcol_exact, wreach_all
 from sparsedigraph.digraph import in_ball, in_distances
 from sparsedigraph.domination import (
+    _greedy_hitting_set,
+    _weighted_sample,
     distance_vector,
     neighborhood_complexity,
     redblue_dominate_approx,
@@ -222,6 +228,96 @@ def test_redblue_deterministic_for_seed():
     a = redblue_dominate_approx(g, red, blue, 2, seed=7)
     b = redblue_dominate_approx(g, red, blue, 2, seed=7)
     assert a == b
+
+
+def rescan_greedy(members, blues):
+    """Reference: the greedy cover that recounts every gain on every pick."""
+    remaining = list(range(len(members)))
+    chosen = set()
+    while remaining:
+        gain = {
+            b: sum(1 for i in remaining if b in members[i]) for b in blues
+        }
+        b = max(blues, key=lambda x: (gain[x], -x))
+        if gain[b] == 0:
+            raise InfeasibleError("greedy cover stalled: some set has no blue member")
+        chosen.add(b)
+        remaining = [i for i in remaining if b not in members[i]]
+    return frozenset(chosen)
+
+
+def _cover_outcome(fn, members, blues):
+    try:
+        return fn(members, blues)
+    except InfeasibleError:
+        return "stalled"
+
+
+@given(
+    st.lists(st.frozensets(st.integers(0, 9), max_size=5), max_size=12),
+    st.lists(st.integers(0, 9), min_size=1, max_size=10),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_lazy_greedy_matches_rescan(members, blues):
+    # small universes make gain ties common; members may hold non-blue
+    # vertices, be empty, or repeat, and blues may repeat
+    assert _cover_outcome(_greedy_hitting_set, members, blues) == \
+        _cover_outcome(rescan_greedy, members, blues)
+
+
+def test_lazy_greedy_ties_and_stall():
+    # 1 and 2 both hit two sets: the smaller index wins, then 3 is needed
+    members = [frozenset({1, 2}), frozenset({1, 2}), frozenset({3})]
+    assert _greedy_hitting_set(members, [3, 2, 1]) == frozenset({1, 3})
+    assert rescan_greedy(members, [3, 2, 1]) == frozenset({1, 3})
+    # stale gains: 5 starts best, then 6 and 7 tie on what is left
+    members = [frozenset({5, 6}), frozenset({5, 7}), frozenset({5}),
+               frozenset({6, 8}), frozenset({7, 8})]
+    blues = [5, 6, 7, 8]
+    assert _greedy_hitting_set(members, blues) == rescan_greedy(members, blues)
+    # the second set has no blue member: both stall
+    for fn in (_greedy_hitting_set, rescan_greedy):
+        with pytest.raises(InfeasibleError):
+            fn([frozenset({0}), frozenset({4})], [0, 1])
+
+
+def randrange_sample(blues, weights, count, rng):
+    """Reference: one ``randrange`` call per draw."""
+    prefix = []
+    total = 0
+    for b in blues:
+        total += weights[b]
+        prefix.append(total)
+    picked = set()
+    for _ in range(count):
+        shot = rng.randrange(total)
+        picked.add(blues[bisect.bisect_right(prefix, shot)])
+    return frozenset(picked)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+@pytest.mark.parametrize("weights", [
+    [1],                      # total 1 = 2^0
+    [1] * 8,                  # total 8, a power of two
+    [1] * 7,
+    [1, 2, 4, 1],             # total 8 again, uneven
+    [3, 5, 1000, 1],
+    [2 ** 40, 1, 2 ** 39],    # past one 32-bit word
+    [2 ** 62, 2 ** 62],       # total 2^63
+])
+def test_weighted_sample_consumes_rng_like_randrange(seed, weights):
+    blues = [3 * i + 1 for i in range(len(weights))]
+    w = dict(zip(blues, weights))
+    for count in (0, 1, 5, 64):
+        a, b = random.Random(seed + count), random.Random(seed + count)
+        assert _weighted_sample(blues, w, count, a) == randrange_sample(blues, w, count, b)
+        assert a.getstate() == b.getstate()
+
+
+def test_weighted_sample_rejects_empty_range():
+    with pytest.raises(ValueError):
+        _weighted_sample([], {}, 1, random.Random(0))
+    assert _weighted_sample([], {}, 0, random.Random(0)) == frozenset()
 
 
 # ---------------------------------------------------------------------------

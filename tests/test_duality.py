@@ -6,6 +6,8 @@ from itertools import combinations
 import pytest
 
 from sparsedigraph import Digraph, apex_crown, bidirected_clique, directed_path, random_digraph
+from sparsedigraph import coloring
+from sparsedigraph.coloring import compute_wcol_order, wreach_all
 from sparsedigraph.digraph import in_ball, out_ball
 from sparsedigraph.duality import (
     closure,
@@ -304,6 +306,95 @@ def test_dos_greedy_anchor_bound():
     anchors = frozenset(res.anchors)
     for u in range(g.n):
         assert len(out_ball(g, u, 2) & anchors) <= res.guarantee
+
+
+def min_scan_anchors(g, targets, r):
+    """Reference: the anchor loop that takes a min() per anchor."""
+    res = compute_wcol_order(g, 2 * r)
+    sets = wreach_all(g, res.order, 2 * r)
+    undominated = set(targets)
+    anchors = []
+    while undominated:
+        x = min(undominated, key=res.order.position)
+        anchors.append(x)
+        for y in sorted(sets[x]):
+            undominated -= out_ball(g, y, r)
+    return tuple(anchors)
+
+
+def test_dos_anchors_match_min_scan():
+    cases = [(directed_path(60), range(60), 1), (directed_path(60), range(0, 60, 7), 2)]
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(5, 40)
+        g = random_digraph(n, rng.randint(n, 3 * n), seed + 500)
+        cases.append((g, rng.sample(range(n), rng.randint(1, n)), rng.choice([1, 2])))
+    for g, targets, r in cases:
+        res = dominator_or_scattered(g, targets, r, g.n)
+        assert res.anchors == min_scan_anchors(g, targets, r)
+
+
+def tree_reference(tree):
+    """(height, longest right chain) by an explicit-stack walk."""
+    height = right = 0
+    stack = [(0, 1, 1)]
+    while stack:
+        i, depth, rights = stack.pop()
+        height, right = max(height, depth), max(right, rights)
+        node = tree.nodes[i]
+        if node.left is not None:
+            stack.append((node.left, depth + 1, 1))
+        if node.right is not None:
+            stack.append((node.right, depth + 1, rights + 1))
+    return height, right
+
+
+def test_tree_walks_match_reference():
+    for seed in range(8):
+        g = random_digraph(14, 30, seed)
+        rng = random.Random(seed)
+        tree = independence_tree(g, rng.sample(range(14), 12), rng.choice([1, 2]))
+        assert (tree.height(), tree.longest_right_chain()) == tree_reference(tree)
+
+
+def test_dos_long_path_needs_no_recursion():
+    # on a directed path the greedy picks every vertex as an anchor and the
+    # tree's left spine is about n/2 deep, far past the recursion limit
+    n = 3000
+    g = directed_path(n)
+    res = dominator_or_scattered(g, range(n), 1, 1499)
+    tree = res.tree
+    assert res.kind == "scattered"
+    assert len(res.scattered) == 1500  # in-balls {v-1, v}: every other vertex
+    assert verify_scattered(g, res.scattered, 1)
+    assert tree.node_count() == n
+    assert (tree.height(), tree.longest_right_chain()) == tree_reference(tree) == (1501, 2)
+    assert len(max_left_chain(tree)) == chain_oracle(tree) == 1500
+    assert tree.node_count() <= tree.height() ** (tree.longest_right_chain() + 2)
+    # 1500 vertices are pairwise scattered, so no 2000 vertices can be
+    # refuted: the greedy dominator comes back instead
+    res = dominator_or_scattered(g, range(n), 1, 2000)
+    assert res.kind == "dominating"
+    assert verify_dominating(g, res.dominating, 1)
+
+
+def test_wcol_order_computed_once_per_graph(monkeypatch):
+    g = random_digraph(30, 90, 4)
+    first = compute_wcol_order(g, 2)
+    assert compute_wcol_order(g, 2) is first
+    twin = Digraph(g.n, g.arcs())
+    assert twin == g and twin is not g
+    again = compute_wcol_order(twin, 2)
+    assert again is not first
+    assert again == first
+    assert compute_wcol_order(g, 3) != first  # keyed by radius too
+
+    calls = []
+    real = coloring.tfa_augment
+    monkeypatch.setattr(coloring, "tfa_augment", lambda h, r: calls.append(r) or real(h, r))
+    h = random_digraph(40, 120, 9)
+    kernelize(h, 1, 3)  # threshold order at 2r, then reduce_core's call reuses it
+    assert calls == [2]
 
 
 # ---------------------------------------------------------------------------
