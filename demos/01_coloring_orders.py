@@ -12,7 +12,7 @@ from sparsedigraph import (
     random_digraph,
     wcol_infty_exact,
     wcol_of_order,
-    wreach,
+    wreach_all,
 )
 
 # Weak reachability depends on the order.  On the path 0 -> 1 -> 2 we
@@ -20,8 +20,9 @@ from sparsedigraph import (
 # never the minimum of a path reaching 2.
 g = directed_path(3)
 order = LinearOrder([1, 0, 2])
+sets = wreach_all(g, order, 2)
 for v in range(3):
-    print(f"weakly 2-reachable from {v}:", sorted(wreach(g, order, v, 2)))
+    print(f"weakly 2-reachable from {v}:", sorted(sets[v]))
 
 # The limit value wcol_n acts like tree-depth: directed paths need
 # ceil(log2(n+1)) and the optimal order halves the path recursively.

@@ -31,7 +31,6 @@ from .coloring import (
     wcol_infty,
     wcol_infty_exact,
     wcol_of_order,
-    wreach,
     wreach_all,
 )
 from .digraph import (
@@ -192,7 +191,6 @@ __all__ = [
     "wcol_infty",
     "wcol_infty_exact",
     "wcol_of_order",
-    "wreach",
     "wreach_all",
 ]
 

@@ -273,10 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sparse digraph algorithm toolkit",
     )
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="reserved; results are independent of this value",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance")

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .digraph import Digraph, LinearOrder, _degeneracy, degeneracy, out_distances
-from .errors import InternalInvariantError, SizeCapError
+from .digraph import Digraph, LinearOrder, _bfs, _bits, _degeneracy, degeneracy, out_distances
+from .errors import InternalInvariantError, SizeCapError, _check_cap
 
 
 # ---------------------------------------------------------------------------
@@ -29,42 +29,23 @@ from .errors import InternalInvariantError, SizeCapError
 def wreach_all(g: Digraph, order: LinearOrder, r: int) -> tuple[frozenset, ...]:
     """Weak-r-reachability sets for every vertex at once.
 
-    For each u, a bounded search through strictly L-larger vertices finds
-    everything u weakly reaches; u is then recorded in those sets.  The
-    L-larger test compares positions, so the cost is O(sum of the r-balls
-    searched), not O(n) per vertex.
+    Walking the order, each u is added to a growing blocked set before two
+    bounded searches from it, so they pass only through L-larger vertices
+    and find everything u weakly reaches; u is then recorded in those
+    sets.  The cost is O(sum of the r-balls searched), not O(n) per vertex.
     """
     if len(order) != g.n:
         raise ValueError("order size does not match the graph")
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    pos = [order.position(v) for v in range(g.n)]
     result = [{v} for v in range(g.n)]
-    for u in range(g.n):
-        pu = pos[u]
+    blocked: set = set()
+    for u in order:
+        blocked.add(u)
         for adj in (g.out_neighbors, g.in_neighbors):
-            seen = {u}
-            frontier = [u]
-            for _ in range(r):
-                if not frontier:
-                    break
-                nxt = []
-                for x in frontier:
-                    for y in adj(x):
-                        if y not in seen and pos[y] > pu:
-                            seen.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            for w in seen:
+            for w in _bfs(adj, (u,), r, blocked=blocked):
                 result[w].add(u)
     return tuple(frozenset(s) for s in result)
-
-
-def wreach(g: Digraph, order: LinearOrder, v: int, r: int) -> frozenset:
-    """Vertices weakly r-reachable from v with respect to the order."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    return wreach_all(g, order, r)[v]
 
 
 def wcol_of_order(g: Digraph, order: LinearOrder, r: int) -> int:
@@ -95,8 +76,7 @@ def wcol_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
     weak-reachability count is final, which gives the lower bound used
     for pruning.
     """
-    if g.n > max_n:
-        raise SizeCapError(f"wcol_exact: n={g.n} exceeds cap {max_n}")
+    _check_cap("wcol_exact", g.n, max_n)
     n = g.n
     if n == 0:
         return 0, LinearOrder([])
@@ -113,10 +93,7 @@ def wcol_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
                 if not frontier:
                     break
                 nxt = 0
-                m = frontier
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    m &= m - 1
+                for v in _bits(frontier):
                     nxt |= masks[v]
                 nxt &= allowed & ~seen
                 seen |= nxt
@@ -146,38 +123,21 @@ def wcol_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
                 best = max_placed
                 best_order = LinearOrder(seq)
             return
-        m = unplaced
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
+        for u in _bits(unplaced):
             final_u = counts[u]
             new_max = max(max_placed, final_u)
             if new_max >= best:
                 continue
             touched = reach_cached(u, unplaced)
-            ok = True
-            t = touched
-            while t:
-                w = (t & -t).bit_length() - 1
-                t &= t - 1
+            for w in _bits(touched):
                 counts[w] += 1
             # every still-unplaced count is a lower bound on the final value
             rest = unplaced & ~(1 << u)
-            t = rest
-            while t:
-                w = (t & -t).bit_length() - 1
-                t &= t - 1
-                if counts[w] >= best:
-                    ok = False
-                    break
-            if ok:
+            if all(counts[w] < best for w in _bits(rest)):
                 seq.append(u)
                 dfs(rest, new_max)
                 seq.pop()
-            t = touched
-            while t:
-                w = (t & -t).bit_length() - 1
-                t &= t - 1
+            for w in _bits(touched):
                 counts[w] -= 1
 
     dfs((1 << n) - 1, 1)
@@ -254,8 +214,7 @@ def adm_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
     The admissibility of a vertex depends only on the set of smaller
     vertices, so the search over orders memoizes on that set.
     """
-    if g.n > max_n:
-        raise SizeCapError(f"adm_exact: n={g.n} exceeds cap {max_n}")
+    _check_cap("adm_exact", g.n, max_n)
     n = g.n
     if n == 0:
         return 0, LinearOrder([])

@@ -18,6 +18,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .errors import SizeCapError
+
 VertexSet = frozenset  # alias used in signatures; members are ints
 
 
@@ -166,6 +168,46 @@ class SccDecomposition:
 # distance-bounded neighborhoods
 
 
+def _bfs(adj, sources: Iterable[int], cap: Optional[int] = None,
+         within=None, blocked=None) -> dict[int, int]:
+    """Layered BFS from ``sources``: every vertex reached, with its distance.
+
+    ``adj(x)`` gives the vertices one step from x, so ``g.out_neighbors``
+    searches along the arcs and ``g.in_neighbors`` against them.  Sources
+    sit at distance 0 and are always entered.  Any other vertex is entered
+    only when it lies in ``within`` (if given) and outside ``blocked`` (if
+    given): paths never leave ``within`` and never pass through a blocked
+    vertex, which is how callers delete vertices without building a new
+    graph.  Vertices farther than ``cap`` are left out.  The dict lists
+    the vertices in discovery order.  Costs O(sum of out-degrees under
+    ``adj`` of the vertices closer than ``cap``), one dict and at most two
+    set lookups per arc scanned.
+    """
+    dist = dict.fromkeys(sources, 0)
+    frontier = list(dist)
+    d = 0
+    while frontier and (cap is None or d < cap):
+        d += 1
+        nxt = []
+        for x in frontier:
+            for y in adj(x):
+                if (y not in dist and (within is None or y in within)
+                        and (blocked is None or y not in blocked)):
+                    dist[y] = d
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first (the vertex sets
+    of the bitmask searches in ``coloring`` and ``minors``)."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def out_ball(g: Digraph, v: int, r: int, within: Optional[frozenset] = None) -> frozenset:
     """Vertices reachable from v by a directed path of length <= r.
 
@@ -187,47 +229,19 @@ def _ball(g, v, r, adj, within):
         raise ValueError("radius must be nonnegative")
     if within is not None and v not in within:
         raise ValueError("start vertex not in the allowed set")
-    seen = {v}
-    frontier = [v]
-    for _ in range(r):
-        if not frontier:
-            break
-        nxt = []
-        for x in frontier:
-            for y in adj(x):
-                if y not in seen and (within is None or y in within):
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(_bfs(adj, (v,), r, within))
 
 
 def out_distances(g: Digraph, v: int, cap: Optional[int] = None,
                   within: Optional[frozenset] = None) -> dict[int, int]:
     """BFS distances from v along arcs; vertices past ``cap`` are omitted."""
-    return _distances(g, v, g.out_neighbors, cap, within)
+    return _bfs(g.out_neighbors, (v,), cap, within)
 
 
 def in_distances(g: Digraph, v: int, cap: Optional[int] = None,
                  within: Optional[frozenset] = None) -> dict[int, int]:
     """BFS distances towards v (i.e. from v in the reversed digraph)."""
-    return _distances(g, v, g.in_neighbors, cap, within)
-
-
-def _distances(g, v, adj, cap, within):
-    dist = {v: 0}
-    frontier = [v]
-    d = 0
-    while frontier and (cap is None or d < cap):
-        d += 1
-        nxt = []
-        for x in frontier:
-            for y in adj(x):
-                if y not in dist and (within is None or y in within):
-                    dist[y] = d
-                    nxt.append(y)
-        frontier = nxt
-    return dist
+    return _bfs(g.in_neighbors, (v,), cap, within)
 
 
 def shortest_path(g: Digraph, u: int, v: int,
@@ -465,8 +479,16 @@ def format_digraph(g: Digraph, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A header's vertex count is checked before ``Digraph`` allocates two
+# adjacency lists per vertex, so a short file cannot ask for gigabytes.
+MAX_PARSE_N = 1_000_000
+
+
 def parse_digraph(text: str) -> Digraph:
-    """Parse the plain-text digraph format; duplicates and loops rejected."""
+    """Parse the plain-text digraph format; duplicates and loops rejected.
+
+    A header with more than ``MAX_PARSE_N`` vertices raises SizeCapError.
+    """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -475,6 +497,8 @@ def parse_digraph(text: str) -> Digraph:
     if len(head) != 3 or head[0] != "digraph":
         raise ValueError(f"bad header line: {lines[0]!r}")
     n, m = int(head[1]), int(head[2])
+    if n > MAX_PARSE_N:
+        raise SizeCapError(f"digraph header: n={n} exceeds cap {MAX_PARSE_N}")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} arc lines, found {len(lines) - 1}")
     arcs = []

@@ -22,8 +22,8 @@ import random
 from typing import Iterable, Optional, Sequence
 
 from .coloring import compute_wcol_order
-from .digraph import Digraph, in_ball, out_distances, shortest_path
-from .errors import InfeasibleError, InternalInvariantError, SizeCapError
+from .digraph import Digraph, in_ball, in_distances, out_distances, shortest_path
+from .errors import InfeasibleError, InternalInvariantError, _check_cap
 from .oracles import verify_dominating, verify_strongly_connected
 
 UNREACHED = None  # distance-vector entry for "further than r"
@@ -31,20 +31,8 @@ UNREACHED = None  # distance-vector entry for "further than r"
 
 def distance_vector(g: Digraph, v: int, anchors: Sequence[int], r: int) -> tuple:
     """Distances from each anchor to v, entries beyond r replaced by None."""
-    dist = {}
-    seen = {v: 0}
-    frontier = [v]
-    for d in range(1, r + 1):
-        nxt = []
-        for x in frontier:
-            for y in g.in_neighbors(x):
-                if y not in seen:
-                    seen[y] = d
-                    nxt.append(y)
-        frontier = nxt
-    for a in anchors:
-        dist[a] = seen.get(a, UNREACHED)
-    return tuple(dist[a] for a in anchors)
+    dist = in_distances(g, v, cap=r)
+    return tuple(dist.get(a, UNREACHED) for a in anchors)
 
 
 def neighborhood_complexity(g: Digraph, subset: Iterable[int], r: int) -> int:
@@ -60,8 +48,7 @@ def vc_dimension_distance_r(g: Digraph, r: int,
     Level-wise search: a set can only be shattered if all its subsets
     are, so candidates grow one element at a time.
     """
-    if g.n > max_n:
-        raise SizeCapError(f"vc_dimension_distance_r: n={g.n} exceeds cap {max_n}")
+    _check_cap("vc_dimension_distance_r", g.n, max_n)
     family = {frozenset(in_ball(g, v, r)) for v in range(g.n)}
 
     def shattered(x: frozenset) -> bool:

@@ -17,11 +17,12 @@ the deeper phases can actually be exercised on crafted instances.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .coloring import compute_wcol_order, wreach_all
-from .digraph import Digraph, LinearOrder, in_ball, induced_subgraph, out_ball, remove_vertices
+from .digraph import Digraph, LinearOrder, _bfs, in_ball, induced_subgraph, out_ball, remove_vertices
 from .errors import InternalInvariantError
 from .minors import grad_lower_bound
 from .domination import distance_vector
@@ -32,28 +33,23 @@ from .oracles import verify_dominating, verify_scattered
 # projections and closures
 
 
-def projection(g: Digraph, u: int, anchors, r: int) -> frozenset:
+def projection(g: Digraph, u: int, anchors, r: int, removed=frozenset()) -> frozenset:
     """Anchor vertices linked to u by a path of length <= r (either
-    direction) whose internal vertices avoid the anchor set."""
+    direction) whose internal vertices avoid the anchor set.
+
+    Paths never touch a vertex of ``removed``, which gives the projection
+    in g minus those vertices without building that graph.
+    """
     anchor_set = frozenset(anchors)
-    if u in anchor_set:
-        raise ValueError("projection source must lie outside the anchor set")
+    if u in anchor_set or u in removed:
+        raise ValueError("projection source must lie outside the anchor and removed sets")
+    if r < 1:
+        return frozenset()
+    blocked = anchor_set.union(removed)
     found = set()
     for adj in (g.out_neighbors, g.in_neighbors):
-        seen = {u}
-        frontier = [u]
-        for _ in range(r):
-            if not frontier:
-                break
-            nxt = []
-            for x in frontier:
-                for y in adj(x):
-                    if y in anchor_set:
-                        found.add(y)
-                    elif y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        for x in _bfs(adj, (u,), r - 1, blocked=blocked):
+            found.update(y for y in adj(x) if y in anchor_set)
     return frozenset(found)
 
 
@@ -65,55 +61,6 @@ class ClosureResult:
     xi: int
 
 
-def _projection_paths_vertices(g: Digraph, u: int, anchors: frozenset, r: int,
-                               removed: frozenset) -> frozenset:
-    """Vertices lying on some qualifying projection path of u.
-
-    A vertex w != u sits on such a path when dist(u, w) + dist(w, anchor
-    hit) <= r with both legs avoiding anchors internally; both directions
-    are checked.
-    """
-    on_path = set()
-    blocked = anchors | removed
-    for fwd in (True, False):
-        step_out = g.out_neighbors if fwd else g.in_neighbors
-        step_in = g.in_neighbors if fwd else g.out_neighbors
-        d_from = {u: 0}
-        frontier = [u]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                if d_from[x] >= r - 1:
-                    continue
-                for y in step_out(x):
-                    if y not in d_from and y not in blocked:
-                        d_from[y] = d_from[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        # distance from any free vertex to its first anchor hit
-        d_to = {}
-        frontier = []
-        for a in sorted(anchors):
-            for y in step_in(a):
-                if y not in blocked and y not in d_to:
-                    d_to[y] = 1
-                    frontier.append(y)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                if d_to[x] >= r - 1:
-                    continue
-                for y in step_in(x):
-                    if y not in blocked and y not in d_to:
-                        d_to[y] = d_to[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        for w, a in d_from.items():
-            if w != u and a + d_to.get(w, r + 1) <= r:
-                on_path.add(w)
-    return frozenset(on_path)
-
-
 def closure(g: Digraph, anchors, r: int,
             xi: Optional[int] = None) -> ClosureResult:
     """Find a small set whose removal bounds every projection onto the
@@ -121,8 +68,9 @@ def closure(g: Digraph, anchors, r: int,
 
     xi defaults to twice the greedy density lower bound; whenever the
     greedy construction blows its size budget (r-1) * xi * |anchors|, xi
-    is doubled and the construction restarts.  All three contract
-    properties are asserted on the way out.
+    is doubled and the construction restarts.  Removed vertices are
+    blocked in the searches rather than cut out of a rebuilt graph.  All
+    three contract properties are asserted on the way out.
     """
     anchor_set = frozenset(anchors)
     if r < 1:
@@ -139,26 +87,29 @@ def closure(g: Digraph, anchors, r: int,
             large = [
                 u for u in outside
                 if u not in chosen
-                and len(projection(remove_vertices(g, chosen), u, anchor_set, r)) > xi
+                and len(projection(g, u, anchor_set, r, chosen)) > xi
             ]
             if not large:
                 break
             if len(chosen) >= budget:
                 ok = False
                 break
-            stripped = remove_vertices(g, chosen)
-            score: dict[int, int] = {}
+            # score every vertex on a qualifying projection path of a large
+            # u: dist(u, w) + dist(w, first anchor hit) <= r in one
+            # direction, both legs avoiding the anchors and chosen vertices
+            blocked = anchor_set | chosen
+            to_anchors = (_bfs(g.in_neighbors, anchor_set, r - 1, blocked=blocked),
+                          _bfs(g.out_neighbors, anchor_set, r - 1, blocked=blocked))
+            score: Counter = Counter()
             for u in large:
-                for w in _projection_paths_vertices(
-                    stripped, u, anchor_set, r, frozenset(chosen)
-                ) | {u}:
-                    if w not in anchor_set and w not in chosen:
-                        score[w] = score.get(w, 0) + 1
-            pick = max(sorted(score), key=lambda w: score[w])
-            chosen.add(pick)
+                on_path = {u}
+                for adj, d_to in zip((g.out_neighbors, g.in_neighbors), to_anchors):
+                    on_path.update(w for w, a in _bfs(adj, (u,), r - 1, blocked=blocked).items()
+                                   if a + d_to.get(w, r + 1) <= r)
+                score.update(on_path)
+            chosen.add(max(sorted(score), key=score.__getitem__))
         if ok:
             result = ClosureResult(vertices=frozenset(chosen), xi=xi)
-            final = remove_vertices(g, result.vertices)
             if result.vertices & anchor_set:
                 raise InternalInvariantError("closure intersects the anchors")
             if len(result.vertices) > budget:
@@ -166,7 +117,7 @@ def closure(g: Digraph, anchors, r: int,
             for u in outside:
                 if u in result.vertices:
                     continue
-                if len(projection(final, u, anchor_set, r)) > xi:
+                if len(projection(g, u, anchor_set, r, result.vertices)) > xi:
                     raise InternalInvariantError("closure left a large projection")
             return result
         if xi >= g.n:

@@ -14,6 +14,12 @@ class SizeCapError(Exception):
     """
 
 
+def _check_cap(name: str, value: int, cap: int):
+    """Raise SizeCapError when ``value`` exceeds ``cap``."""
+    if value > cap:
+        raise SizeCapError(f"{name}: size {value} exceeds cap {cap}; pass max_n to override (slow)")
+
+
 class InfeasibleError(Exception):
     """The requested object cannot exist for this instance.
 

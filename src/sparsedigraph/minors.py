@@ -24,8 +24,8 @@ from fractions import Fraction
 from itertools import combinations, islice
 from typing import Optional
 
-from .digraph import Digraph, _peel, out_distances
-from .errors import SizeCapError
+from .digraph import Digraph, _bits, _peel, out_distances
+from .errors import _check_cap
 from .instances import crown
 
 
@@ -43,13 +43,6 @@ class DirectedModel:
     arc_images: dict
     sources: dict
     sinks: dict
-
-
-def _check_cap(name: str, g: Digraph, cap: int):
-    if g.n > cap:
-        raise SizeCapError(
-            f"{name}: host has {g.n} vertices, cap is {cap}; raise max_n to force (slow)"
-        )
 
 
 def _connected_subsets(g: Digraph) -> list[int]:
@@ -71,10 +64,7 @@ def _connected_subsets(g: Digraph) -> list[int]:
         frontier = seen
         while frontier:
             nxt = 0
-            m = frontier
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
+            for v in _bits(frontier):
                 nxt |= und_mask[v] & mask & ~seen
             seen |= nxt
             frontier = nxt
@@ -82,13 +72,6 @@ def _connected_subsets(g: Digraph) -> list[int]:
             result.append(mask)
     result.sort(key=lambda m: (bin(m).count("1"), m))
     return result
-
-
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 class _BlockInfo:
@@ -173,7 +156,7 @@ def validate_model(h: Digraph, g: Digraph, r: int, model: DirectedModel) -> bool
 def is_depth_r_minor(h: Digraph, g: Digraph, r: int,
                      max_n: int = 12) -> Optional[DirectedModel]:
     """Exhaustive search for a directed model of h in g at depth r."""
-    _check_cap("is_depth_r_minor", g, max_n)
+    _check_cap("is_depth_r_minor", g.n, max_n)
     if r < 0:
         raise ValueError("depth must be nonnegative")
     if h.n == 0:
@@ -327,7 +310,7 @@ def grad_lower_bound(g: Digraph, r: int = 0) -> Fraction:
 
 def _max_subgraph_density(g: Digraph, cap: int) -> Fraction:
     """Exact rank-0 grad: depth-0 minors are exactly the subgraphs."""
-    _check_cap("grad", g, cap)
+    _check_cap("grad", g.n, cap)
     if g.n == 0:
         return Fraction(0)
     out_mask = [0] * g.n
@@ -353,7 +336,7 @@ def grad(g: Digraph, r: int, max_n: int = 8) -> Fraction:
         raise ValueError("rank must be nonnegative")
     if r == 0:
         return _max_subgraph_density(g, max(max_n, 14))
-    _check_cap("grad", g, max_n)
+    _check_cap("grad", g.n, max_n)
     if g.n == 0:
         return Fraction(0)
 
@@ -459,7 +442,7 @@ def top_grad(g: Digraph, r: int, max_n: int = 8) -> Fraction:
     """
     if r < 0:
         raise ValueError("rank must be nonnegative")
-    _check_cap("top_grad", g, max_n)
+    _check_cap("top_grad", g.n, max_n)
     if g.n == 0:
         return Fraction(0)
     best = Fraction(0)

@@ -19,13 +19,8 @@ from math import ceil
 from typing import Iterable, Optional
 
 from .digraph import Digraph, in_ball, out_ball
-from .errors import SizeCapError
+from .errors import SizeCapError, _check_cap
 from .steiner_types import DstInstance
-
-
-def _check_cap(name: str, value: int, cap: int):
-    if value > cap:
-        raise SizeCapError(f"{name}: size {value} exceeds cap {cap}; pass max_n to override")
 
 
 def _cover_masks(g: Digraph, r: int, targets: list[int]) -> list[int]:
@@ -159,13 +154,17 @@ def verify_dominating(g: Digraph, dominators: Iterable[int], r: int,
 
 
 def verify_scattered(g: Digraph, vertices: Iterable[int], r: int) -> bool:
-    """True when the members have pairwise disjoint r-in-balls."""
-    vs = sorted(set(vertices))
-    balls = [in_ball(g, v, r) for v in vs]
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if balls[i] & balls[j]:
-                return False
+    """True when the members have pairwise disjoint r-in-balls.
+
+    Keeps the union of the balls seen so far, so it costs O(sum of the
+    ball sizes) instead of one intersection per pair.
+    """
+    union: set = set()
+    for v in set(vertices):
+        ball = in_ball(g, v, r)
+        if not union.isdisjoint(ball):
+            return False
+        union |= ball
     return True
 
 

@@ -21,6 +21,7 @@ from typing import Optional
 
 from .digraph import (
     Digraph,
+    _bfs,
     contract,
     degeneracy,
     induced_subgraph,
@@ -97,20 +98,9 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int,
     # bypass arcs: source -> first non-terminal along terminal-internal paths
     extra = set()
     for t in sorted(sources):
-        seen = {t}
-        frontier = [t]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in g.out_neighbors(x):
-                    if y in seen:
-                        continue
-                    seen.add(y)
-                    if y in terminals:
-                        nxt.append(y)
-                    elif not g.has_arc(t, y):
-                        extra.add((t, y))
-            frontier = nxt
+        for x in _bfs(g.out_neighbors, (t,), within=terminals):
+            extra.update((t, y) for y in g.out_neighbors(x)
+                         if y not in terminals and not g.has_arc(t, y))
     work = Digraph(g.n, set(g.arcs()) | extra) if extra else g
 
     n = g.n

@@ -242,3 +242,18 @@ def test_tsv_format(tmp_path, capsys):
 def test_usage_error_exit():
     assert main(["wcol"]) == 2
     assert main(["nonsense"]) == 2
+
+
+def test_jobs_flag_is_gone():
+    assert main(["--jobs", "2", "selftest"]) == 2
+
+
+def test_oversized_header_exits_size_cap(tmp_path, capsys):
+    from sparsedigraph.digraph import MAX_PARSE_N
+
+    path = tmp_path / "big.dg"
+    path.write_text(f"digraph {MAX_PARSE_N + 1} 0\n")
+    code, out, err = run(capsys, "wcol", str(path), "--radius", "1")
+    assert code == 3
+    assert out == ""
+    assert f"n={MAX_PARSE_N + 1} exceeds cap" in err

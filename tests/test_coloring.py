@@ -20,7 +20,6 @@ from sparsedigraph.coloring import (
     wcol_infty,
     wcol_infty_exact,
     wcol_of_order,
-    wreach,
     wreach_all,
 )
 from sparsedigraph.digraph import degeneracy, remove_vertices
@@ -94,15 +93,15 @@ def longest_directed_path_arcs(g):
 def test_wreach_small_path():
     g = directed_path(3)
     order = LinearOrder([1, 0, 2])  # 1 < 0 < 2
-    assert wreach(g, order, 2, 2) == {1, 2}
-    assert wreach(g, order, 0, 1) == {0, 1}
+    assert wreach_all(g, order, 2)[2] == {1, 2}
+    assert wreach_all(g, order, 1)[0] == {0, 1}
 
 
 def test_wreach_radius_zero():
     g = random_digraph(6, 10, seed=0)
     order = LinearOrder.identity(6)
     for v in range(6):
-        assert wreach(g, order, v, 0) == {v}
+        assert wreach_all(g, order, 0)[v] == {v}
 
 
 def test_wreach_monotone_in_radius():
@@ -111,7 +110,7 @@ def test_wreach_monotone_in_radius():
     for v in range(7):
         prev = frozenset()
         for r in range(5):
-            cur = wreach(g, order, v, r)
+            cur = wreach_all(g, order, r)[v]
             assert prev <= cur
             prev = cur
 

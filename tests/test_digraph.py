@@ -21,7 +21,7 @@ from sparsedigraph import (
     random_digraph,
     scc,
 )
-from sparsedigraph.digraph import induced_subgraph, remove_vertices
+from sparsedigraph.digraph import _bfs, induced_subgraph, remove_vertices
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +368,42 @@ def test_peel_large_graphs(build, expected):
     assert max(outdeg) <= d
     # every subgraph has at most 2d arcs per vertex (antiparallel pairs twice)
     assert Fraction(g.m, g.n) <= grad_lower_bound(g) <= 2 * d
+
+
+# ---------------------------------------------------------------------------
+# the bounded-search primitive
+
+
+@given(digraphs(max_n=16), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_bfs_matches_networkx(g, data):
+    """Distances from one or more sources, either direction, with a cap,
+    a ``within`` set and a ``blocked`` set, against networkx on the graph
+    restricted to within, minus blocked, plus the sources."""
+    nx = pytest.importorskip("networkx")
+    if g.n == 0:
+        return
+    vertex_sets = st.frozensets(st.integers(0, g.n - 1))
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=3))
+    cap = data.draw(st.none() | st.integers(0, 4))
+    within = data.draw(st.none() | vertex_sets)
+    blocked = data.draw(st.none() | vertex_sets)
+    reverse = data.draw(st.booleans())
+    dist = _bfs(g.in_neighbors if reverse else g.out_neighbors, sources, cap,
+                within=within, blocked=blocked)
+
+    keep = set(range(g.n) if within is None else within)
+    keep -= blocked or set()
+    keep |= set(sources)  # sources are always entered
+    h = nx.DiGraph()
+    h.add_nodes_from(keep)
+    h.add_edges_from((v, u) if reverse else (u, v)
+                     for u, v in g.arcs() if u in keep and v in keep)
+    h.add_edges_from((-1, x) for x in sources)  # one super-source
+    ref = nx.single_source_shortest_path_length(h, -1, cutoff=None if cap is None else cap + 1)
+    del ref[-1]
+    assert dist == {v: d - 1 for v, d in ref.items()}
+    assert list(dist.values()) == sorted(dist.values())  # discovery order
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Duality machinery: projections, closures, independence trees, cores,
 and the kernel pipeline, validated against enumeration oracles."""
+import math
 import random
 from itertools import combinations
 
@@ -8,7 +9,7 @@ import pytest
 from sparsedigraph import Digraph, apex_crown, bidirected_clique, directed_path, random_digraph
 from sparsedigraph import coloring
 from sparsedigraph.coloring import compute_wcol_order, wreach_all
-from sparsedigraph.digraph import in_ball, out_ball
+from sparsedigraph.digraph import in_ball, out_ball, remove_vertices
 from sparsedigraph.duality import (
     closure,
     dominator_or_scattered,
@@ -20,6 +21,7 @@ from sparsedigraph.duality import (
     reduce_core,
 )
 from sparsedigraph.errors import InternalInvariantError
+from sparsedigraph.minors import grad_lower_bound
 from sparsedigraph.oracles import (
     gamma_r_exact,
     verify_dominating,
@@ -143,6 +145,111 @@ def test_closure_properties_on_random():
                 if u in anchors or u in res.vertices:
                     continue
                 assert len(projection(stripped, u, anchors, r)) <= res.xi
+
+
+def reference_projection(g, u, anchor_set, r):
+    """``projection`` as it was before deletion by a blocked set."""
+    found = set()
+    for adj in (g.out_neighbors, g.in_neighbors):
+        seen = {u}
+        frontier = [u]
+        for _ in range(r):
+            nxt = []
+            for x in frontier:
+                for y in adj(x):
+                    if y in anchor_set:
+                        found.add(y)
+                    elif y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+    return frozenset(found)
+
+
+def reference_paths_vertices(g, u, anchors, r, removed):
+    """``_projection_paths_vertices`` as it was, run on the stripped graph."""
+    on_path = set()
+    blocked = anchors | removed
+    for step_out, step_in in ((g.out_neighbors, g.in_neighbors),
+                              (g.in_neighbors, g.out_neighbors)):
+        d_from = {u: 0}
+        frontier = [u]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                if d_from[x] >= r - 1:
+                    continue
+                for y in step_out(x):
+                    if y not in d_from and y not in blocked:
+                        d_from[y] = d_from[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        d_to = {}
+        frontier = []
+        for a in sorted(anchors):
+            for y in step_in(a):
+                if y not in blocked and y not in d_to:
+                    d_to[y] = 1
+                    frontier.append(y)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                if d_to[x] >= r - 1:
+                    continue
+                for y in step_in(x):
+                    if y not in blocked and y not in d_to:
+                        d_to[y] = d_to[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        for w, a in d_from.items():
+            if w != u and a + d_to.get(w, r + 1) <= r:
+                on_path.add(w)
+    return on_path
+
+
+def reference_closure(g, anchors, r, xi):
+    """``closure`` as it was: one ``remove_vertices`` graph per projection."""
+    anchor_set = frozenset(anchors)
+    outside = [v for v in range(g.n) if v not in anchor_set]
+    while True:
+        budget = (r - 1) * xi * len(anchor_set)
+        chosen = set()
+        ok = True
+        while True:
+            large = [u for u in outside if u not in chosen and len(
+                reference_projection(remove_vertices(g, chosen), u, anchor_set, r)) > xi]
+            if not large:
+                break
+            if len(chosen) >= budget:
+                ok = False
+                break
+            stripped = remove_vertices(g, chosen)
+            score = {}
+            for u in large:
+                for w in reference_paths_vertices(
+                        stripped, u, anchor_set, r, frozenset(chosen)) | {u}:
+                    if w not in anchor_set and w not in chosen:
+                        score[w] = score.get(w, 0) + 1
+            chosen.add(max(sorted(score), key=lambda w: score[w]))
+        if ok:
+            return frozenset(chosen), xi
+        xi = min(2 * xi, g.n)
+
+
+def test_closure_matches_rebuild_reference():
+    picked = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(5, 30)
+        g = random_digraph(n, min(n * (n - 1), rng.randint(n, 3 * n)), seed)
+        anchors = rng.sample(range(n), max(1, n // 5))
+        for r in (1, 2, 3):
+            for xi in (1, 2, None):
+                res = closure(g, anchors, r, xi=xi)
+                start = xi or max(1, math.ceil(2 * grad_lower_bound(g)))
+                assert (res.vertices, res.xi) == reference_closure(g, anchors, r, start)
+                picked += bool(res.vertices)
+    assert picked >= 10  # the greedy picks are exercised, not only empty closures
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsedigraph import Digraph, DstInstance, apex_crown, directed_path, random_digraph
 from sparsedigraph.errors import SizeCapError
-from sparsedigraph.digraph import out_ball
+from sparsedigraph.digraph import in_ball, out_ball
 from sparsedigraph.oracles import (
     alpha_r_exact,
     dst_exact_enum,
@@ -109,6 +111,22 @@ def test_validators_trivial_cases():
     assert not verify_strongly_connected(g, [0, 1])
     two_cycle = Digraph(3, [(0, 1), (1, 0)])
     assert verify_strongly_connected(two_cycle, [0, 1])
+
+
+def pairwise_scattered(g, vertices, r):
+    """The pairwise-intersection check ``verify_scattered`` used to run."""
+    vs = sorted(set(vertices))
+    balls = [in_ball(g, v, r) for v in vs]
+    return not any(balls[i] & balls[j]
+                   for i in range(len(vs)) for j in range(i + 1, len(vs)))
+
+
+@given(st.integers(2, 30), st.integers(0, 10_000), st.integers(0, 3), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_verify_scattered_matches_pairwise(n, seed, r, data):
+    g = random_digraph(n, min(n * (n - 1), n + seed % n), seed)
+    vertices = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+    assert verify_scattered(g, vertices, r) == pairwise_scattered(g, vertices, r)
 
 
 def test_dst_enum_k0_and_infeasible():
