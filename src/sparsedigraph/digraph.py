@@ -54,7 +54,7 @@ class Digraph:
         self.n = n
         self._arcs = frozenset(arc_set)
         self._out = tuple(tuple(a) for a in out)
-        self._in = tuple(tuple(sorted(a)) for a in inc)
+        self._in = tuple(tuple(a) for a in inc)
         self._und: Optional[tuple[tuple[int, ...], ...]] = None
         self._derived: dict = {}
 
@@ -345,14 +345,18 @@ def scc(g: Digraph) -> SccDecomposition:
 # graph surgery
 
 
-def contract(g: Digraph, partition: Iterable[Iterable[int]]) -> tuple[Digraph, list[int]]:
+def contract(g: Digraph, partition: Iterable[Iterable[int]],
+             dead: Iterable[int] = ()) -> tuple[Digraph, list[int]]:
     """Contract each block of ``partition`` to a single vertex.
 
     Blocks must be disjoint subsets of the vertex set; vertices outside the
     blocks stay singletons.  Arcs are projected, self-loops dropped and
-    parallels deduplicated.  Returns the contracted digraph and the
-    old-to-new vertex mapping.  New indices follow the smallest old index
-    of each block.
+    parallels deduplicated.  Arcs at a vertex of ``dead`` are dropped
+    first, so dead vertices become isolated husks and the result equals
+    ``contract(remove_vertices(g, dead), partition)`` without building the
+    intermediate graph.  Returns the contracted digraph and the old-to-new
+    vertex mapping.  New indices follow the smallest old index of each
+    block.
     """
     blocks = [sorted(set(b)) for b in partition]
     seen: set[int] = set()
@@ -374,10 +378,11 @@ def contract(g: Digraph, partition: Iterable[Iterable[int]]) -> tuple[Digraph, l
     for v in range(g.n):
         leader = min(blocks[block_of[v]]) if v in block_of else v
         mapping[v] = new_id[leader]
+    dead = frozenset(dead)
     new_arcs = set()
-    for u, v in g.arcs():
+    for u, v in g._arcs:
         a, b = mapping[u], mapping[v]
-        if a != b:
+        if a != b and u not in dead and v not in dead:
             new_arcs.add((a, b))
     return Digraph(len(leaders), new_arcs), mapping
 

@@ -26,7 +26,6 @@ from .digraph import (
     degeneracy,
     induced_subgraph,
     out_ball,
-    remove_vertices,
     scc,
 )
 from .errors import InternalInvariantError, SizeCapError
@@ -34,12 +33,16 @@ from .oracles import dst_valid, verify_strongly_connected
 from .steiner_types import DstInstance
 
 
-def preprocess_contract(inst: DstInstance) -> tuple[DstInstance, list[int], int]:
+def preprocess_contract(inst: DstInstance, dead: frozenset = frozenset()
+                        ) -> tuple[DstInstance, list[int], int]:
     """Contract every strongly connected component of G[T].
 
     Returns the reduced instance, the old-to-new vertex mapping, and the
     largest component diameter s.  Solutions transfer unchanged in both
-    directions: the contracted vertices are all terminals.
+    directions: the contracted vertices are all terminals.  The arcs at
+    the ``dead`` vertices (never the root or a terminal) are dropped in
+    the same pass, so the result equals preprocessing
+    ``remove_vertices(inst.graph, dead)``.
     """
     g = inst.graph
     term = sorted(inst.terminals)
@@ -49,7 +52,7 @@ def preprocess_contract(inst: DstInstance) -> tuple[DstInstance, list[int], int]
     blocks = [
         [old_of[v] for v in comp] for comp in dec.components if len(comp) > 1
     ]
-    contracted, mapping = contract(g, blocks)
+    contracted, mapping = contract(g, blocks, dead)
     new_terminals = frozenset(mapping[t] for t in inst.terminals)
     reduced = DstInstance(
         graph=contracted,
@@ -76,9 +79,25 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int,
                      max_sources: int = 16) -> Optional[frozenset]:
     """Minimum set of non-terminals connecting the root to every source.
 
-    Shortcut arcs first bypass terminal-internal paths, then the subset
-    dynamic program runs over the sources with all terminals free.
-    Returns None when the minimum exceeds the budget.
+    A Dreyfus-Wagner subset DP over the k sources with all terminals free:
+    dp[mask][v] is the cheapest tree at v reaching the sources in mask.
+    Each mask merges two halves at every vertex, then relaxes along
+    in-arcs with a heap, in O(3^k * n + 2^k * m log n) time.  The table,
+    and so the returned set, does not depend on the budget; only the
+    final test against it does.  Returns None when the minimum exceeds
+    the budget or no tree exists.
+
+    Bypass arcs from each source to the first non-terminals along
+    terminal-internal paths are laid over the in-lists of their heads
+    (no second graph).  They never lower a cost, since terminals are
+    free, but they change which of several equal-cost trees the heap
+    finds first, and the tie-break fixes the output, so they stay.
+
+    Only the heap relaxations record parents: with free terminals the
+    heap's pop order cannot be replayed from the table.  The walk back
+    takes, at a state without one that is not a source's base case, the
+    first split in enumeration order whose halves sum to the state's
+    value: the one a strict-improvement loop would have kept.
     """
     terminals = frozenset(terminals)
     sources = frozenset(sources)
@@ -95,40 +114,38 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int,
     if not sources:
         return frozenset()
 
+    n = g.n
     # bypass arcs: source -> first non-terminal along terminal-internal paths
-    extra = set()
+    extra: dict[int, set[int]] = {}
     for t in sorted(sources):
         for x in _bfs(g.out_neighbors, (t,), within=terminals):
-            extra.update((t, y) for y in g.out_neighbors(x)
-                         if y not in terminals and not g.has_arc(t, y))
-    work = Digraph(g.n, set(g.arcs()) | extra) if extra else g
+            for y in g.out_neighbors(x):
+                if y not in terminals and not g.has_arc(t, y):
+                    extra.setdefault(y, set()).add(t)
+    in_nb = [g.in_neighbors(v) for v in range(n)]
+    for y, tails in extra.items():
+        in_nb[y] = tuple(sorted(in_nb[y] + tuple(tails)))
 
-    n = g.n
     cost = [0 if (v == root or v in terminals) else 1 for v in range(n)]
     src = sorted(sources)
     k = len(src)
     full = (1 << k) - 1
     INF = n + 1
     dp = [[INF] * n for _ in range(full + 1)]
-    parent: dict[tuple[int, int], tuple] = {}
+    step_parent: dict[tuple[int, int], int] = {}
 
     for mask in range(1, full + 1):
         row = dp[mask]
-        bits = mask
-        if bits & (bits - 1) == 0:
-            t = src[bits.bit_length() - 1]
-            row[t] = 0
-            parent[(mask, t)] = ("base",)
+        if mask & (mask - 1) == 0:
+            row[src[mask.bit_length() - 1]] = 0
         else:
             sub = (mask - 1) & mask
             while sub > (mask ^ sub):
-                other = mask ^ sub
-                left, right = dp[sub], dp[other]
+                left, right = dp[sub], dp[mask ^ sub]
                 for v in range(n):
                     cand = left[v] + right[v]
                     if cand < row[v]:
                         row[v] = cand
-                        parent[(mask, v)] = ("split", sub, v)
                 sub = (sub - 1) & mask
         heap = [(row[v], v) for v in range(n) if row[v] < INF]
         heapq.heapify(heap)
@@ -137,13 +154,14 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int,
             if dist > row[x]:
                 continue
             step = dist + cost[x]
-            for w in work.in_neighbors(x):
+            for w in in_nb[x]:
                 if step < row[w]:
                     row[w] = step
-                    parent[(mask, w)] = ("step", x)
+                    step_parent[(mask, w)] = x
                     heapq.heappush(heap, (step, w))
 
-    if dp[full][root] > budget:
+    best = dp[full][root]
+    if best >= INF or best > budget:
         return None
 
     chosen: set[int] = set()
@@ -151,12 +169,18 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int,
     while stack:
         mask, v = stack.pop()
         chosen.add(v)
-        kind = parent[(mask, v)]
-        if kind[0] == "split":
-            stack.append((kind[1], v))
-            stack.append((mask ^ kind[1], v))
-        elif kind[0] == "step":
-            stack.append((mask, kind[1]))
+        x = step_parent.get((mask, v))
+        if x is not None:
+            stack.append((mask, x))
+        elif mask & (mask - 1):
+            value = dp[mask][v]
+            sub = (mask - 1) & mask
+            while dp[sub][v] + dp[mask ^ sub][v] != value:
+                sub = (sub - 1) & mask
+                if sub <= mask ^ sub:
+                    raise InternalInvariantError("subset DP lost a split")
+            stack.append((sub, v))
+            stack.append((mask ^ sub, v))
     solution = frozenset(v for v in chosen if cost[v] == 1)
     if not sources <= out_ball(g, root, g.n,
                                within=frozenset(solution) | terminals | {root}):
@@ -217,21 +241,35 @@ def dst_fpt(inst: DstInstance, max_sources: int = 16,
         if old not in inst.terminals:
             inverse[new] = old
 
+    everything = frozenset(range(g.n))
+    leaves: dict[tuple[frozenset, frozenset], Optional[frozenset]] = {}
+
     def solve_leaf(alive: frozenset, absorbed: frozenset, k_rem: int) -> Optional[frozenset]:
-        ga = remove_vertices(g, frozenset(range(g.n)) - alive)
-        inner = DstInstance(ga, root, terminals | absorbed, k_rem)
-        inner2, inner_map, _ = preprocess_contract(inner)
-        t0 = source_terminals(inner2.graph, inner2.terminals)
-        sol = dst_exact_subset(
-            inner2.graph, inner2.root, inner2.terminals, t0, k_rem, max_sources
-        )
-        if sol is None:
-            return None
-        inner_inverse = {
-            new: old for old, new in enumerate(inner_map)
-            if old not in inner.terminals
-        }
-        return frozenset(inner_inverse[v] for v in sol)
+        """Optimal completion of a leaf, within ``k_rem``, or None.
+
+        The DP runs once per ``(alive, absorbed)`` leaf, at the largest
+        budget, on one contracted graph with the dead vertices' arcs
+        dropped.  Its set has the size of the leaf's optimum, so later
+        budgets reaching the same leaf only compare that size.
+        """
+        key = (alive, absorbed)
+        if key not in leaves:
+            inner = DstInstance(g, root, terminals | absorbed, inst.budget)
+            inner2, inner_map, _ = preprocess_contract(inner, everything - alive)
+            t0 = source_terminals(inner2.graph, inner2.terminals)
+            sol = dst_exact_subset(
+                inner2.graph, inner2.root, inner2.terminals, t0, inst.budget,
+                max_sources,
+            )
+            if sol is not None:
+                inner_inverse = {
+                    new: old for old, new in enumerate(inner_map)
+                    if old not in inner.terminals
+                }
+                sol = frozenset(inner_inverse[v] for v in sol)
+            leaves[key] = sol
+        sol = leaves[key]
+        return sol if sol is not None and len(sol) <= k_rem else None
 
     counter = [0]
 

@@ -108,6 +108,18 @@ def test_dst_fpt_and_exact(tmp_path, capsys):
     assert json_out(out)["feasible"] is False
 
 
+def test_dst_fpt_unreachable_root_past_inf_budget(tmp_path, capsys):
+    # the root's side {1, 2} never reaches terminal 0; a budget above the
+    # subset DP's INF sentinel used to end in a KeyError (exit 4)
+    path = tmp_path / "inf.dst"
+    path.write_text("digraph 3 2\n1 2\n2 1\nroot 2\nterminal 0\nbudget 4\n")
+    code, out, err = run(capsys, "dst", str(path), "--fpt")
+    assert code == 1, err
+    rep = json_out(out)
+    assert rep["feasible"] is False
+    assert len(rep["nodes_expanded"]) == 5
+
+
 def test_domset_redblue_files(tmp_path, capsys):
     g = random_digraph(12, 36, 5)
     path = write_graph(tmp_path, g)

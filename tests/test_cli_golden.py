@@ -14,9 +14,11 @@ import re
 
 import pytest
 
-from sparsedigraph import format_digraph, random_digraph
+from sparsedigraph import Digraph, DstInstance, format_digraph, random_digraph
 from sparsedigraph.cli import main
 from sparsedigraph.instances import apex_crown
+from sparsedigraph.steiner import format_dst_instance
+from test_steiner import planted_hub_instance
 
 TIMING_LINE = re.compile(r'^  "timing_ms": .*\n', re.M)
 
@@ -79,7 +81,10 @@ def _digest(tmp_path, graph: str, command: str) -> tuple[int, str]:
     red = tmp_path / "red.txt"
     red.write_text("".join(f"{v}\n" for v in range(0, g.n, 3)))
     sub, *rest = COMMANDS[command]
-    argv = [sub, str(path)] + [str(red) if a == "RED" else a for a in rest]
+    return _run([sub, str(path)] + [str(red) if a == "RED" else a for a in rest])
+
+
+def _run(argv: list) -> tuple[int, str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
@@ -94,3 +99,71 @@ def test_cli_output_matches_golden(tmp_path, graph, command):
 
 def test_golden_table_covers_every_case():
     assert set(EXPECTED) == {(g, c) for g in GRAPHS for c in COMMANDS}
+
+
+# ---------------------------------------------------------------------------
+# dst --fpt and dst --scss
+
+
+def _terminal_cycle_instance() -> DstInstance:
+    # two terminal cycles to contract (s = 2); the optimum is 3
+    g = random_digraph(18, 36, 29)
+    cycle = {(2, 5), (5, 9), (9, 2), (11, 14), (14, 11)}
+    terminals = frozenset({2, 5, 9, 11, 14, 16})
+    return DstInstance(Digraph(18, set(g.arcs()) | cycle), 0, terminals, 4)
+
+
+def _terminal_chain_instance() -> DstInstance:
+    # the path 14 -> 2 -> 16 -> 12 runs through terminals: the bypass arcs
+    # must follow it to the end, and must not leave the terminals
+    g = random_digraph(19, 40, 1992)
+    chain = {(14, 2), (2, 16), (16, 12)}
+    terminals = frozenset({2, 4, 7, 12, 14, 16})
+    return DstInstance(Digraph(19, set(g.arcs()) | chain), 10, terminals, 3)
+
+
+def _split_tie_instance() -> DstInstance:
+    # two splits at one vertex tie here; the DP keeps the first one it
+    # enumerates and answers [1, 8], the last one would give [1, 6]
+    g = random_digraph(11, 25, 777)
+    return DstInstance(Digraph(11, set(g.arcs()) | {(9, 0)}), 7,
+                       frozenset({0, 4, 5, 9, 10}), 3)
+
+
+DST_INSTANCES = {
+    # the bypass arcs pick [3, 13] here; without them the DP finds [4, 13]
+    "bypass-tie": lambda: DstInstance(
+        random_digraph(17, 34, 622), 1, frozenset({0, 7, 10, 15, 16}), 4),
+    "terminal-cycle": _terminal_cycle_instance,
+    "terminal-chain": _terminal_chain_instance,
+    "split-tie": _split_tie_instance,
+    "planted-hub24": planted_hub_instance,
+}
+
+DST_COMMANDS = {"fpt": ("--fpt",), "scss": ("--scss",)}
+
+# (instance, command) -> (exit code, first 16 hex digits of the stdout digest)
+DST_EXPECTED = {
+    ("bypass-tie", "fpt"): (0, "7e2e1b109f56e791"),
+    ("bypass-tie", "scss"): (1, "95d100ec5a1c665e"),
+    ("terminal-cycle", "fpt"): (0, "08abdf3befeb23e4"),
+    ("terminal-cycle", "scss"): (0, "04d715c0cd15e534"),
+    ("terminal-chain", "fpt"): (0, "7c7ea1c513ca1cdc"),
+    ("terminal-chain", "scss"): (1, "c381e4aa5069a40c"),
+    ("split-tie", "fpt"): (0, "fc91d918c33ff84f"),
+    ("split-tie", "scss"): (0, "88647740bd39dfe2"),
+    ("planted-hub24", "fpt"): (0, "bda5b6bbb0e2367d"),
+    ("planted-hub24", "scss"): (0, "7d85e9e637f62da7"),
+}
+
+
+@pytest.mark.parametrize("instance,command", sorted(DST_EXPECTED))
+def test_dst_output_matches_golden(tmp_path, instance, command):
+    path = tmp_path / "inst.dst"
+    path.write_text(format_dst_instance(DST_INSTANCES[instance]()))
+    got = _run(["dst", str(path), *DST_COMMANDS[command]])
+    assert got == DST_EXPECTED[instance, command]
+
+
+def test_dst_golden_table_covers_every_case():
+    assert set(DST_EXPECTED) == {(i, c) for i in DST_INSTANCES for c in DST_COMMANDS}

@@ -1,9 +1,14 @@
 """Steiner solvers against the enumeration oracle."""
+import heapq
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsedigraph import Digraph, DstInstance, apex_crown, directed_path, random_digraph
+from sparsedigraph import steiner
+from sparsedigraph.digraph import _bfs, remove_vertices
 from sparsedigraph.errors import SizeCapError
 from sparsedigraph.oracles import (
     dst_exact_enum,
@@ -40,6 +45,48 @@ def make_instance(seed, n_max=11, k_max=3, force_terminal_cycle=False):
         g = Digraph(n, arcs)
     k = rng.randint(0, k_max)
     return DstInstance(g, root, terminals, k)
+
+
+def planted_hub_instance(seed: int = 1) -> DstInstance:
+    """A 24-vertex planted-hub host, shaped like the benchmark's desk jobs.
+
+    Root 0 points at hubs 1-3; each hub points at 9 of the 11 terminals
+    5-15, two hubs and no fewer reach them all, and 5 and 6 form a
+    2-cycle, so 10 source terminals remain after contraction.  Every
+    terminal points at 4, which points at the root.  A random background
+    on the 13 non-terminals makes d = 2 * degeneracy exceed 9, so no hub
+    is high-degree and the whole instance is one 10-source leaf.
+    """
+    n, root, back = 24, 0, 4
+    terms = range(5, 16)
+    targets = {
+        1: (5, 7, 8, 9, 10, 11, 12, 13, 14),
+        2: (6, 8, 9, 10, 11, 12, 13, 14, 15),
+        3: (5, 7, 9, 10, 11, 12, 13, 14, 15),
+    }
+    arcs = {(root, h) for h in targets} | {(h, t) for h in targets for t in targets[h]}
+    arcs |= {(5, 6), (6, 5), (back, root)} | {(t, back) for t in terms}
+    others = [v for v in range(n) if v not in terms]
+    background = random_digraph(len(others), 2 * n, seed)
+    arcs |= {(others[u], others[v]) for u, v in background.arcs()}
+    return DstInstance(Digraph(n, arcs), root, frozenset(terms), 2)
+
+
+@st.composite
+def dst_instances(draw, max_n=12):
+    """A random host with a root, terminals (sometimes on a cycle) and a
+    budget; sparse enough that the root often cannot reach everything."""
+    n = draw(st.integers(3, max_n))
+    m = draw(st.integers(0, min(3 * n, n * (n - 1))))
+    arcs = set(random_digraph(n, m, draw(st.integers(0, 10**6))).arcs())
+    root = draw(st.integers(0, n - 1))
+    pool = [v for v in range(n) if v != root]
+    terminals = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=6))
+    if draw(st.booleans()) and len(terminals) >= 2:
+        ts = sorted(terminals)
+        arcs |= {(ts[i], ts[(i + 1) % len(ts)]) for i in range(len(ts))}
+    budget = draw(st.integers(0, n))
+    return DstInstance(Digraph(n, arcs), root, frozenset(terminals), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +191,139 @@ def test_subset_dp_matches_enumeration():
         if expect is not None:
             assert len(got) == len(expect)
             assert dst_valid(g, reduced.root, t, got)
+
+
+def test_subset_dp_unreachable_root_is_infeasible_at_any_budget():
+    # the root's side {1, 2} never reaches terminal 0: the DP's INF (n + 1
+    # after contraction) must not pass as a cost once the budget reaches it
+    g = Digraph(3, [(1, 2), (2, 1)])
+    for budget in range(6):
+        assert dst_exact_subset(g, 2, {0}, {0}, budget) is None
+    res = dst_fpt(DstInstance(g, 2, frozenset({0}), 4))
+    assert res.solution is None
+    assert len(res.nodes_per_budget) == 5
+
+
+def _dst_exact_subset_reference(g, root, terminals, sources, budget):
+    """The subset DP as it stood before the in-list overlay and the lazy
+    split parents: a second graph with the bypass arcs, and a parent
+    record on every improvement."""
+    terminals = frozenset(terminals)
+    sources = frozenset(sources)
+    if not sources:
+        return frozenset()
+    extra = set()
+    for t in sorted(sources):
+        for x in _bfs(g.out_neighbors, (t,), within=terminals):
+            extra.update((t, y) for y in g.out_neighbors(x)
+                         if y not in terminals and not g.has_arc(t, y))
+    work = Digraph(g.n, set(g.arcs()) | extra) if extra else g
+    n = g.n
+    cost = [0 if (v == root or v in terminals) else 1 for v in range(n)]
+    src = sorted(sources)
+    full = (1 << len(src)) - 1
+    INF = n + 1
+    dp = [[INF] * n for _ in range(full + 1)]
+    parent = {}
+    for mask in range(1, full + 1):
+        row = dp[mask]
+        if mask & (mask - 1) == 0:
+            t = src[mask.bit_length() - 1]
+            row[t] = 0
+            parent[(mask, t)] = ("base",)
+        else:
+            sub = (mask - 1) & mask
+            while sub > (mask ^ sub):
+                left, right = dp[sub], dp[mask ^ sub]
+                for v in range(n):
+                    cand = left[v] + right[v]
+                    if cand < row[v]:
+                        row[v] = cand
+                        parent[(mask, v)] = ("split", sub, v)
+                sub = (sub - 1) & mask
+        heap = [(row[v], v) for v in range(n) if row[v] < INF]
+        heapq.heapify(heap)
+        while heap:
+            dist, x = heapq.heappop(heap)
+            if dist > row[x]:
+                continue
+            step = dist + cost[x]
+            for w in work.in_neighbors(x):
+                if step < row[w]:
+                    row[w] = step
+                    parent[(mask, w)] = ("step", x)
+                    heapq.heappush(heap, (step, w))
+    if dp[full][root] > budget:
+        return None
+    chosen = set()
+    stack = [(full, root)]
+    while stack:
+        mask, v = stack.pop()
+        chosen.add(v)
+        kind = parent[(mask, v)]
+        if kind[0] == "split":
+            stack.append((kind[1], v))
+            stack.append((mask ^ kind[1], v))
+        elif kind[0] == "step":
+            stack.append((mask, kind[1]))
+    return frozenset(v for v in chosen if cost[v] == 1)
+
+
+@given(dst_instances(), st.booleans())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_subset_dp_matches_reference(inst, contracted):
+    # the reference only fails (KeyError) for budgets above n, where its
+    # INF sentinel passes the budget test; at most n both must agree exactly
+    if contracted:
+        inst = preprocess_contract(inst)[0]
+    g, t = inst.graph, inst.terminals
+    sources = source_terminals(g, t) if contracted else t
+    budget = min(inst.budget, g.n)
+    got = dst_exact_subset(g, inst.root, t, sources, budget)
+    assert got == _dst_exact_subset_reference(g, inst.root, t, sources, budget)
+
+
+@given(dst_instances(max_n=16), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_preprocess_contract_with_dead_matches_removal(inst, data):
+    g = inst.graph
+    pool = [v for v in range(g.n) if v != inst.root and v not in inst.terminals]
+    dead = frozenset(data.draw(st.sets(st.sampled_from(pool))) if pool else ())
+    got, got_map, got_s = preprocess_contract(inst, dead)
+    stripped = DstInstance(remove_vertices(g, dead), inst.root, inst.terminals, inst.budget)
+    want, want_map, want_s = preprocess_contract(stripped)
+    assert got == want
+    assert (got_map, got_s) == (want_map, want_s)
+
+
+def test_fpt_runs_each_leaf_dp_once_across_budgets(monkeypatch):
+    # the desk-like instance is one 10-source leaf; budget 1 finds it too
+    # expensive and budget 2 solves it, from the same DP table
+    calls = []
+    real = steiner.dst_exact_subset
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(steiner, "dst_exact_subset", counted)
+    res = dst_fpt(planted_hub_instance())
+    assert res.solution == frozenset({1, 2})
+    assert res.nodes_per_budget == (1, 1, 1)
+    assert calls == [2]
+
+
+def test_fpt_leaf_memo_tells_absorbed_sets_apart():
+    # hubs 3 and 5 both reach all ten terminals; 3 hangs off the root by
+    # the path 0 -> 1 -> 2, 5 by 0 -> 4.  At budget 2 the leaf that
+    # absorbed 3 needs {1, 2} and fails, and the leaf that absorbed 5, on
+    # the same alive set, needs {4} only
+    paths = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5)]
+    g = Digraph(16, paths + [(h, t) for h in (3, 5) for t in range(6, 16)])
+    inst = DstInstance(g, 0, frozenset(range(6, 16)), 3)
+    res = dst_fpt(inst)
+    assert res.solution == frozenset({4, 5})
+    assert len(res.solution) == len(dst_exact_enum(inst, max_n=16))
 
 
 def test_subset_dp_cap():
