@@ -3,6 +3,8 @@
 Vertices are dense integer indices ``0..n-1``; a digraph is immutable
 after construction.  Self-loops are rejected, duplicate arcs are
 rejected, and antiparallel pairs (u,v),(v,u) are two distinct arcs.
+Arcs are stored once, as sorted adjacency tuples; graphs derived from
+another digraph skip the constructor's checks (see ``Digraph._fill``).
 All higher-level algorithms in this package operate on these values,
 so everything here is deliberately small and heavily exercised.
 
@@ -24,20 +26,22 @@ VertexSet = frozenset  # alias used in signatures; members are ints
 
 
 class Digraph:
-    """Immutable digraph with out/in adjacency lists.
+    """Immutable digraph stored as sorted out- and in-adjacency tuples.
 
-    Adjacency tuples are sorted so that every traversal in the package
-    is deterministic without further care.  ``_derived`` holds data other
+    Sorting makes every traversal in the package deterministic without
+    further care.  The tuples are the only arc store, so ``has_arc(u, v)``
+    scans u's out-list in O(out-degree).  ``_derived`` holds data other
     modules compute from the graph (keyed by name and parameters), so it
     is computed once per graph and freed with it.
     """
 
-    __slots__ = ("n", "_arcs", "_out", "_in", "_und", "_derived")
+    __slots__ = ("n", "m", "_out", "_in", "_und", "_derived")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         arc_set = set()
+        out: list[list[int]] = [[] for _ in range(n)]
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u},{v}) out of range for n={n}")
@@ -46,28 +50,37 @@ class Digraph:
             if (u, v) in arc_set:
                 raise ValueError(f"duplicate arc ({u},{v})")
             arc_set.add((u, v))
-        out: list[list[int]] = [[] for _ in range(n)]
-        inc: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(arc_set):
             out[u].append(v)
-            inc[v].append(u)
+        for heads in out:
+            heads.sort()
+        self._fill(n, out)
+
+    def _fill(self, n: int, out: Sequence[Sequence[int]]) -> "Digraph":
+        """Set every slot from the out-lists ``out``; returns self.
+
+        Derived graphs are built as ``Digraph.__new__(Digraph)._fill(n, out)``,
+        skipping ``__init__``'s checks: each ``out[u]`` must be ascending,
+        free of duplicates and of u, with entries in ``0..n-1``.  The tails
+        are visited in ascending order, so the in-lists come out sorted.
+        """
+        inc: list[list[int]] = [[] for _ in range(n)]
+        for u, heads in enumerate(out):
+            for v in heads:
+                inc[v].append(u)
         self.n = n
-        self._arcs = frozenset(arc_set)
-        self._out = tuple(tuple(a) for a in out)
-        self._in = tuple(tuple(a) for a in inc)
+        self._out = tuple(map(tuple, out))
+        self._in = tuple(map(tuple, inc))
+        self.m = sum(map(len, self._out))
         self._und: Optional[tuple[tuple[int, ...], ...]] = None
         self._derived: dict = {}
-
-    @property
-    def m(self) -> int:
-        return len(self._arcs)
+        return self
 
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs in sorted order."""
-        return sorted(self._arcs)
+        return [(u, v) for u, heads in enumerate(self._out) for v in heads]
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self._arcs
+        return v in self._out[u]
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return self._out[v]
@@ -85,21 +98,21 @@ class Digraph:
 
     def underlying_edges(self) -> list[tuple[int, int]]:
         """Unordered pairs of the underlying undirected graph, each once."""
-        return sorted({(min(u, v), max(u, v)) for u, v in self._arcs})
+        return [(u, v) for u in range(self.n) for v in self.underlying_neighbors(u) if u < v]
 
     def reverse(self) -> "Digraph":
-        """The digraph with every arc flipped."""
-        return Digraph(self.n, ((v, u) for u, v in self._arcs))
+        """The digraph with every arc flipped; its out-lists are our in-lists."""
+        return Digraph.__new__(Digraph)._fill(self.n, self._in)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Digraph)
             and self.n == other.n
-            and self._arcs == other._arcs
+            and self._out == other._out
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._arcs))
+        return hash((self.n, self._out))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"
@@ -248,27 +261,19 @@ def shortest_path(g: Digraph, u: int, v: int,
                   within: Optional[frozenset] = None) -> Optional[list[int]]:
     """One shortest directed u->v path as a vertex list, or None.
 
-    Ties are broken towards smaller predecessor indices, so the result is
-    deterministic.
+    Each vertex's predecessor is its in-neighbor one step closer to u that
+    ``_bfs`` discovered first, so the result is deterministic.
     """
-    if u == v:
-        return [u]
-    parent: dict[int, int] = {u: -1}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in g.out_neighbors(x):
-                if y not in parent and (within is None or y in within):
-                    parent[y] = x
-                    if y == v:
-                        path = [v]
-                        while path[-1] != u:
-                            path.append(parent[path[-1]])
-                        return path[::-1]
-                    nxt.append(y)
-        frontier = nxt
-    return None
+    dist = _bfs(g.out_neighbors, (u,), within=within)
+    if v not in dist:
+        return None
+    rank = {x: i for i, x in enumerate(dist)}
+    path = [v]
+    while path[-1] != u:
+        y = path[-1]
+        path.append(min((x for x in g.in_neighbors(y) if dist.get(x) == dist[y] - 1),
+                        key=rank.__getitem__))
+    return path[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +357,13 @@ def contract(g: Digraph, partition: Iterable[Iterable[int]],
     Blocks must be disjoint subsets of the vertex set; vertices outside the
     blocks stay singletons.  Arcs are projected, self-loops dropped and
     parallels deduplicated.  Arcs at a vertex of ``dead`` are dropped
-    first, so dead vertices become isolated husks and the result equals
-    ``contract(remove_vertices(g, dead), partition)`` without building the
-    intermediate graph.  Returns the contracted digraph and the old-to-new
+    first, so dead vertices become isolated husks; with no blocks this is
+    ``remove_vertices``.  Returns the contracted digraph and the old-to-new
     vertex mapping.  New indices follow the smallest old index of each
     block.
     """
     blocks = [sorted(set(b)) for b in partition]
+    lead = list(range(g.n))  # smallest vertex of each vertex's block
     seen: set[int] = set()
     for b in blocks:
         for v in b:
@@ -367,24 +372,17 @@ def contract(g: Digraph, partition: Iterable[Iterable[int]],
             if v in seen:
                 raise ValueError(f"partition blocks overlap at vertex {v}")
             seen.add(v)
-    block_of = {}
-    for i, b in enumerate(blocks):
-        for v in b:
-            block_of[v] = i
-    # new ids ordered by the smallest old vertex of each group
-    leaders = sorted(set(min(b) for b in blocks) | (set(range(g.n)) - seen))
-    new_id = {leader: i for i, leader in enumerate(leaders)}
-    mapping = [0] * g.n
-    for v in range(g.n):
-        leader = min(blocks[block_of[v]]) if v in block_of else v
-        mapping[v] = new_id[leader]
+            lead[v] = b[0]
+    leaders = [v for v in range(g.n) if lead[v] == v]
+    new_id = {x: i for i, x in enumerate(leaders)}
+    mapping = [new_id[lead[v]] for v in range(g.n)]
     dead = frozenset(dead)
-    new_arcs = set()
-    for u, v in g._arcs:
-        a, b = mapping[u], mapping[v]
-        if a != b and u not in dead and v not in dead:
-            new_arcs.add((a, b))
-    return Digraph(len(leaders), new_arcs), mapping
+    proj: list[set[int]] = [set() for _ in leaders]
+    for u, heads in enumerate(g._out):
+        if u not in dead:
+            proj[mapping[u]].update(mapping[v] for v in heads if v not in dead)
+    out = [sorted(s - {a}) for a, s in enumerate(proj)]  # a -> a was inside a block
+    return Digraph.__new__(Digraph)._fill(len(out), out), mapping
 
 
 def induced_subgraph(g: Digraph, vertices: Iterable[int]) -> tuple[Digraph, list[int]]:
@@ -394,8 +392,8 @@ def induced_subgraph(g: Digraph, vertices: Iterable[int]) -> tuple[Digraph, list
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
     new_of = {v: i for i, v in enumerate(old)}
-    arcs = [(new_of[u], new_of[v]) for u, v in g.arcs() if u in new_of and v in new_of]
-    return Digraph(len(old), arcs), old
+    out = [[new_of[v] for v in g._out[u] if v in new_of] for u in old]
+    return Digraph.__new__(Digraph)._fill(len(old), out), old
 
 
 def remove_vertices(g: Digraph, removed: Iterable[int]) -> Digraph:
@@ -404,8 +402,7 @@ def remove_vertices(g: Digraph, removed: Iterable[int]) -> Digraph:
     Keeping the indexing intact (removed vertices stay as isolated husks)
     lets callers mix results from G and G - X without renumbering.
     """
-    dead = set(removed)
-    return Digraph(g.n, ((u, v) for u, v in g.arcs() if u not in dead and v not in dead))
+    return contract(g, (), removed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -167,3 +167,45 @@ def test_dst_output_matches_golden(tmp_path, instance, command):
 
 def test_dst_golden_table_covers_every_case():
     assert set(DST_EXPECTED) == {(i, c) for i in DST_INSTANCES for c in DST_COMMANDS}
+
+
+# ---------------------------------------------------------------------------
+# domset --scds
+
+
+def _strong_host(n: int, m: int, seed: int, bidirected: bool = False) -> Digraph:
+    """random_digraph(n, m, seed), optionally bidirected, plus the
+    Hamiltonian cycle 0 -> 1 -> ... -> n-1 -> 0: strongly connected."""
+    arcs = set(random_digraph(n, m, seed).arcs())
+    if bidirected:
+        arcs |= {(v, u) for u, v in arcs}
+    return Digraph(n, arcs | {(i, (i + 1) % n) for i in range(n)})
+
+
+SCDS_GRAPHS = {
+    "strong30": lambda: _strong_host(30, 45, 5),
+    "strong40": lambda: _strong_host(40, 60, 6),
+    "bidirected24": lambda: _strong_host(24, 24, 7, bidirected=True),
+}
+
+# (graph, radius) -> (exit code, first 16 hex digits of the stdout digest)
+SCDS_EXPECTED = {
+    ("strong30", 1): (0, "19862fcda359c83d"),
+    ("strong30", 2): (0, "01260b5a5a13f508"),
+    ("strong40", 1): (0, "e45a5db9c2b91b18"),
+    ("strong40", 2): (0, "1852041206748f5d"),
+    ("bidirected24", 1): (0, "93c7bc62b7676e16"),
+    ("bidirected24", 2): (0, "fe4583b07081d28d"),
+}
+
+
+@pytest.mark.parametrize("graph,radius", sorted(SCDS_EXPECTED))
+def test_scds_output_matches_golden(tmp_path, graph, radius):
+    path = tmp_path / "g.dg"
+    path.write_text(format_digraph(SCDS_GRAPHS[graph]()))
+    got = _run(["domset", str(path), "--scds", "--radius", str(radius)])
+    assert got == SCDS_EXPECTED[graph, radius]
+
+
+def test_scds_golden_table_covers_every_case():
+    assert set(SCDS_EXPECTED) == {(g, r) for g in SCDS_GRAPHS for r in (1, 2)}

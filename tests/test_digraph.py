@@ -21,7 +21,8 @@ from sparsedigraph import (
     random_digraph,
     scc,
 )
-from sparsedigraph.digraph import _bfs, induced_subgraph, remove_vertices
+from sparsedigraph.digraph import _bfs, induced_subgraph, remove_vertices, shortest_path
+from sparsedigraph.oracles import verify_strongly_connected
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +407,73 @@ def test_bfs_matches_networkx(g, data):
     assert list(dist.values()) == sorted(dist.values())  # discovery order
 
 
+def early_exit_shortest_path(g, u, v, within=None):
+    """The stand-alone BFS ``shortest_path`` used before it ran on ``_bfs``:
+    each vertex's parent is the first frontier vertex that reaches it, and
+    the search stops when v is discovered."""
+    if u == v:
+        return [u]
+    parent = {u: -1}
+    frontier = [u]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in g.out_neighbors(x):
+                if y not in parent and (within is None or y in within):
+                    parent[y] = x
+                    if y == v:
+                        path = [v]
+                        while path[-1] != u:
+                            path.append(parent[path[-1]])
+                        return path[::-1]
+                    nxt.append(y)
+        frontier = nxt
+    return None
+
+
+@given(digraphs(max_n=14), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_shortest_path_matches_early_exit_reference(g, data):
+    within = data.draw(st.none() | st.frozensets(st.integers(0, max(g.n - 1, 0))))
+    for u in range(g.n):
+        for v in range(g.n):
+            assert shortest_path(g, u, v, within) == early_exit_shortest_path(g, u, v, within)
+
+
+# ---------------------------------------------------------------------------
+# networkx differential tests
+
+
+def networkx_copy(nx, g):
+    h = nx.DiGraph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.arcs())
+    return h
+
+
+@given(digraphs(max_n=20))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_scc_matches_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = networkx_copy(nx, g)
+    dec = scc(g)
+    assert sorted(dec.components) == sorted(
+        tuple(sorted(c)) for c in nx.strongly_connected_components(h))
+    for comp, diam in zip(dec.components, dec.diameters):
+        assert diam == max(nx.eccentricity(h.subgraph(comp)).values())
+
+
+@given(digraphs(max_n=16), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_verify_strongly_connected_matches_networkx(g, data):
+    nx = pytest.importorskip("networkx")
+    if g.n == 0:
+        return
+    s = data.draw(st.frozensets(st.integers(0, g.n - 1), min_size=1))
+    h = networkx_copy(nx, g)
+    assert verify_strongly_connected(g, s) == nx.is_strongly_connected(h.subgraph(s))
+
+
 # ---------------------------------------------------------------------------
 # surgery helpers
 
@@ -426,6 +494,41 @@ def test_remove_vertices_keeps_indexing():
     h = remove_vertices(g, {2, 5})
     assert h.n == g.n
     assert all(2 not in (u, v) and 5 not in (u, v) for u, v in h.arcs())
+
+
+def assert_same_graph(h, arcs):
+    """``h`` agrees with the checked constructor on the same arcs in every
+    way a caller can see."""
+    ref = Digraph(h.n, arcs)
+    assert h == ref and hash(h) == hash(ref)
+    assert h._out == ref._out and h._in == ref._in
+    assert h.m == ref.m and h.arcs() == ref.arcs()
+    assert all(h.has_arc(u, v) == ref.has_arc(u, v)
+               for u in range(h.n) for v in range(h.n))
+
+
+@given(digraphs(max_n=14), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_derived_graphs_equal_checked_constructor(g, data):
+    if g.n == 0:
+        return
+    vertex_sets = st.frozensets(st.integers(0, g.n - 1))
+    labels = data.draw(st.lists(st.integers(-1, 3), min_size=g.n, max_size=g.n))
+    blocks = [[v for v in range(g.n) if labels[v] == b] for b in range(4)]
+    blocks = [b for b in blocks if b]  # label -1: no block
+    dead = data.draw(vertex_sets)
+    for gone in (frozenset(), dead):
+        h, mapping = contract(g, blocks, gone)
+        assert_same_graph(h, {(mapping[u], mapping[v]) for u, v in g.arcs()
+                              if mapping[u] != mapping[v] and not {u, v} & gone})
+    assert_same_graph(remove_vertices(g, dead),
+                      [(u, v) for u, v in g.arcs() if not {u, v} & dead])
+    keep = data.draw(vertex_sets)
+    h, old_of = induced_subgraph(g, keep)
+    new_of = {v: i for i, v in enumerate(old_of)}
+    assert_same_graph(h, [(new_of[u], new_of[v]) for u, v in g.arcs()
+                          if u in keep and v in keep])
+    assert_same_graph(g.reverse(), [(v, u) for u, v in g.arcs()])
 
 
 # ---------------------------------------------------------------------------
