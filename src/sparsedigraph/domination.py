@@ -1,12 +1,16 @@
 """Distance profiles, neighborhood complexity, distance-r VC dimension,
 and the two dominating set approximations.
 
-The red-blue approximation is an iterative-reweighting hitting set
-engine: guess the optimum k', sample weighted nets sized from the VC
-estimate, and double the weights of any unhit in-neighborhood.  At desk
-scale the theoretical net sizes exceed the blue set, so sampling is
-capped at |B| draws and a greedy set cover runs alongside; the smaller
-valid answer wins.  Every output is validated before it is returned.
+The red-blue approximation runs a greedy set cover and, where it can
+help, an iterative-reweighting hitting set engine: guess the optimum k',
+sample weighted nets sized from the VC bound, and double the weights of
+any unhit in-neighborhood; the smaller valid answer wins.  Net sizes grow
+with k', so when the first net (k' = 1) is already no smaller than the
+blue set B, no net the engine could certify is smaller than B, and the
+greedy answer, a subset of B, meets the engine's bound: the engine is
+then skipped.  At desk scale that is the common case.  Where the engine
+runs, later nets are capped at |B| draws.  Every output is validated
+before it is returned.
 
 The strongly connected variant guesses a center v and a radius k, colors
 the strong k-ball of v blue, finds a red-blue dominator inside it, and
@@ -147,16 +151,46 @@ def _weighted_sample(blues: list[int], weights: dict, count: int,
     return frozenset(picked)
 
 
+def _net_size(delta: int, k_guess: int) -> int:
+    """Draws in an ε-net for optimum guess ``k_guess``, ε = 1/(2 k_guess),
+    of a family with VC bound ``delta``, before the desk-scale cap.
+    Increasing in both arguments."""
+    eps = 1.0 / (2 * k_guess)
+    return math.ceil((8 * delta / eps) * math.log(8 * delta / eps))
+
+
+def _engine_delta(g: Digraph, r: int, n_blues: int) -> Optional[int]:
+    """VC bound for the reweighting engine's nets, or None when its first
+    net (k_guess = 1) already has at least ``n_blues`` draws.
+
+    The bound is the certified δ = (r+2)(2·guarantee)² of the wcol order.
+    Every guarantee is at least 1, so δ >= 4(r+2); that floor is tested
+    first, and a blue set too small to beat it never computes the order.
+    The order needs r >= 1, so radius 0 is refused whether or not the
+    engine would run.
+    """
+    if r < 1:
+        raise ValueError("augmentation depth must be at least 1")
+    if _net_size(4 * (r + 2), 1) >= n_blues:
+        return None
+    delta = (r + 2) * (2 * compute_wcol_order(g, r).guarantee) ** 2
+    return delta if _net_size(delta, 1) < n_blues else None
+
+
 def redblue_dominate_approx(g: Digraph, red: Iterable[int], blue: Iterable[int],
                             r: int, seed: int = 0,
                             stats_out: Optional[dict] = None) -> frozenset:
     """Blue set dominating every red vertex within distance r.
 
-    Raises InfeasibleError when even the whole blue set fails.  The size
-    is near-optimal in practice: the reweighting engine runs first and a
-    greedy cover is kept as both fallback and benchmark.  When a dict is
-    passed as ``stats_out`` it receives the final optimum guess and which
-    engine produced the answer.
+    Raises InfeasibleError when even the whole blue set fails.  A greedy
+    cover always runs.  The reweighting engine runs only when its first
+    net is smaller than the blue set; the smaller valid answer of the two
+    wins.  Skipping it loses nothing: nets only grow with the optimum
+    guess, so every net the engine could certify would be at least as
+    large as the blue set, and the greedy answer, a subset of it, already
+    meets that bound.  When a dict is passed as ``stats_out`` it receives
+    the optimum guess of the net that was found (``None`` when the engine
+    was skipped or found none) and which engine produced the answer.
     """
     reds = sorted(set(red))
     blues = sorted(set(blue))
@@ -176,21 +210,13 @@ def redblue_dominate_approx(g: Digraph, red: Iterable[int], blue: Iterable[int],
 
     greedy = _greedy_hitting_set(members, blues)
 
-    # VC estimate for the net size: certified order bound, exact when cheap
-    res = compute_wcol_order(g, r)
-    delta = (r + 2) * (2 * res.guarantee) ** 2
-    if g.n <= 20:
-        delta = min(delta, max(1, vc_dimension_distance_r(g, r)[0]))
-    delta = max(1, delta)
-
+    delta = _engine_delta(g, r, len(blues))
     rng = random.Random(seed)
     candidate: Optional[frozenset] = None
     k_guess = 1
-    while k_guess <= len(blues):
+    while delta is not None and k_guess <= len(blues):
         weights = {b: 1 for b in blues}
-        eps = 1.0 / (2 * k_guess)
-        net_size = math.ceil((8 * delta / eps) * math.log(8 * delta / eps))
-        net_size = min(net_size, len(blues))  # desk-scale cap
+        net_size = min(_net_size(delta, k_guess), len(blues))  # desk-scale cap
         rounds = math.ceil(4 * k_guess * math.log2(g.n / k_guess + 2))
         for _ in range(rounds):
             net = _weighted_sample(blues, weights, net_size, rng)

@@ -44,31 +44,31 @@ COMMANDS = {
 # (graph, command) -> (exit code, first 16 hex digits of the stdout digest)
 EXPECTED = {
     ("random60-1", "wcol-r2"): (0, "acc4825bc97a21a3"),
-    ("random60-1", "domset-r1"): (0, "e912f258af1113ad"),
-    ("random60-1", "domset-r1-red"): (0, "39bcf558caedcfeb"),
-    ("random60-1", "domset-r2"): (0, "07a32c92739613dd"),
-    ("random60-1", "domset-r2-red"): (0, "3acf45ce5a0df9ee"),
+    ("random60-1", "domset-r1"): (0, "58b9d2461b847eb0"),
+    ("random60-1", "domset-r1-red"): (0, "c9e8c1921c867eb9"),
+    ("random60-1", "domset-r2"): (0, "a87be90d0b232b36"),
+    ("random60-1", "domset-r2-red"): (0, "30b0aba2a6fc3eb6"),
     ("random60-1", "kernel-r1-k3"): (1, "7044f7c7c23bfb5c"),
     ("random60-1", "kernel-r2-k3"): (0, "1e4dc7f17968e933"),
     ("random60-2", "wcol-r2"): (0, "6b6ab58028416b9a"),
-    ("random60-2", "domset-r1"): (0, "05630da26b2eb81b"),
-    ("random60-2", "domset-r1-red"): (0, "5d1fef74aada67d3"),
-    ("random60-2", "domset-r2"): (0, "f821f97ea12dc8a8"),
-    ("random60-2", "domset-r2-red"): (0, "32a46c243699f0e7"),
+    ("random60-2", "domset-r1"): (0, "90ed9adfd4627fc3"),
+    ("random60-2", "domset-r1-red"): (0, "001e069969d9be56"),
+    ("random60-2", "domset-r2"): (0, "495b73f4461bff97"),
+    ("random60-2", "domset-r2-red"): (0, "c43bb41247b0b8fb"),
     ("random60-2", "kernel-r1-k3"): (1, "1d8ac4b1784673bc"),
     ("random60-2", "kernel-r2-k3"): (0, "f2adbe1bf3d99b1e"),
     ("random60-3", "wcol-r2"): (0, "ca7a361baef0f8da"),
-    ("random60-3", "domset-r1"): (0, "a993d0f36795a70f"),
-    ("random60-3", "domset-r1-red"): (0, "a2c6d86feb492ab0"),
-    ("random60-3", "domset-r2"): (0, "0fd17ad0196733d7"),
-    ("random60-3", "domset-r2-red"): (0, "5eba9072bd71aea5"),
+    ("random60-3", "domset-r1"): (0, "3c958f067787132f"),
+    ("random60-3", "domset-r1-red"): (0, "b5950620869df597"),
+    ("random60-3", "domset-r2"): (0, "31f736d760fb0042"),
+    ("random60-3", "domset-r2-red"): (0, "d5bedc9f87b505b8"),
     ("random60-3", "kernel-r1-k3"): (1, "496ae152cc13b6d0"),
     ("random60-3", "kernel-r2-k3"): (0, "a206724b0dc463f2"),
     ("apex10", "wcol-r2"): (0, "bf04240516b6d250"),
-    ("apex10", "domset-r1"): (0, "dcb35dca5a636679"),
-    ("apex10", "domset-r1-red"): (0, "f51a844fbf0b8c32"),
-    ("apex10", "domset-r2"): (0, "3cdc4700e082dc20"),
-    ("apex10", "domset-r2-red"): (0, "3cdc4700e082dc20"),
+    ("apex10", "domset-r1"): (0, "26d15da427ac397f"),
+    ("apex10", "domset-r1-red"): (0, "fd440b6a66641527"),
+    ("apex10", "domset-r2"): (0, "0f9de737403dc4fb"),
+    ("apex10", "domset-r2-red"): (0, "0f9de737403dc4fb"),
     ("apex10", "kernel-r1-k3"): (0, "8aa5b9f01759814c"),
     ("apex10", "kernel-r2-k3"): (0, "7ff82667e27f2145"),
 }
@@ -186,6 +186,7 @@ SCDS_GRAPHS = {
     "strong30": lambda: _strong_host(30, 45, 5),
     "strong40": lambda: _strong_host(40, 60, 6),
     "bidirected24": lambda: _strong_host(24, 24, 7, bidirected=True),
+    "strong200": lambda: _strong_host(200, 400, 3),
 }
 
 # (graph, radius) -> (exit code, first 16 hex digits of the stdout digest)
@@ -196,6 +197,8 @@ SCDS_EXPECTED = {
     ("strong40", 2): (0, "1852041206748f5d"),
     ("bidirected24", 1): (0, "93c7bc62b7676e16"),
     ("bidirected24", 2): (0, "fe4583b07081d28d"),
+    ("strong200", 1): (0, "1e7f9945c0c4295d"),
+    ("strong200", 2): (0, "7f8815bc5549d5ba"),
 }
 
 

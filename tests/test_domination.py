@@ -6,7 +6,7 @@ from itertools import combinations
 import bisect
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsedigraph import Digraph, bidirected_clique, directed_path, random_digraph
@@ -228,6 +228,176 @@ def test_redblue_deterministic_for_seed():
     a = redblue_dominate_approx(g, red, blue, 2, seed=7)
     b = redblue_dominate_approx(g, red, blue, 2, seed=7)
     assert a == b
+
+
+def ungated_redblue(g, red, blue, r, seed=0, stats_out=None):
+    """Reference: the red-blue approximation as it was before the engine
+    gate.  It always computes the wcol order, sizes nets from the exact VC
+    dimension when n <= 20, and always runs the reweighting engine.  It
+    also reports its greedy answer under ``stats_out["greedy"]``."""
+    reds = sorted(set(red))
+    blues = sorted(set(blue))
+    for v in reds + blues:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} out of range")
+    if not reds:
+        return frozenset()
+    blue_set = frozenset(blues)
+    members = []
+    for v in reds:
+        trace = frozenset(in_ball(g, v, r) & blue_set)
+        if not trace:
+            raise InfeasibleError(f"red vertex {v} is not blue-dominated at radius {r}")
+        members.append(trace)
+    members = sorted(set(members), key=sorted)
+
+    greedy = _greedy_hitting_set(members, blues)
+
+    res = compute_wcol_order(g, r)
+    delta = (r + 2) * (2 * res.guarantee) ** 2
+    if g.n <= 20:
+        delta = min(delta, max(1, vc_dimension_distance_r(g, r)[0]))
+    delta = max(1, delta)
+
+    rng = random.Random(seed)
+    candidate = None
+    k_guess = 1
+    while k_guess <= len(blues):
+        weights = {b: 1 for b in blues}
+        eps = 1.0 / (2 * k_guess)
+        net_size = math.ceil((8 * delta / eps) * math.log(8 * delta / eps))
+        net_size = min(net_size, len(blues))
+        rounds = math.ceil(4 * k_guess * math.log2(g.n / k_guess + 2))
+        for _ in range(rounds):
+            net = _weighted_sample(blues, weights, net_size, rng)
+            unhit = next(filter(net.isdisjoint, members), None)
+            if unhit is None:
+                candidate = net
+                break
+            for b in unhit:
+                weights[b] *= 2
+        if candidate is not None:
+            break
+        k_guess *= 2
+
+    result = greedy if candidate is None or len(greedy) <= len(candidate) else candidate
+    assert verify_dominating(g, result, r, reds) and result <= blue_set
+    if stats_out is not None:
+        stats_out["k_guess"] = k_guess if candidate is not None else None
+        stats_out["engine"] = "greedy" if result is greedy else "net"
+        stats_out["greedy"] = greedy
+    return result
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the engine gate should have skipped this")
+
+
+def _greedy_all_all(g, r):
+    members = {frozenset(in_ball(g, v, r)) for v in range(g.n)}
+    return _greedy_hitting_set(sorted(members, key=sorted), list(range(g.n)))
+
+
+def test_redblue_gate_floor_skips_order(monkeypatch):
+    # at r = 1 every first net has at least 1010 draws (delta >= 12), so
+    # 1000 blue vertices are decided without computing the order
+    import sparsedigraph.domination as dom
+
+    g = random_digraph(1000, 3000, 1)
+    for name in ("compute_wcol_order", "_weighted_sample", "vc_dimension_distance_r"):
+        monkeypatch.setattr(dom, name, _refuse)
+    stats = {}
+    d = dom.redblue_dominate_approx(g, range(g.n), range(g.n), 1, stats_out=stats)
+    assert d == _greedy_all_all(g, 1)
+    assert stats == {"k_guess": None, "engine": "greedy"}
+
+
+def test_redblue_gate_certified_delta_skips_engine(monkeypatch):
+    # 2000 blue vertices pass the floor, so the order is computed once;
+    # its guarantee (21) makes the first net far larger than the blue set
+    import sparsedigraph.domination as dom
+
+    g = random_digraph(2000, 6000, 1)
+    orders = []
+
+    def counted_order(h, r):
+        orders.append(r)
+        return compute_wcol_order(h, r)
+
+    monkeypatch.setattr(dom, "compute_wcol_order", counted_order)
+    monkeypatch.setattr(dom, "_weighted_sample", _refuse)
+    monkeypatch.setattr(dom, "vc_dimension_distance_r", _refuse)
+    stats = {}
+    d = dom.redblue_dominate_approx(g, range(g.n), range(g.n), 1, stats_out=stats)
+    assert d == _greedy_all_all(g, 1)
+    assert stats == {"k_guess": None, "engine": "greedy"}
+    assert orders == [1]
+
+
+@pytest.mark.parametrize("n,red,r,seed", [
+    (1100, [0, 5], 1, 1),                  # first net 1010 < 1100 draws
+    (1100, range(0, 1100, 50), 1, 4),
+    (1500, range(0, 1500, 100), 2, 2),     # first net 1420 < 1500 draws
+])
+def test_redblue_engine_runs_past_the_gate(n, red, r, seed):
+    # edgeless graphs have guarantee 1, the smallest certified delta
+    g = Digraph(n, [])
+    ref_stats, stats = {}, {}
+    expected = ungated_redblue(g, red, range(n), r, seed=seed, stats_out=ref_stats)
+    d = redblue_dominate_approx(g, red, range(n), r, seed=seed, stats_out=stats)
+    assert d == expected == frozenset(red)
+    assert ref_stats["k_guess"] is not None
+    assert stats == {k: ref_stats[k] for k in ("k_guess", "engine")}
+
+
+def test_redblue_engine_first_guess_on_edgeless_1100():
+    stats = {}
+    d = redblue_dominate_approx(Digraph(1100, []), [0, 5], range(1100), 1,
+                                seed=1, stats_out=stats)
+    assert d == frozenset({0, 5})
+    assert stats == {"k_guess": 1, "engine": "greedy"}
+
+
+@st.composite
+def redblue_instances(draw):
+    n = draw(st.integers(1, 20))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+    blue = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    # reds among the blues are always dominated, which keeps most
+    # instances feasible
+    pool = blue if draw(st.booleans()) else range(n)
+    red = draw(st.lists(st.sampled_from(pool), max_size=n))
+    r = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2 ** 16))
+    return Digraph(n, set(arcs)), red, blue, r, seed
+
+
+@given(redblue_instances())
+# two instances where the reference's net beat its greedy cover
+@example((Digraph(6, [(0, 3), (1, 0), (1, 2), (2, 0), (2, 1), (3, 1), (3, 2),
+                      (4, 1), (4, 3), (4, 5)]),
+          [0, 2, 3, 4, 5], [0, 1, 4], 1, 6542))
+@example((Digraph(10, [(0, 2), (1, 7), (2, 7), (2, 8), (3, 7), (4, 2), (6, 9),
+                       (7, 4), (8, 4), (8, 9), (9, 5), (9, 7)]),
+          range(10), [0, 1, 2, 3, 4, 5, 6, 8, 9], 1, 8480))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_redblue_gate_matches_ungated_reference(instance):
+    g, red, blue, r, seed = instance
+    ref_stats = {}
+    try:
+        expected = ungated_redblue(g, red, blue, r, seed=seed, stats_out=ref_stats)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            redblue_dominate_approx(g, red, blue, r, seed=seed)
+        return
+    d = redblue_dominate_approx(g, red, blue, r, seed=seed)
+    assert verify_dominating(g, d, r, red) and d <= set(blue)
+    if not ref_stats or ref_stats["engine"] == "greedy":
+        assert d == expected
+    else:
+        # n <= 20 always skips the engine, so the answer is the greedy one
+        assert d == ref_stats["greedy"]
 
 
 def rescan_greedy(members, blues):
