@@ -16,9 +16,8 @@ d is the union's max out-degree and c its peel degeneracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .digraph import Digraph, LinearOrder, _bfs, _bits, _degeneracy, degeneracy, out_distances
+from .digraph import Digraph, LinearOrder, _adjacency_masks, _bfs, _bits, degeneracy, out_distances
 from .errors import InternalInvariantError, SizeCapError, _check_cap
 
 
@@ -58,15 +57,6 @@ def wcol_of_order(g: Digraph, order: LinearOrder, r: int) -> int:
 def wcol_infty(g: Digraph, order: LinearOrder) -> int:
     """The limit weak coloring number of an order: radius n."""
     return wcol_of_order(g, order, g.n)
-
-
-def _adjacency_masks(g: Digraph) -> tuple[list[int], list[int]]:
-    out_mask = [0] * g.n
-    in_mask = [0] * g.n
-    for u, v in g.arcs():
-        out_mask[u] |= 1 << v
-        in_mask[v] |= 1 << u
-    return out_mask, in_mask
 
 
 def wcol_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
@@ -267,7 +257,9 @@ class Augmentation:
 
     E_1 re-orients the base arcs; deeper layers hold the oriented
     fraternal/transitive closures.  No pair of vertices is ever connected
-    in both directions across the layers.
+    in both directions across the layers.  The layers are kept as arc
+    frozensets, not ``Digraph``s, because callers test and count arcs
+    (the definition checker in ``acceptance`` iterates them).
     """
 
     n: int
@@ -281,22 +273,12 @@ class Augmentation:
         return frozenset(acc)
 
 
-def _undirected_lists(n: int, pairs) -> list[list[int]]:
-    """Sorted, duplicate-free neighbor lists of the pairs' underlying
-    graph, the form ``Digraph.underlying_neighbors`` gives."""
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return [sorted(set(a)) for a in nbrs]
-
-
-def _orient_pairs(n: int, pairs) -> frozenset:
-    """Degeneracy-orient unordered pairs, each given as (u, v) once."""
-    if not pairs:
-        return frozenset()
-    _, _, orientation = _degeneracy(_undirected_lists(n, pairs))
-    return frozenset(orientation)
+def _arc_graph(n: int, arcs) -> Digraph:
+    """Digraph of arcs that come sorted and duplicate-free, built unchecked."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    for u, v in arcs:
+        out[u].append(v)
+    return Digraph.__new__(Digraph)._fill(n, out)
 
 
 def tfa_augment(g: Digraph, r: int) -> Augmentation:
@@ -306,7 +288,8 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     (w,v) in E_j2 and every transitive pattern (u,v) in E_j1, (v,w) in
     E_j2 with j1 + j2 = t, provided the base graph joins the new pair by
     a directed path of length at most t in some direction and the pair is
-    not already augmented.  The new pairs are degeneracy-oriented.
+    not already augmented.  The new pairs are degeneracy-oriented.  Each
+    layer is held as a ``Digraph`` while later layers read its adjacency.
     """
     if r < 1:
         raise ValueError("augmentation depth must be at least 1")
@@ -314,30 +297,25 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     dist = [out_distances(g, v, cap=r) for v in range(n)]
     far = r + 1
 
-    _, _, first = degeneracy(g)
-    layers: list[frozenset] = [frozenset(first)]
+    # orientations come sorted (u ascending, then v), as ``_arc_graph`` needs
+    layers = [_arc_graph(n, degeneracy(g)[2])]
     # unordered pairs {u, v} are kept as the int min(u, v) * n + max(u, v)
-    present = {u * n + v if u < v else v * n + u for u, v in first}
-    outs = [[set() for _ in range(n)]]
-    ins = [[set() for _ in range(n)]]
-    for u, v in first:
-        outs[0][u].add(v)
-        ins[0][v].add(u)
+    present = {u * n + v if u < v else v * n + u for u, v in layers[0].arcs()}
 
     for t in range(2, r + 1):
         fresh: set = set()
         checked: set = set()  # pairs already decided for this layer
         for j1 in range(1, t):
-            j2 = t - j1
-            o1, o2 = outs[j1 - 1], outs[j2 - 1]
-            i1 = ins[j1 - 1]
+            o1 = layers[j1 - 1].out_neighbors
+            i1 = layers[j1 - 1].in_neighbors
+            o2 = layers[t - j1 - 1].out_neighbors
             for w in range(n):
-                ends = o2[w]
+                ends = o2(w)
                 if not ends:
                     continue
                 # fraternal: w -> u in E_j1 and w -> v in E_j2;
                 # transitive: u -> w in E_j1 followed by w -> v in E_j2
-                for starts in (o1[w], i1[w]):
+                for starts in (o1(w), i1(w)):
                     for u in starts:
                         du = dist[u]
                         for v in ends:
@@ -351,16 +329,11 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
                                 du.get(v, far) <= t or dist[v].get(u, far) <= t
                             ):
                                 fresh.add(key)
-        layer = _orient_pairs(n, [divmod(key, n) for key in fresh])
-        layers.append(layer)
+        pairs = _arc_graph(n, (divmod(key, n) for key in sorted(fresh)))
+        layers.append(_arc_graph(n, degeneracy(pairs)[2]))
         present |= fresh
-        outs.append([set() for _ in range(n)])
-        ins.append([set() for _ in range(n)])
-        for u, v in layer:
-            outs[-1][u].add(v)
-            ins[-1][v].add(u)
 
-    return Augmentation(n=n, depth=r, layers=tuple(layers))
+    return Augmentation(n=n, depth=r, layers=tuple(frozenset(h.arcs()) for h in layers))
 
 
 @dataclass(frozen=True)
@@ -368,33 +341,28 @@ class WcolOrder:
     """An order plus the certificate that produced it.
 
     ``guarantee`` bounds every weak-reachability set of the order at the
-    augmentation depth: (max_outdegree + 1) * smaller_neighbors + 1.
+    augmentation depth: (max_outdegree + 1) * smaller_neighbors + 1.  The
+    augmentation itself is not kept: orders are memoised on their graph,
+    and its arc sets would live as long.
     """
 
     order: LinearOrder
     guarantee: int
     smaller_neighbors: int
     max_outdegree: int
-    augmentation: Optional[Augmentation] = None
 
 
 def order_from_augmentation(g: Digraph, aug: Augmentation) -> WcolOrder:
     """Greedy order of the augmentation union graph with its bound."""
     if aug.n != g.n:
         raise ValueError("augmentation does not fit the graph")
-    arcs = aug.union_arcs()
-    outdeg = [0] * g.n
-    for u, _ in arcs:
-        outdeg[u] += 1
-    d = max(outdeg, default=0)
-    c, order, _ = _degeneracy(_undirected_lists(g.n, arcs))
-    return WcolOrder(
-        order=order,
-        guarantee=(d + 1) * c + 1,
-        smaller_neighbors=c,
-        max_outdegree=d,
-        augmentation=aug,
-    )
+    heads: list[set] = [set() for _ in range(g.n)]
+    for layer in aug.layers:
+        for u, v in layer:
+            heads[u].add(v)
+    d = max(map(len, heads), default=0)
+    c, order, _ = degeneracy(Digraph.__new__(Digraph)._fill(g.n, [sorted(h) for h in heads]))
+    return WcolOrder(order=order, guarantee=(d + 1) * c + 1, smaller_neighbors=c, max_outdegree=d)
 
 
 def compute_wcol_order(g: Digraph, r: int) -> WcolOrder:

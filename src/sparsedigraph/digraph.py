@@ -62,6 +62,10 @@ class Digraph:
         skipping ``__init__``'s checks: each ``out[u]`` must be ascending,
         free of duplicates and of u, with entries in ``0..n-1``.  The tails
         are visited in ascending order, so the in-lists come out sorted.
+        Package code builds these: ``contract``, ``induced_subgraph`` and
+        ``reverse`` here, and in ``coloring`` the augmentation's layer
+        graphs, the graph of each layer's new pairs and the union graph
+        whose peel gives the wcol order.
         """
         inc: list[list[int]] = [[] for _ in range(n)]
         for u, heads in enumerate(out):
@@ -219,6 +223,17 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _adjacency_masks(g: Digraph) -> tuple[list[int], list[int]]:
+    """Out- and in-neighborhoods of every vertex as bitmasks, the
+    adjacency of the bitmask searches."""
+    out_mask = [0] * g.n
+    in_mask = [0] * g.n
+    for u, v in g.arcs():
+        out_mask[u] |= 1 << v
+        in_mask[v] |= 1 << u
+    return out_mask, in_mask
 
 
 def out_ball(g: Digraph, v: int, r: int, within: Optional[frozenset] = None) -> frozenset:
@@ -448,16 +463,7 @@ def degeneracy(g: Digraph) -> tuple[int, LinearOrder, list[tuple[int, int]]]:
     Ties are broken towards the smallest vertex index.  Costs
     O((n + m) log n).
     """
-    return _degeneracy([g.underlying_neighbors(v) for v in range(g.n)])
-
-
-def _degeneracy(und: Sequence[Sequence[int]]) -> tuple[int, LinearOrder, list[tuple[int, int]]]:
-    """``degeneracy`` on undirected adjacency lists.
-
-    ``und[v]`` must be sorted and free of duplicates, as
-    ``Digraph.underlying_neighbors`` returns it; callers holding plain
-    pair or arc sets use this to skip building a ``Digraph``.
-    """
+    und = [g.underlying_neighbors(v) for v in range(g.n)]
     d = 0
     peel: list[int] = []
     for v, deg_v in _peel(und):
@@ -466,7 +472,7 @@ def _degeneracy(und: Sequence[Sequence[int]]) -> tuple[int, LinearOrder, list[tu
     order = LinearOrder(peel[::-1])
     pos = order._pos
     # u ascending, then each sorted neighbor list: already in sorted order
-    orientation = [(u, v) for u in range(len(und)) for v in und[u] if pos[v] < pos[u]]
+    orientation = [(u, v) for u in range(g.n) for v in und[u] if pos[v] < pos[u]]
     return d, order, orientation
 
 

@@ -198,6 +198,8 @@ def redblue_dominate_approx(g: Digraph, red: Iterable[int], blue: Iterable[int],
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
     if not reds:
+        if stats_out is not None:
+            stats_out.update(k_guess=None, engine="greedy")
         return frozenset()
     blue_set = frozenset(blues)
     members = []

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 from typing import Optional
 
-from .digraph import Digraph, _bits, _peel, out_distances
+from .digraph import Digraph, _adjacency_masks, _bits, _peel, out_distances
 from .errors import _check_cap
 from .instances import crown
 
@@ -52,10 +52,7 @@ def _connected_subsets(g: Digraph) -> list[int]:
     small branch sets first.
     """
     n = g.n
-    und_mask = [0] * n
-    for v in range(n):
-        for u in g.underlying_neighbors(v):
-            und_mask[v] |= 1 << u
+    und_mask = [o | i for o, i in zip(*_adjacency_masks(g))]
     result = []
     for mask in range(1, 1 << n):
         rest = mask
@@ -313,9 +310,7 @@ def _max_subgraph_density(g: Digraph, cap: int) -> Fraction:
     _check_cap("grad", g.n, cap)
     if g.n == 0:
         return Fraction(0)
-    out_mask = [0] * g.n
-    for u, v in g.arcs():
-        out_mask[u] |= 1 << v
+    out_mask = _adjacency_masks(g)[0]
     best = Fraction(0)
     for mask in range(1, 1 << g.n):
         arcs = 0

@@ -209,7 +209,6 @@ class DstFptResult:
 
 
 def dst_fpt(inst: DstInstance, max_sources: int = 16,
-            enforce_node_bound: bool = True,
             exact_grad0: bool = False) -> DstFptResult:
     """Solve DST, minimizing the solution size within the budget.
 
@@ -321,7 +320,7 @@ def dst_fpt(inst: DstInstance, max_sources: int = 16,
         counter[0] = 0
         found = rec(frozenset(range(g.n)), frozenset(), budget)
         nodes_per_budget.append(counter[0])
-        if enforce_node_bound and counter[0] > (d + 1) ** (budget * (d + 1)):
+        if counter[0] > (d + 1) ** (budget * (d + 1)):
             raise InternalInvariantError(
                 f"recursion grew past (d+1)^(k(d+1)) at budget {budget}"
             )

@@ -135,6 +135,18 @@ def test_domset_redblue_files(tmp_path, capsys):
     assert json_out(out)["valid"] is True
 
 
+def test_domset_empty_red_reports_engine(tmp_path, capsys):
+    path = write_graph(tmp_path, directed_path(3))
+    red = tmp_path / "red.txt"
+    red.write_text("")
+    code, out, _ = run(capsys, "domset", path, "--radius", "1", "--red", str(red))
+    assert code == 0
+    report = json_out(out)
+    assert report["solution"] == []
+    assert report["engine"] == "greedy"
+    assert report["k_guess"] is None
+
+
 def test_domset_scds_star(tmp_path, capsys):
     arcs = [(0, i) for i in range(1, 5)] + [(i, 0) for i in range(1, 5)]
     path = write_graph(tmp_path, Digraph(5, arcs))

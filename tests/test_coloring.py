@@ -22,7 +22,7 @@ from sparsedigraph.coloring import (
     wcol_of_order,
     wreach_all,
 )
-from sparsedigraph.digraph import degeneracy, remove_vertices
+from sparsedigraph.digraph import _peel, degeneracy, out_distances, remove_vertices
 from sparsedigraph.errors import SizeCapError
 
 
@@ -291,6 +291,110 @@ def test_order_from_augmentation_matches_union_digraph(n, raw_layers):
     res = order_from_augmentation(Digraph(n), aug)
     assert (res.order, res.smaller_neighbors, res.max_outdegree) == (order, c, d)
     assert res.guarantee == (d + 1) * c + 1
+
+
+# The pair-list augmentation the layer graphs replaced, kept as a
+# reference: per-layer out/in sets, fresh pairs sorted into undirected
+# neighbor lists and peeled directly, and the union peeled the same way.
+
+
+def _ref_undirected_lists(n, pairs):
+    nbrs = [[] for _ in range(n)]
+    for u, v in pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return [sorted(set(a)) for a in nbrs]
+
+
+def _ref_degeneracy(und):
+    d = 0
+    peel = []
+    for v, deg_v in _peel(und):
+        d = max(d, deg_v)
+        peel.append(v)
+    order = LinearOrder(peel[::-1])
+    orientation = [(u, v) for u in range(len(und)) for v in und[u]
+                   if order.position(v) < order.position(u)]
+    return d, order, orientation
+
+
+def _ref_orient_pairs(n, pairs):
+    if not pairs:
+        return frozenset()
+    return frozenset(_ref_degeneracy(_ref_undirected_lists(n, pairs))[2])
+
+
+def _ref_tfa_augment(g, r):
+    n = g.n
+    dist = [out_distances(g, v, cap=r) for v in range(n)]
+    far = r + 1
+    first = _ref_orient_pairs(n, g.underlying_edges())
+    layers = [first]
+    present = {u * n + v if u < v else v * n + u for u, v in first}
+    outs = [[set() for _ in range(n)]]
+    ins = [[set() for _ in range(n)]]
+    for u, v in first:
+        outs[0][u].add(v)
+        ins[0][v].add(u)
+    for t in range(2, r + 1):
+        fresh = set()
+        checked = set()
+        for j1 in range(1, t):
+            j2 = t - j1
+            o1, o2, i1 = outs[j1 - 1], outs[j2 - 1], ins[j1 - 1]
+            for w in range(n):
+                for starts in (o1[w], i1[w]):
+                    for u in starts:
+                        for v in o2[w]:
+                            if u == v:
+                                continue
+                            key = u * n + v if u < v else v * n + u
+                            if key in checked:
+                                continue
+                            checked.add(key)
+                            if key not in present and (
+                                dist[u].get(v, far) <= t or dist[v].get(u, far) <= t
+                            ):
+                                fresh.add(key)
+        layer = _ref_orient_pairs(n, [divmod(key, n) for key in fresh])
+        layers.append(layer)
+        present |= fresh
+        outs.append([set() for _ in range(n)])
+        ins.append([set() for _ in range(n)])
+        for u, v in layer:
+            outs[-1][u].add(v)
+            ins[-1][v].add(u)
+    return layers
+
+
+def _ref_order(n, layers):
+    arcs = set().union(*layers)
+    outdeg = [0] * n
+    for u, _ in arcs:
+        outdeg[u] += 1
+    c, order, _ = _ref_degeneracy(_ref_undirected_lists(n, arcs))
+    return order, c, max(outdeg, default=0)
+
+
+_GRAPHS = st.one_of(
+    st.builds(lambda n, k, seed: random_digraph(n, min(k * n, n * (n - 1)), seed),
+              st.integers(1, 40), st.integers(0, 4), st.integers(0, 10**6)),
+    st.builds(directed_path, st.integers(1, 40)),
+    st.builds(apex_crown, st.integers(2, 7)),
+)
+
+
+@given(_GRAPHS, st.integers(1, 3))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_augmentation_matches_pair_list_reference(g, r):
+    aug = tfa_augment(g, r)
+    ref_layers = _ref_tfa_augment(g, r)
+    assert len(aug.layers) == len(ref_layers) == r
+    for t, (layer, ref) in enumerate(zip(aug.layers, ref_layers), start=1):
+        assert isinstance(layer, frozenset)
+        assert layer == ref, f"layer {t}"
+    res = order_from_augmentation(g, aug)
+    assert (res.order, res.smaller_neighbors, res.max_outdegree) == _ref_order(g.n, ref_layers)
 
 
 def test_order_guarantee_holds():

@@ -357,7 +357,7 @@ def test_fpt_matches_oracle_decisions():
 def test_fpt_node_counter_under_bound():
     for seed in range(10):
         inst = make_instance(seed)
-        res = dst_fpt(inst)  # enforce_node_bound raises on violation
+        res = dst_fpt(inst)  # raises InternalInvariantError past the bound
         d = res.degree_threshold
         for budget, nodes in enumerate(res.nodes_per_budget):
             assert nodes <= (d + 1) ** (budget * (d + 1))
