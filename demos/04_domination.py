@@ -37,7 +37,7 @@ print("neighborhood complexity of a 6-subset at r=2:",
 g = random_digraph(30, 90, seed=5)
 red = list(range(0, 30, 2))
 blue = list(range(1, 30, 2)) + [0]
-chosen = redblue_dominate_approx(g, red, blue, r=2, seed=42)
+chosen = redblue_dominate_approx(g, red, blue, r=2)
 opt = redblue_exact_enum(g, red, blue, 2, max_k=4)
 print(f"\nred-blue: |D| = {len(chosen)}, optimum = {len(opt) if opt else '>4'}")
 assert verify_dominating(g, chosen, 2, red)
@@ -45,7 +45,7 @@ assert verify_dominating(g, chosen, 2, red)
 # The strongly connected variant stitches the dominator together with
 # shortest paths through a guessed center.
 cycle = Digraph(8, [(i, (i + 1) % 8) for i in range(8)])
-result = scds_approx(cycle, r=1, seed=1)
+result = scds_approx(cycle, r=1)
 print("strongly connected distance-1 dominator of C_8:", sorted(result))
 assert verify_dominating(cycle, result, 1)
 assert verify_strongly_connected(cycle, result)

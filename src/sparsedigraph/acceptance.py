@@ -364,7 +364,7 @@ def criterion_redblue() -> CriterionResult:
             continue
         k = max(len(opt), 1)
         try:
-            d = redblue_dominate_approx(g, red, blue, 2, seed=seed)
+            d = redblue_dominate_approx(g, red, blue, 2)
         except InfeasibleError:
             return CriterionResult("red-blue", False, "feasible called infeasible")
         if not verify_dominating(g, d, 2, red) or not d <= set(blue):

@@ -162,7 +162,7 @@ def _cmd_dst(args) -> tuple[int, dict]:
         if sol is not None:
             report["solution"] = _vertices(sol)
         return (EXIT_OK if sol is not None else EXIT_NEGATIVE), report
-    res = dst_fpt(inst, exact_grad0=args.exact_grad0)
+    res = dst_fpt(inst)
     report.update(
         {
             "feasible": res.solution is not None,
@@ -178,18 +178,16 @@ def _cmd_dst(args) -> tuple[int, dict]:
 
 def _cmd_domset(args) -> tuple[int, dict]:
     g = _read_graph(args.graph)
-    report: dict = {"n": g.n, "radius": args.radius, "seed": args.seed}
-    stats: dict = {}
+    report: dict = {"n": g.n, "radius": args.radius}
     if args.scds:
-        sol = scds_approx(g, args.radius, seed=args.seed, stats_out=stats)
+        stats: dict = {}
+        sol = scds_approx(g, args.radius, stats_out=stats)
         report.update({"solution": _vertices(sol), "valid": True, **stats})
         return EXIT_OK, report
     red = _read_vertex_list(args.red) if args.red else list(range(g.n))
     blue = _read_vertex_list(args.blue) if args.blue else list(range(g.n))
-    sol = redblue_dominate_approx(
-        g, red, blue, args.radius, seed=args.seed, stats_out=stats
-    )
-    report.update({"solution": _vertices(sol), "valid": True, **stats})
+    sol = redblue_dominate_approx(g, red, blue, args.radius)
+    report.update({"solution": _vertices(sol), "valid": True})
     if args.oracle_ratio:
         opt = redblue_exact_enum(g, red, blue, args.radius, max_k=4)
         if opt is not None:
@@ -311,10 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scss", action="store_true",
         help="strongly connected variant; root plus terminals form the terminal set",
     )
-    p.add_argument(
-        "--exact-grad0", action="store_true",
-        help="derive the branching threshold from the exact rank-0 density",
-    )
     p.add_argument("--max-n", type=int, default=12)
     p.set_defaults(fn=_cmd_dst)
 
@@ -324,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--red")
     p.add_argument("--blue")
     p.add_argument("--scds", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--oracle-ratio", action="store_true",
         help="also report |D| / optimum when the enumeration oracle finds one",

@@ -284,7 +284,7 @@ def contains_crown(g: Digraph, q: int, r: int, max_n: int = 12) -> bool:
 # densities
 
 
-def grad_lower_bound(g: Digraph, r: int = 0) -> Fraction:
+def grad_lower_bound(g: Digraph) -> Fraction:
     """Greedy densest-subgraph peel; its best density is a depth-0 minor
     density and therefore a valid lower bound on the rank-r grad for all r.
 

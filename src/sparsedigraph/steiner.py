@@ -208,32 +208,22 @@ class DstFptResult:
     nodes_per_budget: tuple[int, ...]
 
 
-def dst_fpt(inst: DstInstance, max_sources: int = 16,
-            exact_grad0: bool = False) -> DstFptResult:
+def dst_fpt(inst: DstInstance, max_sources: int = 16) -> DstFptResult:
     """Solve DST, minimizing the solution size within the budget.
 
     Budgets are tried in increasing order, so a returned solution has
     globally minimum cardinality.  Each run's recursion-node count is
     checked against (d+1)^(budget*(d+1)).
 
-    The high-degree threshold d defaults to twice the underlying
-    degeneracy, computable at any size.  ``exact_grad0`` switches to
-    twice the exact maximum subgraph density instead (smaller branching
-    on bidirected-heavy graphs, exponential to compute, small hosts only).
+    The high-degree threshold d is twice the underlying degeneracy,
+    computable at any size.
     """
     reduced, mapping, s = preprocess_contract(inst)
     g = reduced.graph
     root = reduced.root
     terminals = reduced.terminals
-    if exact_grad0:
-        from math import ceil
-
-        from .minors import grad
-
-        d = ceil(2 * grad(g, 0, max_n=max(16, g.n)))
-    else:
-        dgen, _, _ = degeneracy(g)
-        d = 2 * dgen
+    dgen, _, _ = degeneracy(g)
+    d = 2 * dgen
 
     inverse = {}
     for old, new in enumerate(mapping):

@@ -129,7 +129,7 @@ def test_domset_redblue_files(tmp_path, capsys):
     blue.write_text("\n".join(str(v) for v in range(12)))
     code, out, _ = run(
         capsys, "domset", path, "--radius", "2",
-        "--red", str(red), "--blue", str(blue), "--seed", "3",
+        "--red", str(red), "--blue", str(blue),
     )
     assert code == 0
     assert json_out(out)["valid"] is True
@@ -143,8 +143,7 @@ def test_domset_empty_red_reports_engine(tmp_path, capsys):
     assert code == 0
     report = json_out(out)
     assert report["solution"] == []
-    assert report["engine"] == "greedy"
-    assert report["k_guess"] is None
+    assert "engine" not in report and "k_guess" not in report
 
 
 def test_domset_scds_star(tmp_path, capsys):
@@ -153,6 +152,28 @@ def test_domset_scds_star(tmp_path, capsys):
     code, out, _ = run(capsys, "domset", path, "--radius", "1", "--scds")
     assert code == 0
     assert json_out(out)["solution"] == [0]
+
+
+def test_domset_scds_empty_graph_reports_ball(tmp_path, capsys):
+    path = write_graph(tmp_path, Digraph(0))
+    code, out, _ = run(capsys, "domset", path, "--radius", "1", "--scds")
+    assert code == 0
+    report = json_out(out)
+    assert report["solution"] == []
+    assert report["k_guess"] is None and report["center"] is None
+
+
+def test_domset_radius_zero_is_usage_error(tmp_path, capsys):
+    path = write_graph(tmp_path, directed_path(3))
+    code, out, err = run(capsys, "domset", path, "--radius", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: radius must be at least 1\n"
+
+
+def test_domset_seed_flag_is_gone(tmp_path, capsys):
+    path = write_graph(tmp_path, directed_path(3))
+    assert run(capsys, "domset", path, "--radius", "1", "--seed", "3")[0] == 2
 
 
 def test_domset_scds_infeasible(tmp_path, capsys):
@@ -246,8 +267,8 @@ def test_oracle_gamma(tmp_path, capsys):
 
 def test_output_deterministic_modulo_timing(tmp_path, capsys):
     path = write_graph(tmp_path, random_digraph(10, 25, 7))
-    _, out1, _ = run(capsys, "domset", path, "--radius", "2", "--seed", "11")
-    _, out2, _ = run(capsys, "domset", path, "--radius", "2", "--seed", "11")
+    _, out1, _ = run(capsys, "domset", path, "--radius", "2")
+    _, out2, _ = run(capsys, "domset", path, "--radius", "2")
     a, b = json.loads(out1), json.loads(out2)
     a.pop("timing_ms")
     b.pop("timing_ms")
@@ -281,3 +302,10 @@ def test_oversized_header_exits_size_cap(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert f"n={MAX_PARSE_N + 1} exceeds cap" in err
+
+
+def test_exact_grad0_flag_is_gone(tmp_path, capsys):
+    path = tmp_path / "inst.dst"
+    path.write_text("digraph 2 1\n0 1\nroot 0\nterminal 1\nbudget 1\n")
+    assert run(capsys, "dst", str(path), "--fpt")[0] == 0
+    assert run(capsys, "dst", str(path), "--fpt", "--exact-grad0")[0] == 2

@@ -44,31 +44,31 @@ COMMANDS = {
 # (graph, command) -> (exit code, first 16 hex digits of the stdout digest)
 EXPECTED = {
     ("random60-1", "wcol-r2"): (0, "acc4825bc97a21a3"),
-    ("random60-1", "domset-r1"): (0, "58b9d2461b847eb0"),
-    ("random60-1", "domset-r1-red"): (0, "c9e8c1921c867eb9"),
-    ("random60-1", "domset-r2"): (0, "a87be90d0b232b36"),
-    ("random60-1", "domset-r2-red"): (0, "30b0aba2a6fc3eb6"),
+    ("random60-1", "domset-r1"): (0, "429b3fbb1a78809c"),
+    ("random60-1", "domset-r1-red"): (0, "885546380111198f"),
+    ("random60-1", "domset-r2"): (0, "249f0123d2ae682f"),
+    ("random60-1", "domset-r2-red"): (0, "19c0dec9c73c8b1f"),
     ("random60-1", "kernel-r1-k3"): (1, "7044f7c7c23bfb5c"),
     ("random60-1", "kernel-r2-k3"): (0, "1e4dc7f17968e933"),
     ("random60-2", "wcol-r2"): (0, "6b6ab58028416b9a"),
-    ("random60-2", "domset-r1"): (0, "90ed9adfd4627fc3"),
-    ("random60-2", "domset-r1-red"): (0, "001e069969d9be56"),
-    ("random60-2", "domset-r2"): (0, "495b73f4461bff97"),
-    ("random60-2", "domset-r2-red"): (0, "c43bb41247b0b8fb"),
+    ("random60-2", "domset-r1"): (0, "a8e25dcd636e5a12"),
+    ("random60-2", "domset-r1-red"): (0, "15a82c7e234ec10c"),
+    ("random60-2", "domset-r2"): (0, "7846da240f534c6c"),
+    ("random60-2", "domset-r2-red"): (0, "2800cc185db14a24"),
     ("random60-2", "kernel-r1-k3"): (1, "1d8ac4b1784673bc"),
     ("random60-2", "kernel-r2-k3"): (0, "f2adbe1bf3d99b1e"),
     ("random60-3", "wcol-r2"): (0, "ca7a361baef0f8da"),
-    ("random60-3", "domset-r1"): (0, "3c958f067787132f"),
-    ("random60-3", "domset-r1-red"): (0, "b5950620869df597"),
-    ("random60-3", "domset-r2"): (0, "31f736d760fb0042"),
-    ("random60-3", "domset-r2-red"): (0, "d5bedc9f87b505b8"),
+    ("random60-3", "domset-r1"): (0, "35a374bf84abdea3"),
+    ("random60-3", "domset-r1-red"): (0, "6cfc5cfdc0fb1022"),
+    ("random60-3", "domset-r2"): (0, "922ca7291524d644"),
+    ("random60-3", "domset-r2-red"): (0, "3bd0499509180861"),
     ("random60-3", "kernel-r1-k3"): (1, "496ae152cc13b6d0"),
     ("random60-3", "kernel-r2-k3"): (0, "a206724b0dc463f2"),
     ("apex10", "wcol-r2"): (0, "bf04240516b6d250"),
-    ("apex10", "domset-r1"): (0, "26d15da427ac397f"),
-    ("apex10", "domset-r1-red"): (0, "fd440b6a66641527"),
-    ("apex10", "domset-r2"): (0, "0f9de737403dc4fb"),
-    ("apex10", "domset-r2-red"): (0, "0f9de737403dc4fb"),
+    ("apex10", "domset-r1"): (0, "0951840234cec72a"),
+    ("apex10", "domset-r1-red"): (0, "68562fa238b9e817"),
+    ("apex10", "domset-r2"): (0, "534b0d17ad4b0f1d"),
+    ("apex10", "domset-r2-red"): (0, "534b0d17ad4b0f1d"),
     ("apex10", "kernel-r1-k3"): (0, "8aa5b9f01759814c"),
     ("apex10", "kernel-r2-k3"): (0, "7ff82667e27f2145"),
 }
@@ -191,14 +191,14 @@ SCDS_GRAPHS = {
 
 # (graph, radius) -> (exit code, first 16 hex digits of the stdout digest)
 SCDS_EXPECTED = {
-    ("strong30", 1): (0, "19862fcda359c83d"),
-    ("strong30", 2): (0, "01260b5a5a13f508"),
-    ("strong40", 1): (0, "e45a5db9c2b91b18"),
-    ("strong40", 2): (0, "1852041206748f5d"),
-    ("bidirected24", 1): (0, "93c7bc62b7676e16"),
-    ("bidirected24", 2): (0, "fe4583b07081d28d"),
-    ("strong200", 1): (0, "1e7f9945c0c4295d"),
-    ("strong200", 2): (0, "7f8815bc5549d5ba"),
+    ("strong30", 1): (0, "a33e3b68fe231b6a"),
+    ("strong30", 2): (0, "f37337e1161da0d8"),
+    ("strong40", 1): (0, "610615323846fc83"),
+    ("strong40", 2): (0, "0a1f848cf86ebb9a"),
+    ("bidirected24", 1): (0, "e1c38044c45a3e7f"),
+    ("bidirected24", 2): (0, "6c8635e324ab749b"),
+    ("strong200", 1): (0, "d847b7b51dab98ce"),
+    ("strong200", 2): (0, "40d6d3316b73fba8"),
 }
 
 

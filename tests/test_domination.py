@@ -3,8 +3,6 @@ import math
 import random
 from itertools import combinations
 
-import bisect
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,7 +12,6 @@ from sparsedigraph.coloring import compute_wcol_order, wcol_exact, wreach_all
 from sparsedigraph.digraph import in_ball, in_distances
 from sparsedigraph.domination import (
     _greedy_hitting_set,
-    _weighted_sample,
     distance_vector,
     neighborhood_complexity,
     redblue_dominate_approx,
@@ -187,7 +184,7 @@ def test_redblue_empty_red():
 
 def test_redblue_single_blue_dominator():
     g = Digraph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    d = redblue_dominate_approx(g, red=[1, 2, 3, 4], blue=[0], r=1, seed=1)
+    d = redblue_dominate_approx(g, red=[1, 2, 3, 4], blue=[0], r=1)
     assert d == frozenset({0})
 
 
@@ -208,7 +205,7 @@ def test_redblue_valid_and_small_on_random():
         blue = sorted(rng.sample(range(n), n // 2))
         red = sorted(rng.sample(range(n), n // 3))
         try:
-            d = redblue_dominate_approx(g, red, blue, r=2, seed=seed)
+            d = redblue_dominate_approx(g, red, blue, r=2)
         except InfeasibleError:
             continue
         count += 1
@@ -225,72 +222,18 @@ def test_redblue_deterministic_for_seed():
     g = random_digraph(15, 40, 2)
     red = list(range(0, 15, 2))
     blue = list(range(1, 15, 2)) + [0]
-    a = redblue_dominate_approx(g, red, blue, 2, seed=7)
-    b = redblue_dominate_approx(g, red, blue, 2, seed=7)
+    a = redblue_dominate_approx(g, red, blue, 2)
+    b = redblue_dominate_approx(g, red, blue, 2)
     assert a == b
 
 
-def ungated_redblue(g, red, blue, r, seed=0, stats_out=None):
-    """Reference: the red-blue approximation as it was before the engine
-    gate.  It always computes the wcol order, sizes nets from the exact VC
-    dimension when n <= 20, and always runs the reweighting engine.  It
-    also reports its greedy answer under ``stats_out["greedy"]``."""
-    reds = sorted(set(red))
-    blues = sorted(set(blue))
-    for v in reds + blues:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
-    if not reds:
-        return frozenset()
-    blue_set = frozenset(blues)
-    members = []
-    for v in reds:
-        trace = frozenset(in_ball(g, v, r) & blue_set)
-        if not trace:
-            raise InfeasibleError(f"red vertex {v} is not blue-dominated at radius {r}")
-        members.append(trace)
-    members = sorted(set(members), key=sorted)
-
-    greedy = _greedy_hitting_set(members, blues)
-
-    res = compute_wcol_order(g, r)
-    delta = (r + 2) * (2 * res.guarantee) ** 2
-    if g.n <= 20:
-        delta = min(delta, max(1, vc_dimension_distance_r(g, r)[0]))
-    delta = max(1, delta)
-
-    rng = random.Random(seed)
-    candidate = None
-    k_guess = 1
-    while k_guess <= len(blues):
-        weights = {b: 1 for b in blues}
-        eps = 1.0 / (2 * k_guess)
-        net_size = math.ceil((8 * delta / eps) * math.log(8 * delta / eps))
-        net_size = min(net_size, len(blues))
-        rounds = math.ceil(4 * k_guess * math.log2(g.n / k_guess + 2))
-        for _ in range(rounds):
-            net = _weighted_sample(blues, weights, net_size, rng)
-            unhit = next(filter(net.isdisjoint, members), None)
-            if unhit is None:
-                candidate = net
-                break
-            for b in unhit:
-                weights[b] *= 2
-        if candidate is not None:
-            break
-        k_guess *= 2
-
-    result = greedy if candidate is None or len(greedy) <= len(candidate) else candidate
-    assert verify_dominating(g, result, r, reds) and result <= blue_set
-    if stats_out is not None:
-        stats_out["k_guess"] = k_guess if candidate is not None else None
-        stats_out["engine"] = "greedy" if result is greedy else "net"
-        stats_out["greedy"] = greedy
-    return result
+def test_redblue_refuses_radius_zero():
+    with pytest.raises(ValueError, match="radius must be at least 1"):
+        redblue_dominate_approx(directed_path(3), [0, 1], [0, 1, 2], 0)
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("the engine gate should have skipped this")
+    raise AssertionError("red-blue domination needs no wcol order")
 
 
 def _greedy_all_all(g, r):
@@ -299,63 +242,45 @@ def _greedy_all_all(g, r):
 
 
 def test_redblue_gate_floor_skips_order(monkeypatch):
-    # at r = 1 every first net has at least 1010 draws (delta >= 12), so
-    # 1000 blue vertices are decided without computing the order
-    import sparsedigraph.domination as dom
-
-    g = random_digraph(1000, 3000, 1)
-    for name in ("compute_wcol_order", "_weighted_sample", "vc_dimension_distance_r"):
-        monkeypatch.setattr(dom, name, _refuse)
-    stats = {}
-    d = dom.redblue_dominate_approx(g, range(g.n), range(g.n), 1, stats_out=stats)
-    assert d == _greedy_all_all(g, 1)
-    assert stats == {"k_guess": None, "engine": "greedy"}
-
-
-def test_redblue_gate_certified_delta_skips_engine(monkeypatch):
-    # 2000 blue vertices pass the floor, so the order is computed once;
-    # its guarantee (21) makes the first net far larger than the blue set
+    # 2000 blue vertices at r = 1: the answer is the greedy cover, and no
+    # wcol order is computed on the way
+    import sparsedigraph.coloring as coloring
     import sparsedigraph.domination as dom
 
     g = random_digraph(2000, 6000, 1)
-    orders = []
-
-    def counted_order(h, r):
-        orders.append(r)
-        return compute_wcol_order(h, r)
-
-    monkeypatch.setattr(dom, "compute_wcol_order", counted_order)
-    monkeypatch.setattr(dom, "_weighted_sample", _refuse)
+    for name in ("compute_wcol_order", "tfa_augment"):
+        monkeypatch.setattr(coloring, name, _refuse)
     monkeypatch.setattr(dom, "vc_dimension_distance_r", _refuse)
-    stats = {}
-    d = dom.redblue_dominate_approx(g, range(g.n), range(g.n), 1, stats_out=stats)
+    d = dom.redblue_dominate_approx(g, range(g.n), range(g.n), 1)
     assert d == _greedy_all_all(g, 1)
-    assert stats == {"k_guess": None, "engine": "greedy"}
-    assert orders == [1]
 
 
 @pytest.mark.parametrize("n,red,r,seed", [
-    (1100, [0, 5], 1, 1),                  # first net 1010 < 1100 draws
+    (1100, [0, 5], 1, 1),
     (1100, range(0, 1100, 50), 1, 4),
-    (1500, range(0, 1500, 100), 2, 2),     # first net 1420 < 1500 draws
+    (1500, range(0, 1500, 100), 2, 2),
 ])
 def test_redblue_engine_runs_past_the_gate(n, red, r, seed):
-    # edgeless graphs have guarantee 1, the smallest certified delta
-    g = Digraph(n, [])
-    ref_stats, stats = {}, {}
-    expected = ungated_redblue(g, red, range(n), r, seed=seed, stats_out=ref_stats)
-    d = redblue_dominate_approx(g, red, range(n), r, seed=seed, stats_out=stats)
-    assert d == expected == frozenset(red)
-    assert ref_stats["k_guess"] is not None
-    assert stats == {k: ref_stats[k] for k in ("k_guess", "engine")}
+    # on an edgeless graph every red vertex dominates only itself; the
+    # seed shuffles the input lists, which must not change the answer
+    rng = random.Random(seed)
+    reds, blues = list(red), list(range(n))
+    rng.shuffle(reds)
+    rng.shuffle(blues)
+    d = redblue_dominate_approx(Digraph(n, []), reds, blues, r)
+    assert d == frozenset(red)
 
 
 def test_redblue_engine_first_guess_on_edgeless_1100():
-    stats = {}
-    d = redblue_dominate_approx(Digraph(1100, []), [0, 5], range(1100), 1,
-                                seed=1, stats_out=stats)
+    d = redblue_dominate_approx(Digraph(1100, []), [0, 5], range(1100), 1)
     assert d == frozenset({0, 5})
-    assert stats == {"k_guess": 1, "engine": "greedy"}
+
+
+def test_redblue_long_directed_path():
+    # a large optimum on a long path: the greedy cover takes every second
+    # vertex, in about a tenth of a second
+    d = redblue_dominate_approx(directed_path(13000), range(13000), range(13000), 1)
+    assert len(d) == 6500
 
 
 @st.composite
@@ -369,35 +294,43 @@ def redblue_instances(draw):
     pool = blue if draw(st.booleans()) else range(n)
     red = draw(st.lists(st.sampled_from(pool), max_size=n))
     r = draw(st.integers(1, 3))
-    seed = draw(st.integers(0, 2 ** 16))
-    return Digraph(n, set(arcs)), red, blue, r, seed
+    return Digraph(n, set(arcs)), red, blue, r
+
+
+def _rescan_redblue(g, red, blue, r):
+    """Reference: in-ball traces built from ``in_distances`` and covered
+    by ``rescan_greedy``."""
+    blues = sorted(set(blue))
+    members = set()
+    for v in set(red):
+        trace = frozenset(u for u, d in in_distances(g, v).items()
+                          if d <= r and u in blues)
+        if not trace:
+            raise InfeasibleError(f"red vertex {v} is not blue-dominated")
+        members.add(trace)
+    return rescan_greedy(sorted(members, key=sorted), blues)
 
 
 @given(redblue_instances())
-# two instances where the reference's net beat its greedy cover
+# two instances where a blue dominator smaller than the greedy cover exists
 @example((Digraph(6, [(0, 3), (1, 0), (1, 2), (2, 0), (2, 1), (3, 1), (3, 2),
                       (4, 1), (4, 3), (4, 5)]),
-          [0, 2, 3, 4, 5], [0, 1, 4], 1, 6542))
+          [0, 2, 3, 4, 5], [0, 1, 4], 1))
 @example((Digraph(10, [(0, 2), (1, 7), (2, 7), (2, 8), (3, 7), (4, 2), (6, 9),
                        (7, 4), (8, 4), (8, 9), (9, 5), (9, 7)]),
-          range(10), [0, 1, 2, 3, 4, 5, 6, 8, 9], 1, 8480))
+          range(10), [0, 1, 2, 3, 4, 5, 6, 8, 9], 1))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_redblue_gate_matches_ungated_reference(instance):
-    g, red, blue, r, seed = instance
-    ref_stats = {}
+    g, red, blue, r = instance
     try:
-        expected = ungated_redblue(g, red, blue, r, seed=seed, stats_out=ref_stats)
+        expected = _rescan_redblue(g, red, blue, r)
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
-            redblue_dominate_approx(g, red, blue, r, seed=seed)
+            redblue_dominate_approx(g, red, blue, r)
         return
-    d = redblue_dominate_approx(g, red, blue, r, seed=seed)
+    d = redblue_dominate_approx(g, red, blue, r)
+    assert d == expected
     assert verify_dominating(g, d, r, red) and d <= set(blue)
-    if not ref_stats or ref_stats["engine"] == "greedy":
-        assert d == expected
-    else:
-        # n <= 20 always skips the engine, so the answer is the greedy one
-        assert d == ref_stats["greedy"]
 
 
 def rescan_greedy(members, blues):
@@ -451,45 +384,6 @@ def test_lazy_greedy_ties_and_stall():
             fn([frozenset({0}), frozenset({4})], [0, 1])
 
 
-def randrange_sample(blues, weights, count, rng):
-    """Reference: one ``randrange`` call per draw."""
-    prefix = []
-    total = 0
-    for b in blues:
-        total += weights[b]
-        prefix.append(total)
-    picked = set()
-    for _ in range(count):
-        shot = rng.randrange(total)
-        picked.add(blues[bisect.bisect_right(prefix, shot)])
-    return frozenset(picked)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
-@pytest.mark.parametrize("weights", [
-    [1],                      # total 1 = 2^0
-    [1] * 8,                  # total 8, a power of two
-    [1] * 7,
-    [1, 2, 4, 1],             # total 8 again, uneven
-    [3, 5, 1000, 1],
-    [2 ** 40, 1, 2 ** 39],    # past one 32-bit word
-    [2 ** 62, 2 ** 62],       # total 2^63
-])
-def test_weighted_sample_consumes_rng_like_randrange(seed, weights):
-    blues = [3 * i + 1 for i in range(len(weights))]
-    w = dict(zip(blues, weights))
-    for count in (0, 1, 5, 64):
-        a, b = random.Random(seed + count), random.Random(seed + count)
-        assert _weighted_sample(blues, w, count, a) == randrange_sample(blues, w, count, b)
-        assert a.getstate() == b.getstate()
-
-
-def test_weighted_sample_rejects_empty_range():
-    with pytest.raises(ValueError):
-        _weighted_sample([], {}, 1, random.Random(0))
-    assert _weighted_sample([], {}, 0, random.Random(0)) == frozenset()
-
-
 # ---------------------------------------------------------------------------
 # strongly connected domination
 
@@ -538,7 +432,7 @@ def test_scds_random_strong_instances():
         if not verify_strongly_connected(g, range(n)):
             continue
         found += 1
-        result = scds_approx(g, 2, seed=seed)
+        result = scds_approx(g, 2)
         assert verify_dominating(g, result, 2)
         assert verify_strongly_connected(g, result)
         opt = scds_exact_enum(g, 2, 3)
