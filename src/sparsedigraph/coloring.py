@@ -257,20 +257,21 @@ class Augmentation:
 
     E_1 re-orients the base arcs; deeper layers hold the oriented
     fraternal/transitive closures.  No pair of vertices is ever connected
-    in both directions across the layers.  The layers are kept as arc
-    frozensets, not ``Digraph``s, because callers test and count arcs
-    (the definition checker in ``acceptance`` iterates them).
+    in both directions across the layers.  ``graphs`` holds the layers as
+    ``Digraph``s; ``layers`` derives their arc frozensets for callers that
+    test and count arcs (the definition checker in ``acceptance``).
     """
 
     n: int
     depth: int
-    layers: tuple[frozenset, ...]
+    graphs: tuple[Digraph, ...]
+
+    @property
+    def layers(self) -> tuple[frozenset, ...]:
+        return tuple(frozenset(h.arcs()) for h in self.graphs)
 
     def union_arcs(self) -> frozenset:
-        acc: set = set()
-        for layer in self.layers:
-            acc |= layer
-        return frozenset(acc)
+        return frozenset(a for h in self.graphs for a in h.arcs())
 
 
 def _arc_graph(n: int, arcs) -> Digraph:
@@ -289,7 +290,8 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     E_j2 with j1 + j2 = t, provided the base graph joins the new pair by
     a directed path of length at most t in some direction and the pair is
     not already augmented.  The new pairs are degeneracy-oriented.  Each
-    layer is held as a ``Digraph`` while later layers read its adjacency.
+    layer is a ``Digraph``, whose adjacency later layers and the union
+    peel in ``order_from_augmentation`` read.
     """
     if r < 1:
         raise ValueError("augmentation depth must be at least 1")
@@ -333,7 +335,7 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
         layers.append(_arc_graph(n, degeneracy(pairs)[2]))
         present |= fresh
 
-    return Augmentation(n=n, depth=r, layers=tuple(frozenset(h.arcs()) for h in layers))
+    return Augmentation(n=n, depth=r, graphs=tuple(layers))
 
 
 @dataclass(frozen=True)
@@ -343,7 +345,7 @@ class WcolOrder:
     ``guarantee`` bounds every weak-reachability set of the order at the
     augmentation depth: (max_outdegree + 1) * smaller_neighbors + 1.  The
     augmentation itself is not kept: orders are memoised on their graph,
-    and its arc sets would live as long.
+    and its layer graphs would live as long.
     """
 
     order: LinearOrder
@@ -356,12 +358,11 @@ def order_from_augmentation(g: Digraph, aug: Augmentation) -> WcolOrder:
     """Greedy order of the augmentation union graph with its bound."""
     if aug.n != g.n:
         raise ValueError("augmentation does not fit the graph")
-    heads: list[set] = [set() for _ in range(g.n)]
-    for layer in aug.layers:
-        for u, v in layer:
-            heads[u].add(v)
-    d = max(map(len, heads), default=0)
-    c, order, _ = degeneracy(Digraph.__new__(Digraph)._fill(g.n, [sorted(h) for h in heads]))
+    # a hand-built augmentation may repeat an arc in two layers
+    outs = [h.out_neighbors for h in aug.graphs]
+    union = [sorted({v for adj in outs for v in adj(u)}) for u in range(g.n)]
+    d = max(map(len, union), default=0)
+    c, order, _ = degeneracy(Digraph.__new__(Digraph)._fill(g.n, union))
     return WcolOrder(order=order, guarantee=(d + 1) * c + 1, smaller_neighbors=c, max_outdegree=d)
 
 

@@ -282,9 +282,16 @@ def shortest_path(g: Digraph, u: int, v: int,
     dist = _bfs(g.out_neighbors, (u,), within=within)
     if v not in dist:
         return None
+    return _walk_back(g, dist, v)
+
+
+def _walk_back(g: Digraph, dist: dict[int, int], v: int) -> list[int]:
+    """The path ``shortest_path`` returns, read from the single-source
+    ``_bfs`` table ``dist`` of its start (v must be in it), so callers
+    that already hold the table search nothing again."""
     rank = {x: i for i, x in enumerate(dist)}
     path = [v]
-    while path[-1] != u:
+    while dist[path[-1]]:
         y = path[-1]
         path.append(min((x for x in g.in_neighbors(y) if dist.get(x) == dist[y] - 1),
                         key=rank.__getitem__))

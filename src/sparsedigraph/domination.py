@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Optional, Sequence
 
-from .digraph import Digraph, in_ball, in_distances, out_distances, shortest_path
+from .digraph import Digraph, _walk_back, in_ball, in_distances, out_distances
 from .errors import InfeasibleError, InternalInvariantError, _check_cap
 from .oracles import verify_dominating, verify_strongly_connected
 
@@ -189,8 +189,8 @@ def scds_approx(g: Digraph, r: int, stats_out: Optional[dict] = None) -> frozens
                 continue
             stitched = set(core) | {center}
             for w in sorted(core):
-                for path in (shortest_path(g, center, w), shortest_path(g, w, center)):
-                    stitched.update(path)
+                stitched.update(_walk_back(g, dist_from[center], w))
+                stitched.update(_walk_back(g, dist_from[w], center))
             result = frozenset(stitched)
             if not verify_dominating(g, result, r):
                 raise InternalInvariantError("stitched dominator lost coverage")

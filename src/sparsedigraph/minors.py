@@ -198,7 +198,6 @@ def is_depth_r_minor(h: Digraph, g: Digraph, r: int,
         ins: dict[int, set] = {v: set() for v in range(h.n)}
         outs: dict[int, set] = {v: set() for v in range(h.n)}
         images: dict = {}
-        used_arcs: set = set()
 
         def feas(v) -> bool:
             return (
@@ -212,17 +211,13 @@ def is_depth_r_minor(h: Digraph, g: Digraph, r: int,
             e = harcs[order[idx]]
             u, v = e
             for (a, b) in cands[order[idx]]:
-                if (a, b) in used_arcs:
-                    continue
                 added_out = a not in outs[u]
                 added_in = b not in ins[v]
                 outs[u].add(a)
                 ins[v].add(b)
-                used_arcs.add((a, b))
                 images[e] = (a, b)
                 if feas(u) and feas(v) and place_arc(idx + 1):
                     return True
-                used_arcs.discard((a, b))
                 del images[e]
                 if added_out:
                     outs[u].discard(a)
@@ -404,15 +399,9 @@ def grad(g: Digraph, r: int, max_n: int = 8) -> Fraction:
 
     def partitions(avail: int):
         nonlocal best
-        if blocks:
-            # upper bound: every ordered block pair realized, remaining
-            # vertices added as singletons cannot beat that ratio check
-            k = len(blocks)
-            if avail == 0:
-                cnt = max_arcs(blocks)
-                best = max(best, Fraction(cnt, k))
-                return
         if avail == 0:
+            if blocks:
+                best = max(best, Fraction(max_arcs(blocks), len(blocks)))
             return
         leader = (avail & -avail).bit_length() - 1
         # leader may also be left out of the pattern entirely

@@ -284,7 +284,7 @@ def test_order_from_augmentation_matches_union_digraph(n, raw_layers):
     layers = tuple(
         frozenset((u % n, v % n) for u, v in layer if u % n != v % n) for layer in raw_layers
     )
-    aug = Augmentation(n=n, depth=len(layers), layers=layers)
+    aug = Augmentation(n=n, depth=len(layers), graphs=tuple(Digraph(n, L) for L in layers))
     union = Digraph(n, aug.union_arcs())
     c, order, _ = degeneracy(union)
     d = max((len(union.out_neighbors(v)) for v in range(n)), default=0)
@@ -395,6 +395,28 @@ def test_augmentation_matches_pair_list_reference(g, r):
         assert layer == ref, f"layer {t}"
     res = order_from_augmentation(g, aug)
     assert (res.order, res.smaller_neighbors, res.max_outdegree) == _ref_order(g.n, ref_layers)
+
+
+@given(_GRAPHS, st.integers(1, 3))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_augmentation_arc_views_match_layer_graphs(g, r):
+    aug = tfa_augment(g, r)
+    assert len(aug.graphs) == len(aug.layers) == r
+    for h, layer in zip(aug.graphs, aug.layers):
+        assert h == Digraph(g.n, layer)
+    assert aug.union_arcs() == frozenset().union(*aug.layers)
+
+
+def _refuse_arc_view(*args, **kwargs):
+    raise AssertionError("the wcol order needs no arc view of the augmentation")
+
+
+def test_wcol_order_reads_no_arc_view(monkeypatch):
+    g = random_digraph(200, 600, 1)
+    expected = order_from_augmentation(g, tfa_augment(g, 3))
+    monkeypatch.setattr(Augmentation, "layers", property(_refuse_arc_view))
+    monkeypatch.setattr(Augmentation, "union_arcs", _refuse_arc_view)
+    assert compute_wcol_order(random_digraph(200, 600, 1), 3) == expected
 
 
 def test_order_guarantee_holds():

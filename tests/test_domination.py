@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sparsedigraph import Digraph, bidirected_clique, directed_path, random_digraph
 from sparsedigraph.coloring import compute_wcol_order, wcol_exact, wreach_all
-from sparsedigraph.digraph import in_ball, in_distances
+from sparsedigraph.digraph import in_ball, in_distances, out_distances, shortest_path
 from sparsedigraph.domination import (
     _greedy_hitting_set,
     distance_vector,
@@ -441,3 +441,51 @@ def test_scds_random_strong_instances():
     assert found >= 5
     # sizes vs the enumeration oracle are recorded, not gated
     print("scds size ratios vs oracle:", [round(x, 2) for x in ratios])
+
+
+def _scds_shortest_path_stitch(g, r):
+    """The stitch that ran two fresh shortest-path searches per core
+    vertex, kept as the reference for the one along ``dist_from``:
+    returns (set, k_guess, center)."""
+    dist_from = [out_distances(g, v) for v in range(g.n)]
+    for k in range(1, g.n + 1):
+        best = best_center = None
+        for center in range(g.n):
+            ball = frozenset(
+                u for u in range(g.n)
+                if dist_from[center].get(u, g.n + 1) <= k
+                and dist_from[u].get(center, g.n + 1) <= k
+            )
+            try:
+                core = redblue_dominate_approx(g, range(g.n), ball, r)
+            except InfeasibleError:
+                continue
+            stitched = set(core) | {center}
+            for w in sorted(core):
+                for path in (shortest_path(g, center, w), shortest_path(g, w, center)):
+                    stitched.update(path)
+            if best is None or len(stitched) < len(best):
+                best, best_center = frozenset(stitched), center
+        if best is not None:
+            return best, k, best_center
+    raise AssertionError("no radius produced a feasible ball")
+
+
+@st.composite
+def strong_hosts(draw):
+    """A random digraph, bidirected or not, plus the Hamiltonian cycle
+    0 -> 1 -> ... -> n-1 -> 0: strongly connected."""
+    n = draw(st.integers(2, 30))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    if draw(st.booleans()):
+        arcs |= {(v, u) for u, v in arcs}
+    return Digraph(n, arcs | {(i, (i + 1) % n) for i in range(n)})
+
+
+@given(strong_hosts(), st.integers(1, 2))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_scds_stitch_matches_shortest_path_reference(g, r):
+    stats = {}
+    result = scds_approx(g, r, stats_out=stats)
+    assert (result, stats["k_guess"], stats["center"]) == _scds_shortest_path_stitch(g, r)
