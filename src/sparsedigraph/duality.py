@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .coloring import compute_wcol_order, wreach_all
-from .digraph import Digraph, LinearOrder, _bfs, in_ball, induced_subgraph, out_ball, remove_vertices
+from .digraph import Digraph, LinearOrder, _bfs, induced_subgraph, out_ball, remove_vertices
 from .errors import InternalInvariantError
 from .minors import grad_lower_bound
 from .domination import distance_vector
@@ -139,43 +139,68 @@ class _Node:
 class IndependenceTree:
     """Binary insertion tree recording shared r-in-ball intersections.
 
-    Inserting a vertex walks from the root, turning right at nodes whose
-    r-in-ball meets the new vertex's (some vertex r-dominates both), left
-    otherwise.  Left chains are therefore r-scattered.
+    Inserting a vertex v walks from the root, turning right at nodes whose
+    r-in-ball meets v's (some vertex r-dominates both), left otherwise.
+    Left chains are therefore r-scattered.
+
+    The walk turns right at node x exactly when x lies in
+    S_v = out-ball_r(in-ball_r(v)), so it is not replayed node by node.
+    The tree is cut into left spines: maximal left chains, each starting
+    at the root or at a right child.  Children come after their parents in
+    ``nodes``, so the first node of a spine that S_v meets is the one with
+    the lowest index; one scan of S_v finds it for every spine, and the
+    walk jumps from spine to spine through right children.  An insertion
+    costs O(|S_v| + right turns) rather than O(depth).
     """
 
     def __init__(self, g: Digraph, radius: int):
+        if radius < 0:
+            raise ValueError("radius must be nonnegative")
         self.graph = g
         self.radius = radius
         self.nodes: list[_Node] = []
         self.sequence: list[int] = []
-        self._balls: dict[int, frozenset] = {}
+        self._spine_of: list[int] = []  # node index -> its left spine
+        self._tails: list[int] = []  # left spine -> its last node
+        self._holders: dict[int, list[int]] = {}  # vertex -> its nodes
+        self._table: tuple = (0, ([], [], []))
 
-    def _ball(self, v: int) -> frozenset:
-        if v not in self._balls:
-            self._balls[v] = in_ball(self.graph, v, self.radius)
-        return self._balls[v]
+    def _add(self, v: int, spine: int) -> int:
+        """Append a node for v at the end of ``spine``, which is a new
+        spine when it equals the spine count; returns the node index."""
+        i = len(self.nodes)
+        self.nodes.append(_Node(v))
+        self._spine_of.append(spine)
+        if spine == len(self._tails):
+            self._tails.append(i)
+        else:
+            self._tails[spine] = i
+        self._holders.setdefault(v, []).append(i)
+        return i
 
     def insert(self, v: int):
+        if not (0 <= v < self.graph.n):
+            raise ValueError(f"vertex {v} out of range")
         self.sequence.append(v)
-        ball = self._ball(v)
         if not self.nodes:
-            self.nodes.append(_Node(v))
+            self._add(v, 0)
             return
-        balls = self._balls
-        at = 0
-        while True:
-            node = self.nodes[at]
-            go_right = not ball.isdisjoint(balls[node.vertex])
-            child = node.right if go_right else node.left
-            if child is None:
-                self.nodes.append(_Node(v))
-                if go_right:
-                    node.right = len(self.nodes) - 1
-                else:
-                    node.left = len(self.nodes) - 1
+        g, r, spine_of = self.graph, self.radius, self._spine_of
+        first: dict[int, int] = {}  # spine -> its first node that turns right
+        for x in _bfs(g.out_neighbors, _bfs(g.in_neighbors, (v,), r), r):
+            for i in self._holders.get(x, ()):
+                s = spine_of[i]
+                if i < first.get(s, i + 1):
+                    first[s] = i
+        spine = 0
+        while spine in first:
+            node = self.nodes[first[spine]]
+            if node.right is None:
+                node.right = self._add(v, len(self._tails))
                 return
-            at = child
+            spine = spine_of[node.right]
+        tail = self.nodes[self._tails[spine]]  # read before _add moves it
+        tail.left = self._add(v, spine)
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -187,9 +212,12 @@ class IndependenceTree:
 
         Children are appended after their parent, so sweeping the node
         indices downwards visits every child before its parent: one
-        iterative post-order pass, O(nodes), with no recursion.
+        iterative post-order pass, O(nodes), with no recursion.  Nodes are
+        only ever appended, so the table is kept until the count changes.
         """
         size = len(self.nodes)
+        if self._table[0] == size:
+            return self._table[1]
         height = [1] * size
         right = [1] * size
         left = [1] * size
@@ -205,7 +233,8 @@ class IndependenceTree:
                 height[i] = max(height[i], 1 + height[b])
                 right[i] = max(right[i], 1 + right[b])
                 left[i] = max(left[i], left[b])
-        return height, right, left
+        self._table = (size, (height, right, left))
+        return self._table[1]
 
     def height(self) -> int:
         """Nodes on the longest root-leaf path."""
@@ -231,8 +260,6 @@ def independence_tree(g: Digraph, sequence, r: int) -> IndependenceTree:
     """Insert the sequence in order; the size law is asserted on exit."""
     tree = IndependenceTree(g, r)
     for v in sequence:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
         tree.insert(v)
     tree.assert_size_law()
     return tree
@@ -295,9 +322,9 @@ def dominator_or_scattered(g: Digraph, targets, r: int, k: int) -> DualityResult
     L-smallest target not yet dominated, exactly as a ``min`` over the
     undominated targets picks them.  Besides the order (computed once per
     graph and radius, see ``compute_wcol_order``) and ``wreach_all``, the
-    walk costs O(n) plus an r-out-ball per hull vertex; the guarantee
-    check costs one r-out-ball per vertex and the tree O(anchors^2)
-    ball intersections at worst.
+    walk costs O(n) plus one r-out-ball per distinct hull vertex; the
+    guarantee check costs one r-out-ball per vertex, and the tree one
+    S_v scan per anchor (see ``IndependenceTree``) plus its right turns.
     """
     if r < 1:
         raise ValueError("radius must be at least 1")
@@ -319,10 +346,10 @@ def dominator_or_scattered(g: Digraph, targets, r: int, k: int) -> DualityResult
         if x not in undominated:
             continue
         anchors.append(x)
-        hull = sets[x]
-        dominating |= hull
-        for y in sorted(hull):
+        # a hull vertex already dominating had its out-ball taken off
+        for y in sets[x] - dominating:
             undominated -= out_ball(g, y, r)
+        dominating |= sets[x]
 
     anchor_set = frozenset(anchors)
     for u in range(g.n):

@@ -207,6 +207,17 @@ def test_kernel_long_path_reports(tmp_path, capsys):
     assert (rep["core_size"], rep["kernel_n"]) == (3000, 3002)
 
 
+def test_kernel_path_6000_reports(tmp_path, capsys):
+    # the tree's left spine is 3001 nodes deep; inserting by spine jumps
+    # keeps this about linear in n
+    path = write_graph(tmp_path, directed_path(6000))
+    code, out, err = run(capsys, "kernel", path, "--radius", "1", "--budget", "4000")
+    assert (code, err) == (0, "")
+    rep = json_out(out)
+    assert rep["infeasible"] is False
+    assert rep["core_size"] == 6000
+
+
 def test_kernel_threshold_too_long_to_print(tmp_path, capsys, monkeypatch):
     huge = 10 ** (sys.get_int_max_str_digits() + 5) * 3
     real = cli.kernelize

@@ -5,6 +5,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsedigraph import Digraph, apex_crown, bidirected_clique, directed_path, random_digraph
 from sparsedigraph import coloring
@@ -327,6 +329,66 @@ def test_tree_matches_resimulation():
             assert tree_positions(tree) == simulate_tree(g, seq, r)
 
 
+def walk_from_root_tree(g, seq, r):
+    """The insertion walk replayed node by node from the root, with one
+    in-ball intersection per node: (vertex, left, right) per node."""
+    balls = {}
+    nodes = []
+    for v in seq:
+        if v not in balls:
+            balls[v] = in_ball(g, v, r)
+        if not nodes:
+            nodes.append([v, None, None])
+            continue
+        at = 0
+        while True:
+            node = nodes[at]
+            side = 2 if not balls[v].isdisjoint(balls[node[0]]) else 1
+            if node[side] is None:
+                nodes.append([v, None, None])
+                node[side] = len(nodes) - 1
+                break
+            at = node[side]
+    return [tuple(node) for node in nodes]
+
+
+@st.composite
+def tree_instances(draw):
+    family = draw(st.sampled_from(["random", "path", "crown"]))
+    if family == "random":
+        n = draw(st.integers(1, 30))
+        m = draw(st.integers(0, min(3 * n, n * (n - 1))))
+        g = random_digraph(n, m, draw(st.integers(0, 10 ** 6)))
+    elif family == "path":
+        g = directed_path(draw(st.integers(1, 40)))
+    else:
+        g = apex_crown(draw(st.integers(2, 12)))
+    # repeated vertices are allowed and become separate nodes
+    seq = draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+    if draw(st.booleans()):
+        seq = sorted(seq)
+    return g, seq, draw(st.integers(1, 3))
+
+
+@given(tree_instances())
+@example((directed_path(300), list(range(300)), 1))
+@example((directed_path(300), list(range(300)), 3))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_tree_matches_walk_from_root(case):
+    g, seq, r = case
+    tree = independence_tree(g, seq, r)
+    assert [(x.vertex, x.left, x.right) for x in tree.nodes] == walk_from_root_tree(g, seq, r)
+    assert tree.sequence == list(seq)
+
+
+def test_tree_rejects_bad_vertex_and_radius():
+    g = directed_path(3)
+    with pytest.raises(ValueError, match="out of range"):
+        independence_tree(g, [0, 3], 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        independence_tree(g, [0], -1)
+
+
 def chain_oracle(tree):
     """Longest (#left edges + 1) over all root-leaf paths, brute force."""
     if not tree.nodes:
@@ -483,6 +545,29 @@ def test_dos_long_path_needs_no_recursion():
     res = dominator_or_scattered(g, range(n), 1, 2000)
     assert res.kind == "dominating"
     assert verify_dominating(g, res.dominating, 1)
+
+
+def test_dos_path_6000_scattered():
+    n = 6000
+    g = directed_path(n)
+    res = dominator_or_scattered(g, range(n), 1, 2999)
+    tree = res.tree
+    assert res.kind == "scattered"
+    assert len(res.scattered) == 3000
+    assert verify_scattered(g, res.scattered, 1)
+    assert tree.node_count() == n
+    assert (tree.height(), tree.longest_right_chain()) == (3001, 2)
+
+
+def test_subtree_table_kept_until_the_tree_grows():
+    g = random_digraph(40, 120, 3)
+    tree = independence_tree(g, range(40), 1)
+    table = tree._subtree_table()
+    tree.height(), tree.longest_right_chain(), max_left_chain(tree)
+    assert tree._subtree_table() is table
+    tree.insert(0)
+    assert tree._subtree_table() is not table
+    assert tree._subtree_table() == independence_tree(g, [*range(40), 0], 1)._subtree_table()
 
 
 def test_wcol_order_computed_once_per_graph(monkeypatch):
