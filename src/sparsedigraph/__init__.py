@@ -28,7 +28,6 @@ from .coloring import (
     order_from_augmentation,
     tfa_augment,
     wcol_exact,
-    wcol_infty,
     wcol_infty_exact,
     wcol_of_order,
     wreach_all,
@@ -188,7 +187,6 @@ __all__ = [
     "verify_scattered",
     "verify_strongly_connected",
     "wcol_exact",
-    "wcol_infty",
     "wcol_infty_exact",
     "wcol_of_order",
     "wreach_all",

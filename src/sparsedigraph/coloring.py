@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, LinearOrder, _adjacency_masks, _bfs, _bits, degeneracy, out_distances
+from .digraph import (Digraph, LinearOrder, _adjacency_masks, _bfs, _bits, _orient, degeneracy,
+                      out_distances)
 from .errors import InternalInvariantError, SizeCapError, _check_cap
 
 
@@ -52,11 +53,6 @@ def wcol_of_order(g: Digraph, order: LinearOrder, r: int) -> int:
     if g.n == 0:
         return 0
     return max(len(s) for s in wreach_all(g, order, r))
-
-
-def wcol_infty(g: Digraph, order: LinearOrder) -> int:
-    """The limit weak coloring number of an order: radius n."""
-    return wcol_of_order(g, order, g.n)
 
 
 def wcol_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
@@ -274,14 +270,6 @@ class Augmentation:
         return frozenset(a for h in self.graphs for a in h.arcs())
 
 
-def _arc_graph(n: int, arcs) -> Digraph:
-    """Digraph of arcs that come sorted and duplicate-free, built unchecked."""
-    out: list[list[int]] = [[] for _ in range(n)]
-    for u, v in arcs:
-        out[u].append(v)
-    return Digraph.__new__(Digraph)._fill(n, out)
-
-
 def tfa_augment(g: Digraph, r: int) -> Augmentation:
     """Depth-r transitive fraternal augmentation of g.
 
@@ -289,9 +277,9 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     (w,v) in E_j2 and every transitive pattern (u,v) in E_j1, (v,w) in
     E_j2 with j1 + j2 = t, provided the base graph joins the new pair by
     a directed path of length at most t in some direction and the pair is
-    not already augmented.  The new pairs are degeneracy-oriented.  Each
-    layer is a ``Digraph``, whose adjacency later layers and the union
-    peel in ``order_from_augmentation`` read.
+    not already augmented.  Each layer's pairs go as undirected lists
+    through ``_orient`` into the out-lists of its ``Digraph``, whose
+    adjacency later layers and the union peel in ``order_from_augmentation`` read.
     """
     if r < 1:
         raise ValueError("augmentation depth must be at least 1")
@@ -299,8 +287,9 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     dist = [out_distances(g, v, cap=r) for v in range(n)]
     far = r + 1
 
-    # orientations come sorted (u ascending, then v), as ``_arc_graph`` needs
-    layers = [_arc_graph(n, degeneracy(g)[2])]
+    # ascending neighbor lists orient into ascending out-lists, as ``_fill`` needs
+    und = [g.underlying_neighbors(v) for v in range(n)]
+    layers = [Digraph.__new__(Digraph)._fill(n, _orient(und)[2])]
     # unordered pairs {u, v} are kept as the int min(u, v) * n + max(u, v)
     present = {u * n + v if u < v else v * n + u for u, v in layers[0].arcs()}
 
@@ -331,8 +320,13 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
                                 du.get(v, far) <= t or dist[v].get(u, far) <= t
                             ):
                                 fresh.add(key)
-        pairs = _arc_graph(n, (divmod(key, n) for key in sorted(fresh)))
-        layers.append(_arc_graph(n, degeneracy(pairs)[2]))
+        # sorted keys fill each list ascending: smaller partners come first
+        und = [[] for _ in range(n)]
+        for key in sorted(fresh):
+            u, v = divmod(key, n)
+            und[u].append(v)
+            und[v].append(u)
+        layers.append(Digraph.__new__(Digraph)._fill(n, _orient(und)[2]))
         present |= fresh
 
     return Augmentation(n=n, depth=r, graphs=tuple(layers))
@@ -355,14 +349,15 @@ class WcolOrder:
 
 
 def order_from_augmentation(g: Digraph, aug: Augmentation) -> WcolOrder:
-    """Greedy order of the augmentation union graph with its bound."""
+    """Greedy order of the augmentation union graph with its bound; the
+    union is peeled from the layers' adjacency, never built as a graph."""
     if aug.n != g.n:
         raise ValueError("augmentation does not fit the graph")
-    # a hand-built augmentation may repeat an arc in two layers
-    outs = [h.out_neighbors for h in aug.graphs]
-    union = [sorted({v for adj in outs for v in adj(u)}) for u in range(g.n)]
-    d = max(map(len, union), default=0)
-    c, order, _ = degeneracy(Digraph.__new__(Digraph)._fill(g.n, union))
+    # a hand-built augmentation may repeat an arc in two layers or join a pair both ways
+    hs = aug.graphs
+    heads = [{v for h in hs for v in h.out_neighbors(u)} for u in range(g.n)]
+    d = max(map(len, heads), default=0)
+    c, order, _ = _orient([s.union(*(h.in_neighbors(u) for h in hs)) for u, s in enumerate(heads)])
     return WcolOrder(order=order, guarantee=(d + 1) * c + 1, smaller_neighbors=c, max_outdegree=d)
 
 

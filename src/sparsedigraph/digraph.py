@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import SizeCapError
 
@@ -64,8 +64,7 @@ class Digraph:
         are visited in ascending order, so the in-lists come out sorted.
         Package code builds these: ``contract``, ``induced_subgraph`` and
         ``reverse`` here, and in ``coloring`` the augmentation's layer
-        graphs, the graph of each layer's new pairs and the union graph
-        whose peel gives the wcol order.
+        graphs.
         """
         inc: list[list[int]] = [[] for _ in range(n)]
         for u, heads in enumerate(out):
@@ -282,14 +281,13 @@ def shortest_path(g: Digraph, u: int, v: int,
     dist = _bfs(g.out_neighbors, (u,), within=within)
     if v not in dist:
         return None
-    return _walk_back(g, dist, v)
+    return _walk_back(g, dist, {x: i for i, x in enumerate(dist)}, v)
 
 
-def _walk_back(g: Digraph, dist: dict[int, int], v: int) -> list[int]:
-    """The path ``shortest_path`` returns, read from the single-source
-    ``_bfs`` table ``dist`` of its start (v must be in it), so callers
-    that already hold the table search nothing again."""
-    rank = {x: i for i, x in enumerate(dist)}
+def _walk_back(g: Digraph, dist: dict[int, int], rank: dict[int, int], v: int) -> list[int]:
+    """The path ``shortest_path`` returns, read from the ``_bfs`` table
+    ``dist`` of its start (v must be in it) and ``rank``, each vertex's
+    index in ``dist``, so callers holding both search and rank nothing."""
     path = [v]
     while dist[path[-1]]:
         y = path[-1]
@@ -431,7 +429,7 @@ def remove_vertices(g: Digraph, removed: Iterable[int]) -> Digraph:
 # degeneracy
 
 
-def _peel(neighbors: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
+def _peel(neighbors: Sequence[Collection[int]]) -> Iterator[tuple[int, int]]:
     """Min-degree peel: yield each removed vertex with its degree at removal.
 
     ``neighbors[v]`` lists v's neighbors, repeats counting with
@@ -459,18 +457,16 @@ def _peel(neighbors: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
                 heapq.heappush(heap, deg[u] * n + u)
 
 
-def degeneracy(g: Digraph) -> tuple[int, LinearOrder, list[tuple[int, int]]]:
-    """Min-degree peel of the underlying undirected graph.
+def _orient(und: Sequence[Collection[int]]) -> tuple[int, LinearOrder, list[list[int]]]:
+    """Smallest-last order (Matula and Beck 1983) of the undirected graph
+    whose vertex v has the neighbors ``und[v]``, each listed once.
 
-    Returns ``(d, order, orientation)`` where d is the largest degree seen
-    at removal time, ``order`` lists the vertices so that every vertex has
-    at most d underlying neighbors earlier in the order (the peel sequence
-    reversed), and ``orientation`` directs every underlying edge from the
-    later position to the earlier one, which gives out-degree <= d.
-    Ties are broken towards the smallest vertex index.  Costs
-    O((n + m) log n).
+    Returns ``(d, order, out)``: d is the largest degree at removal in
+    ``_peel``, every vertex has at most d neighbors earlier in ``order``
+    (the peel reversed), and ``out[u]`` keeps u's earlier neighbors in
+    ``und[u]``'s order, so ascending lists give out-lists ready for
+    ``Digraph._fill``.  Costs O((n + m) log n).
     """
-    und = [g.underlying_neighbors(v) for v in range(g.n)]
     d = 0
     peel: list[int] = []
     for v, deg_v in _peel(und):
@@ -478,9 +474,16 @@ def degeneracy(g: Digraph) -> tuple[int, LinearOrder, list[tuple[int, int]]]:
         peel.append(v)
     order = LinearOrder(peel[::-1])
     pos = order._pos
-    # u ascending, then each sorted neighbor list: already in sorted order
-    orientation = [(u, v) for u in range(g.n) for v in und[u] if pos[v] < pos[u]]
-    return d, order, orientation
+    out = [[v for v in nbrs if pos[v] < p] for nbrs, p in zip(und, pos)]
+    return d, order, out
+
+
+def degeneracy(g: Digraph) -> tuple[int, LinearOrder, list[tuple[int, int]]]:
+    """Min-degree peel of the underlying undirected graph, as ``_orient``
+    gives it: ``(d, order, orientation)``, the orientation listing the sorted
+    arcs from each vertex to its earlier neighbors (out-degree <= d)."""
+    d, order, out = _orient([g.underlying_neighbors(v) for v in range(g.n)])
+    return d, order, [(u, v) for u, heads in enumerate(out) for v in heads]
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,7 @@ def scds_approx(g: Digraph, r: int, stats_out: Optional[dict] = None) -> frozens
         raise InfeasibleError("graph is not strongly connected")
 
     dist_from = [out_distances(g, v) for v in range(g.n)]
+    rank_from: dict[int, dict[int, int]] = {}  # discovery ranks of the tables walked
 
     best: Optional[frozenset] = None
     best_center = None
@@ -189,8 +190,10 @@ def scds_approx(g: Digraph, r: int, stats_out: Optional[dict] = None) -> frozens
                 continue
             stitched = set(core) | {center}
             for w in sorted(core):
-                stitched.update(_walk_back(g, dist_from[center], w))
-                stitched.update(_walk_back(g, dist_from[w], center))
+                for src, v in ((center, w), (w, center)):
+                    if src not in rank_from:
+                        rank_from[src] = {x: i for i, x in enumerate(dist_from[src])}
+                    stitched.update(_walk_back(g, dist_from[src], rank_from[src], v))
             result = frozenset(stitched)
             if not verify_dominating(g, result, r):
                 raise InternalInvariantError("stitched dominator lost coverage")

@@ -17,7 +17,6 @@ from sparsedigraph.coloring import (
     order_from_augmentation,
     tfa_augment,
     wcol_exact,
-    wcol_infty,
     wcol_infty_exact,
     wcol_of_order,
     wreach_all,
@@ -157,7 +156,7 @@ def test_wcol_exact_path_formula():
     for n in (1, 3, 7):
         val, witness = wcol_infty_exact(directed_path(n))
         assert val == math.ceil(math.log2(n + 1))
-        assert wcol_infty(directed_path(n), witness) == val
+        assert wcol_of_order(directed_path(n), witness, n) == val
 
 
 def test_wcol_exact_is_a_minimum():
@@ -484,3 +483,20 @@ def test_coloring_class_unions_have_low_wcol():
 def test_coloring_radius_cap():
     with pytest.raises(SizeCapError):
         low_treedepth_coloring(directed_path(4), 9)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_wcol_order_fills_one_graph_per_layer(monkeypatch, r):
+    # the layers are the only graphs built: no graph of a layer's new
+    # pairs, none of the union
+    g = random_digraph(200, 600, 1)
+    fill = Digraph._fill
+    calls = []
+
+    def counting_fill(self, n, out):
+        calls.append(n)
+        return fill(self, n, out)
+
+    monkeypatch.setattr(Digraph, "_fill", counting_fill)
+    compute_wcol_order(g, r)
+    assert len(calls) == r

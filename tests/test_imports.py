@@ -1,11 +1,13 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and
+every module-level private function is used somewhere in the package."""
 import ast
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sparsedigraph"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,3 +33,30 @@ def test_unused_import_is_caught():
         ["random", "order"]
     assert unused_imports("from __future__ import annotations\nimport math\n"
                           "x = math.pi\n") == []
+
+
+def dead_private_helpers(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each module-level ``def _name`` that no other
+    top-level statement of any module refers to as a Name or attribute."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    uses = [(top, {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(top)
+                   if isinstance(n, (ast.Name, ast.Attribute))})
+            for tree in trees.values() for top in tree.body]
+    return [f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and not any(node.name in names for top, names in uses if top is not node)]
+
+
+def test_private_helpers_are_used():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert dead_private_helpers(sources) == []
+
+
+def test_dead_private_helper_is_caught():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _dead(k):\n    return _dead(k - 1)\n",
+        "b": "from .a import _used, _dead\nx = _used()\n",
+        "c": "import a\ndef __getattr__(name):\n    return a._used\n",
+    }
+    assert dead_private_helpers(sources) == ["a._dead"]
