@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import (Digraph, LinearOrder, _adjacency_masks, _bfs, _bits, _orient, degeneracy,
-                      out_distances)
+from .digraph import (Digraph, LinearOrder, _adjacency_masks, _bfs, _bits, _orient,
+                      _smallest_last, out_distances)
 from .errors import InternalInvariantError, SizeCapError, _check_cap
 
 
@@ -95,7 +95,7 @@ def wcol_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
             reach_memo[key] = reach(u, allowed)
         return reach_memo[key]
 
-    _, heuristic, _ = degeneracy(g)
+    _, heuristic = _smallest_last([g.underlying_neighbors(v) for v in range(g.n)])
     best = wcol_of_order(g, heuristic, r)
     best_order: LinearOrder = heuristic
 
@@ -357,7 +357,8 @@ def order_from_augmentation(g: Digraph, aug: Augmentation) -> WcolOrder:
     hs = aug.graphs
     heads = [{v for h in hs for v in h.out_neighbors(u)} for u in range(g.n)]
     d = max(map(len, heads), default=0)
-    c, order, _ = _orient([s.union(*(h.in_neighbors(u) for h in hs)) for u, s in enumerate(heads)])
+    c, order = _smallest_last(
+        [s.union(*(h.in_neighbors(u) for h in hs)) for u, s in enumerate(heads)])
     return WcolOrder(order=order, guarantee=(d + 1) * c + 1, smaller_neighbors=c, max_outdegree=d)
 
 

@@ -457,22 +457,29 @@ def _peel(neighbors: Sequence[Collection[int]]) -> Iterator[tuple[int, int]]:
                 heapq.heappush(heap, deg[u] * n + u)
 
 
-def _orient(und: Sequence[Collection[int]]) -> tuple[int, LinearOrder, list[list[int]]]:
+def _smallest_last(und: Sequence[Collection[int]]) -> tuple[int, LinearOrder]:
     """Smallest-last order (Matula and Beck 1983) of the undirected graph
     whose vertex v has the neighbors ``und[v]``, each listed once.
 
-    Returns ``(d, order, out)``: d is the largest degree at removal in
-    ``_peel``, every vertex has at most d neighbors earlier in ``order``
-    (the peel reversed), and ``out[u]`` keeps u's earlier neighbors in
-    ``und[u]``'s order, so ascending lists give out-lists ready for
-    ``Digraph._fill``.  Costs O((n + m) log n).
+    Returns ``(d, order)``: d is the largest degree at removal in
+    ``_peel``, and every vertex has at most d neighbors earlier in
+    ``order`` (the peel reversed).  Costs O((n + m) log n).
     """
     d = 0
     peel: list[int] = []
     for v, deg_v in _peel(und):
         d = max(d, deg_v)
         peel.append(v)
-    order = LinearOrder(peel[::-1])
+    return d, LinearOrder(peel[::-1])
+
+
+def _orient(und: Sequence[Collection[int]]) -> tuple[int, LinearOrder, list[list[int]]]:
+    """``_smallest_last`` plus the orientation towards earlier neighbors:
+    ``(d, order, out)``, where ``out[u]`` keeps u's earlier neighbors in
+    ``und[u]``'s order, so ascending lists give out-lists ready for
+    ``Digraph._fill``.
+    """
+    d, order = _smallest_last(und)
     pos = order._pos
     out = [[v for v in nbrs if pos[v] < p] for nbrs, p in zip(und, pos)]
     return d, order, out

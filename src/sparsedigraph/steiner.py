@@ -16,14 +16,16 @@ reachability checks on the caller's graph.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
+from struct import Struct
 from typing import Optional
 
 from .digraph import (
     Digraph,
     _bfs,
+    _smallest_last,
     contract,
-    degeneracy,
     induced_subgraph,
     out_ball,
     scc,
@@ -74,6 +76,9 @@ def source_terminals(g: Digraph, terminals) -> frozenset:
 # ---------------------------------------------------------------------------
 # exact subset DP
 
+# largest subset DP table, 2^k * n cells, that dst_exact_subset allocates
+MAX_SUBSET_DP_CELLS = 1 << 24
+
 
 def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int,
                      max_sources: int = 16) -> Optional[frozenset]:
@@ -82,10 +87,25 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int,
     A Dreyfus-Wagner subset DP over the k sources with all terminals free:
     dp[mask][v] is the cheapest tree at v reaching the sources in mask.
     Each mask merges two halves at every vertex, then relaxes along
-    in-arcs with a heap, in O(3^k * n + 2^k * m log n) time.  The table,
-    and so the returned set, does not depend on the budget; only the
-    final test against it does.  Returns None when the minimum exceeds
-    the budget or no tree exists.
+    in-arcs with a heap.  The table, and so the returned set, does not
+    depend on the budget; only the final test against it does.  Returns
+    None when the minimum exceeds the budget or no tree exists.  More
+    than ``max_sources`` sources, or a table of more than
+    ``MAX_SUBSET_DP_CELLS`` cells, raise SizeCapError before anything is
+    allocated.
+
+    Each row dp[mask] is one int with a 32-bit lane per vertex: lane v
+    is bits 32v to 32v + 31.  A split is merged into the row for all
+    vertices at once: with ``high`` holding bit 31 of every lane, the
+    lanes of ``((acc | high) - cand) & high`` are set exactly where
+    cand <= acc, and subtracting that shifted down by 31 widens each set
+    bit into a mask of its lane's low 31 bits, which selects cand.  The
+    row starts at INF = n + 1 in every lane, so acc <= INF and
+    cand <= 2 * INF; with k >= 1 the cap keeps n <= MAX_SUBSET_DP_CELLS
+    / 2, so both stay below 2^31 and no subtraction borrows across
+    lanes.  The merge costs O(3^k) operations on n-lane ints, O(3^k * n)
+    word steps with a small constant; the heap runs on the row unpacked
+    into a list, with keys dist * n + v, in O(2^k * (n + m log n)).
 
     Bypass arcs from each source to the first non-terminals along
     terminal-internal paths are laid over the in-lists of their heads
@@ -93,7 +113,8 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int,
     free, but they change which of several equal-cost trees the heap
     finds first, and the tie-break fixes the output, so they stay.
 
-    Only the heap relaxations record parents: with free terminals the
+    Only the heap relaxations record parents, packed like the rows, with
+    n in the lanes no relaxation reached: with free terminals the
     heap's pop order cannot be replayed from the table.  The walk back
     takes, at a state without one that is not a source's base case, the
     first split in enumeration order whose halves sum to the state's
@@ -113,6 +134,12 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int,
         return None
     if not sources:
         return frozenset()
+    cells = (1 << len(sources)) * g.n
+    if cells > MAX_SUBSET_DP_CELLS:
+        raise SizeCapError(
+            f"dst_exact_subset: 2^{len(sources)} * {g.n} = {cells} table cells"
+            f" exceed cap {MAX_SUBSET_DP_CELLS}"
+        )
 
     n = g.n
     # bypass arcs: source -> first non-terminal along terminal-internal paths
@@ -131,36 +158,55 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int,
     k = len(src)
     full = (1 << k) - 1
     INF = n + 1
-    dp = [[INF] * n for _ in range(full + 1)]
-    step_parent: dict[tuple[int, int], int] = {}
+    lanes = Struct(f"<{n}I")  # lane v is bits 32v .. 32v + 31 of a packed row
+
+    def pack(row) -> int:
+        return int.from_bytes(lanes.pack(*row), "little")
+
+    def unpack(packed: int) -> list[int]:
+        return list(lanes.unpack(packed.to_bytes(4 * n, "little")))
+
+    all_inf = pack([INF] * n)
+    high = pack([1 << 31] * n)
+    dp = [all_inf] * (full + 1)
+    # lane v of step_parent[mask]: the vertex whose relaxation set dp[mask][v], or n
+    step_parent = [0] * (full + 1)
 
     for mask in range(1, full + 1):
-        row = dp[mask]
         if mask & (mask - 1) == 0:
-            row[src[mask.bit_length() - 1]] = 0
+            source = src[mask.bit_length() - 1]
+            row = [INF] * n
+            row[source] = 0
+            heap = [source]  # key 0 * n + source
         else:
+            acc = all_inf
             sub = (mask - 1) & mask
             while sub > (mask ^ sub):
-                left, right = dp[sub], dp[mask ^ sub]
-                for v in range(n):
-                    cand = left[v] + right[v]
-                    if cand < row[v]:
-                        row[v] = cand
+                cand = dp[sub] + dp[mask ^ sub]
+                t = ((acc | high) - cand) & high
+                acc ^= (acc ^ cand) & (t - (t >> 31))
                 sub = (sub - 1) & mask
-        heap = [(row[v], v) for v in range(n) if row[v] < INF]
-        heapq.heapify(heap)
+            row = unpack(acc)
+            heap = [d * n + v for v, d in enumerate(row) if d < INF]
+            heapq.heapify(heap)
+        parent = [n] * n
         while heap:
-            dist, x = heapq.heappop(heap)
+            dist, x = divmod(heapq.heappop(heap), n)
             if dist > row[x]:
                 continue
             step = dist + cost[x]
             for w in in_nb[x]:
                 if step < row[w]:
                     row[w] = step
-                    step_parent[(mask, w)] = x
-                    heapq.heappush(heap, (step, w))
+                    parent[w] = x
+                    heapq.heappush(heap, step * n + w)
+        dp[mask] = pack(row)
+        step_parent[mask] = pack(parent)
 
-    best = dp[full][root]
+    def lane(packed: int, v: int) -> int:
+        return (packed >> (32 * v)) & 0xFFFFFFFF
+
+    best = lane(dp[full], root)
     if best >= INF or best > budget:
         return None
 
@@ -169,13 +215,13 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int,
     while stack:
         mask, v = stack.pop()
         chosen.add(v)
-        x = step_parent.get((mask, v))
-        if x is not None:
+        x = lane(step_parent[mask], v)
+        if x < n:
             stack.append((mask, x))
         elif mask & (mask - 1):
-            value = dp[mask][v]
+            value = lane(dp[mask], v)
             sub = (mask - 1) & mask
-            while dp[sub][v] + dp[mask ^ sub][v] != value:
+            while lane(dp[sub], v) + lane(dp[mask ^ sub], v) != value:
                 sub = (sub - 1) & mask
                 if sub <= mask ^ sub:
                     raise InternalInvariantError("subset DP lost a split")
@@ -208,21 +254,26 @@ class DstFptResult:
     nodes_per_budget: tuple[int, ...]
 
 
-def dst_fpt(inst: DstInstance, max_sources: int = 16) -> DstFptResult:
+def dst_fpt(inst: DstInstance, max_sources: int = 16, *,
+            _degeneracy: Optional[int] = None) -> DstFptResult:
     """Solve DST, minimizing the solution size within the budget.
 
     Budgets are tried in increasing order, so a returned solution has
     globally minimum cardinality.  Each run's recursion-node count is
     checked against (d+1)^(budget*(d+1)).
 
-    The high-degree threshold d is twice the underlying degeneracy,
-    computable at any size.
+    The high-degree threshold d is twice the degeneracy of the contracted
+    host's underlying graph, computable at any size.  ``_degeneracy``
+    passes in that degeneracy when the caller already has it (see
+    ``scss_2approx``) and skips the peel.
     """
     reduced, mapping, s = preprocess_contract(inst)
     g = reduced.graph
     root = reduced.root
     terminals = reduced.terminals
-    dgen, _, _ = degeneracy(g)
+    dgen = _degeneracy
+    if dgen is None:
+        dgen, _ = _smallest_last([g.underlying_neighbors(v) for v in range(g.n)])
     d = 2 * dgen
 
     inverse = {}
@@ -275,11 +326,12 @@ def dst_fpt(inst: DstInstance, max_sources: int = 16) -> DstFptResult:
         t_bar = frozenset(t for t in sources if t not in dominated)
         if k_rem == 0 and t_bar:
             return None  # every undominated source needs a fresh non-terminal
-        nonterms = [v for v in sorted(alive) if v not in t_all and v != root]
-        s_high = frozenset(
-            v for v in nonterms
-            if sum(1 for t in g.out_neighbors(v) if t in t_bar) > d
+        # how many sources in t_bar each alive non-terminal dominates
+        dominates = Counter(
+            u for t in t_bar for u in g.in_neighbors(t)
+            if u in alive and u not in t_all and u != root
         )
+        s_high = frozenset(u for u, count in dominates.items() if count > d)
         t_high = frozenset(
             t for t in t_bar
             if any(u in s_high for u in g.in_neighbors(t))
@@ -338,6 +390,12 @@ def scss_2approx(g: Digraph, terminals, budget: int,
     Solves two Steiner instances, one on g and one on its reverse, both
     rooted at a fixed terminal, and returns the union.  The output always
     induces a strongly connected subgraph together with the terminals.
+
+    The terminals' strongly connected components are the same in g and
+    its reverse, so both runs contract the same blocks, and the two
+    contracted hosts are reverses of each other with one underlying
+    graph.  The backward run takes its degeneracy from the forward one
+    instead of peeling again.
     """
     term = frozenset(terminals)
     if not term:
@@ -347,7 +405,8 @@ def scss_2approx(g: Digraph, terminals, budget: int,
     fwd = dst_fpt(DstInstance(g, anchor, rest, budget), max_sources=max_sources)
     if fwd.solution is None:
         return None
-    bwd = dst_fpt(DstInstance(g.reverse(), anchor, rest, budget), max_sources=max_sources)
+    bwd = dst_fpt(DstInstance(g.reverse(), anchor, rest, budget), max_sources=max_sources,
+                  _degeneracy=fwd.degree_threshold // 2)
     if bwd.solution is None:
         return None
     union = fwd.solution | bwd.solution

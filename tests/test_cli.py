@@ -315,6 +315,19 @@ def test_oversized_header_exits_size_cap(tmp_path, capsys):
     assert f"n={MAX_PARSE_N + 1} exceeds cap" in err
 
 
+def test_subset_dp_table_past_cap_exits_size_cap(tmp_path, capsys, monkeypatch):
+    from sparsedigraph import steiner
+
+    g = Digraph(4, [(0, 1), (1, 2), (2, 3)])
+    path = tmp_path / "inst.dst"
+    path.write_text(format_dst_instance(DstInstance(g, 0, frozenset({3}), 2)))
+    monkeypatch.setattr(steiner, "MAX_SUBSET_DP_CELLS", 7)  # one source: 2 * 4 cells
+    code, out, err = run(capsys, "dst", str(path), "--fpt")
+    assert code == 3
+    assert out == ""
+    assert "exceed cap 7" in err
+
+
 def test_exact_grad0_flag_is_gone(tmp_path, capsys):
     path = tmp_path / "inst.dst"
     path.write_text("digraph 2 1\n0 1\nroot 0\nterminal 1\nbudget 1\n")

@@ -21,7 +21,7 @@ from sparsedigraph import (
     random_digraph,
     scc,
 )
-from sparsedigraph.digraph import _bfs, induced_subgraph, remove_vertices, shortest_path
+from sparsedigraph.digraph import _bfs, _smallest_last, induced_subgraph, remove_vertices, shortest_path
 from sparsedigraph.oracles import verify_strongly_connected
 
 
@@ -335,6 +335,7 @@ def test_peel_matches_min_scan_reference(g):
     d, order, orientation = degeneracy(g)
     ref_d, ref_order, ref_orientation = reference_degeneracy(g)
     assert (d, order.seq, orientation) == (ref_d, ref_order.seq, ref_orientation)
+    assert _smallest_last([g.underlying_neighbors(v) for v in range(g.n)]) == (d, order)
     assert grad_lower_bound(g) == reference_grad_lower_bound(g)
 
 

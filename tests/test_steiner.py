@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sparsedigraph import Digraph, DstInstance, apex_crown, directed_path, random_digraph
 from sparsedigraph import steiner
-from sparsedigraph.digraph import _bfs, remove_vertices
+from sparsedigraph.digraph import _bfs, degeneracy, remove_vertices
 from sparsedigraph.errors import SizeCapError
 from sparsedigraph.oracles import (
     dst_exact_enum,
@@ -283,6 +283,84 @@ def test_subset_dp_matches_reference(inst, contracted):
     assert got == _dst_exact_subset_reference(g, inst.root, t, sources, budget)
 
 
+@st.composite
+def chained_subset_instances(draw, max_n=18, max_sources=10):
+    """A host whose terminals partly hang in zero-cost chains t -> t' -> ...,
+    with up to ``max_sources`` of them as the DP's sources."""
+    n = draw(st.integers(3, max_n))
+    m = draw(st.integers(n, min(3 * n, n * (n - 1))))
+    arcs = set(random_digraph(n, m, draw(st.integers(0, 10**6))).arcs())
+    root = draw(st.integers(0, n - 1))
+    pool = [v for v in range(n) if v != root]
+    k = min(draw(st.integers(1, max_sources)), len(pool))
+    terminals = draw(st.lists(st.sampled_from(pool), min_size=k,
+                              max_size=min(len(pool), k + 4), unique=True))
+    linked = draw(st.lists(st.booleans(), min_size=len(terminals), max_size=len(terminals)))
+    arcs |= {(a, b) for a, b, link in zip(terminals, terminals[1:], linked) if link}
+    sources = frozenset(draw(st.permutations(terminals))[:k])
+    return Digraph(n, arcs), root, frozenset(terminals), sources
+
+
+def _root_value(subset_dp, g, root, terminals, sources):
+    """dp[full][root] read off a subset DP's answers: the least budget at
+    which it returns a set, or None when no budget up to n does."""
+    if subset_dp(g, root, terminals, sources, g.n) is None:
+        return None
+    lo, hi = 0, g.n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if subset_dp(g, root, terminals, sources, mid) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+@given(chained_subset_instances())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_packed_subset_dp_matches_reference_on_terminal_chains(case):
+    g, root, terminals, sources = case
+    got = dst_exact_subset(g, root, terminals, sources, g.n)
+    assert got == _dst_exact_subset_reference(g, root, terminals, sources, g.n)
+    assert (_root_value(dst_exact_subset, g, root, terminals, sources)
+            == _root_value(_dst_exact_subset_reference, g, root, terminals, sources))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_packed_subset_dp_matches_reference_at_ten_sources(seed):
+    inst = preprocess_contract(planted_hub_instance(seed))[0]
+    g, root, t = inst.graph, inst.root, inst.terminals
+    sources = source_terminals(g, t)
+    assert len(sources) == 10
+    got = dst_exact_subset(g, root, t, sources, g.n)
+    assert got == _dst_exact_subset_reference(g, root, t, sources, g.n)
+    assert (_root_value(dst_exact_subset, g, root, t, sources)
+            == _root_value(_dst_exact_subset_reference, g, root, t, sources) == 2)
+
+
+def test_subset_dp_lanes_hold_costs_past_16_bits():
+    # root 0 -> 1 -> ... -> n-3 forks to the sources n-2 and n-1: the tree
+    # costs n-3 > 2^16, and merged lanes reach twice that
+    n = 70000
+    arcs = [(v, v + 1) for v in range(n - 3)] + [(n - 3, n - 2), (n - 3, n - 1)]
+    g = Digraph(n, arcs)
+    t = frozenset({n - 2, n - 1})
+    assert dst_exact_subset(g, 0, t, t, n) == frozenset(range(1, n - 2))
+    assert dst_exact_subset(g, 0, t, t, n - 4) is None
+
+
+def test_subset_dp_table_cap(monkeypatch):
+    g = Digraph(20, [(0, v) for v in range(1, 20)])
+    t = frozenset(range(1, 6))
+    assert dst_exact_subset(g, 0, t, t, 20) == frozenset()
+    monkeypatch.setattr(steiner, "MAX_SUBSET_DP_CELLS", 32 * 20 - 1)
+    with pytest.raises(SizeCapError, match="table cells"):
+        dst_exact_subset(g, 0, t, t, 20)
+    # a DP with no sources needs no table, even past the cap's n
+    monkeypatch.setattr(steiner, "MAX_SUBSET_DP_CELLS", 19)
+    assert dst_exact_subset(g, 0, t, (), 20) == frozenset()
+
+
 @given(dst_instances(max_n=16), st.data())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_preprocess_contract_with_dead_matches_removal(inst, data):
@@ -335,6 +413,130 @@ def test_subset_dp_cap():
 
 # ---------------------------------------------------------------------------
 # FPT solver
+
+
+def _dst_fpt_reference(inst, max_sources=16):
+    """``dst_fpt`` as it stood with a full peel and a scan over every alive
+    vertex for the high-degree set, its leaves solved by the reference DP."""
+    reduced, mapping, s = preprocess_contract(inst)
+    g = reduced.graph
+    root = reduced.root
+    terminals = reduced.terminals
+    dgen, _, _ = degeneracy(g)
+    d = 2 * dgen
+    inverse = {new: old for old, new in enumerate(mapping) if old not in inst.terminals}
+    everything = frozenset(range(g.n))
+    leaves = {}
+
+    def solve_leaf(alive, absorbed, k_rem):
+        key = (alive, absorbed)
+        if key not in leaves:
+            inner = DstInstance(g, root, terminals | absorbed, inst.budget)
+            inner2, inner_map, _ = preprocess_contract(inner, everything - alive)
+            t0 = source_terminals(inner2.graph, inner2.terminals)
+            assert len(t0) <= max_sources
+            sol = _dst_exact_subset_reference(
+                inner2.graph, inner2.root, inner2.terminals, t0,
+                min(inst.budget, inner2.graph.n))
+            if sol is not None:
+                inner_inverse = {new: old for old, new in enumerate(inner_map)
+                                 if old not in inner.terminals}
+                sol = frozenset(inner_inverse[v] for v in sol)
+            leaves[key] = sol
+        sol = leaves[key]
+        return sol if sol is not None and len(sol) <= k_rem else None
+
+    counter = [0]
+
+    def rec(alive, absorbed, k_rem):
+        counter[0] += 1
+        t_all = terminals | absorbed
+        sources = frozenset(
+            t for t in t_all
+            if not any(u in t_all for u in g.in_neighbors(t) if u in alive)
+        )
+        dominated = set()
+        for x in sorted(absorbed | {root}):
+            dominated.update(w for w in g.out_neighbors(x) if w in alive)
+        t_bar = frozenset(t for t in sources if t not in dominated)
+        if k_rem == 0 and t_bar:
+            return None
+        nonterms = [v for v in sorted(alive) if v not in t_all and v != root]
+        s_high = frozenset(
+            v for v in nonterms
+            if sum(1 for t in g.out_neighbors(v) if t in t_bar) > d
+        )
+        t_high = frozenset(t for t in t_bar if any(u in s_high for u in g.in_neighbors(t)))
+        if len(t_bar - t_high) > d * k_rem:
+            return None
+        if not s_high:
+            extra = solve_leaf(alive, absorbed, k_rem)
+            return None if extra is None else absorbed | extra
+        v = min(t_high, key=lambda t: (sum(1 for u in g.in_neighbors(t) if u in s_high), t))
+        dominators = sorted(u for u in g.in_neighbors(v) if u in s_high)
+        if k_rem >= 1:
+            for cand in dominators:
+                found = rec(alive, absorbed | {cand}, k_rem - 1)
+                if found is not None:
+                    return found
+        return rec(alive - frozenset(dominators), absorbed, k_rem)
+
+    nodes_per_budget = []
+    solution = None
+    for budget in range(inst.budget + 1):
+        counter[0] = 0
+        found = rec(frozenset(range(g.n)), frozenset(), budget)
+        nodes_per_budget.append(counter[0])
+        if found is not None:
+            solution = frozenset(inverse[v] for v in found)
+            break
+    return solution, d, s, tuple(nodes_per_budget)
+
+
+@st.composite
+def hub_instances(draw):
+    """Small hosts where some non-terminals reach many terminals, so that
+    the branching, not only the leaf DP, has work to do."""
+    n = draw(st.integers(4, 16))
+    root = 0
+    hubs = draw(st.integers(1, min(3, n - 2)))
+    terminals = list(range(1 + hubs, n))
+    arcs = {(root, h) for h in range(1, 1 + hubs)}
+    for h in range(1, 1 + hubs):
+        arcs |= {(h, t) for t in draw(st.sets(st.sampled_from(terminals)))}
+    arcs |= set(random_digraph(n, draw(st.integers(0, 2 * n)), draw(st.integers(0, 10**6))).arcs())
+    picked = draw(st.sets(st.sampled_from(terminals), min_size=1))
+    return DstInstance(Digraph(n, arcs), root, frozenset(picked), draw(st.integers(0, 4)))
+
+
+@given(st.one_of(dst_instances(), hub_instances()))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_fpt_matches_reference(inst):
+    res = dst_fpt(inst)
+    got = (res.solution, res.degree_threshold, res.scc_diameter, res.nodes_per_budget)
+    assert got == _dst_fpt_reference(inst)
+
+
+@given(dst_instances())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_scss_peels_once(inst):
+    calls = []
+    real = steiner._smallest_last
+
+    def counted(und):
+        calls.append(len(und))
+        return real(und)
+
+    terminals = inst.terminals | {inst.root}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(steiner, "_smallest_last", counted)
+        got = scss_2approx(inst.graph, terminals, inst.budget)
+    assert len(calls) == 1
+    anchor, rest = min(terminals), terminals - {min(terminals)}
+    fwd = _dst_fpt_reference(DstInstance(inst.graph, anchor, rest, inst.budget))[0]
+    bwd = (_dst_fpt_reference(DstInstance(inst.graph.reverse(), anchor, rest, inst.budget))[0]
+           if fwd is not None else None)
+    assert got == (None if bwd is None else fwd | bwd)
 
 
 def test_fpt_budget_zero():
