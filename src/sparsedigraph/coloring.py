@@ -16,9 +16,10 @@ d is the union's max out-degree and c its peel degeneracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .digraph import (Digraph, LinearOrder, _adjacency_masks, _bfs, _bits, _orient,
-                      _smallest_last, out_distances)
+from .digraph import (Digraph, LinearOrder, _adjacency_masks, _bfs, _bits, _mask_reach,
+                      _orient, _smallest_last, out_distances)
 from .errors import InternalInvariantError, SizeCapError, _check_cap
 
 
@@ -68,32 +69,13 @@ def wcol_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
         return 0, LinearOrder([])
     out_mask, in_mask = _adjacency_masks(g)
 
+    @cache
     def reach(u: int, allowed: int) -> int:
         """Vertices != u reachable from u (either direction) within r steps
         using only ``allowed`` vertices."""
-        total = 0
-        for masks in (out_mask, in_mask):
-            seen = 1 << u
-            frontier = seen
-            for _ in range(r):
-                if not frontier:
-                    break
-                nxt = 0
-                for v in _bits(frontier):
-                    nxt |= masks[v]
-                nxt &= allowed & ~seen
-                seen |= nxt
-                frontier = nxt
-            total |= seen
-        return total & ~(1 << u)
-
-    reach_memo: dict[tuple[int, int], int] = {}
-
-    def reach_cached(u: int, allowed: int) -> int:
-        key = (u, allowed)
-        if key not in reach_memo:
-            reach_memo[key] = reach(u, allowed)
-        return reach_memo[key]
+        start = 1 << u
+        both = _mask_reach(out_mask, start, allowed, r) | _mask_reach(in_mask, start, allowed, r)
+        return both & ~start
 
     _, heuristic = _smallest_last([g.underlying_neighbors(v) for v in range(g.n)])
     best = wcol_of_order(g, heuristic, r)
@@ -114,7 +96,7 @@ def wcol_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
             new_max = max(max_placed, final_u)
             if new_max >= best:
                 continue
-            touched = reach_cached(u, unplaced)
+            touched = reach(u, unplaced)
             for w in _bits(touched):
                 counts[w] += 1
             # every still-unplaced count is a lower bound on the final value
@@ -205,16 +187,10 @@ def adm_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
     if n == 0:
         return 0, LinearOrder([])
 
-    memo: dict[tuple[int, int], int] = {}
-
+    @cache
     def adm_val(u: int, smaller_mask: int) -> int:
-        key = (u, smaller_mask)
-        if key not in memo:
-            smaller = frozenset(
-                w for w in range(n) if smaller_mask >> w & 1
-            )
-            memo[key] = _max_disjoint(_adm_candidates(g, u, smaller, r))
-        return memo[key]
+        smaller = frozenset(_bits(smaller_mask))
+        return _max_disjoint(_adm_candidates(g, u, smaller, r))
 
     identity = LinearOrder.identity(n)
     best = max(adm_of_order(g, identity, v, r) for v in range(n))
@@ -295,7 +271,6 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
 
     for t in range(2, r + 1):
         fresh: set = set()
-        checked: set = set()  # pairs already decided for this layer
         for j1 in range(1, t):
             o1 = layers[j1 - 1].out_neighbors
             i1 = layers[j1 - 1].in_neighbors
@@ -313,10 +288,8 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
                             if u == v:
                                 continue
                             key = u * n + v if u < v else v * n + u
-                            if key in checked:
-                                continue
-                            checked.add(key)
-                            if key not in present and (
+                            # a pair's freshness does not depend on who proposed it
+                            if key not in fresh and key not in present and (
                                 du.get(v, far) <= t or dist[v].get(u, far) <= t
                             ):
                                 fresh.add(key)
@@ -381,7 +354,11 @@ def compute_wcol_order(g: Digraph, r: int) -> WcolOrder:
 # low directed tree-depth colorings
 
 
-def low_treedepth_coloring(g: Digraph, p: int, max_radius: int = 32) -> list[int]:
+# largest radius 2^p that low_treedepth_coloring augments to
+MAX_COLORING_RADIUS = 32
+
+
+def low_treedepth_coloring(g: Digraph, p: int) -> list[int]:
     """Greedy coloring along a radius-2^p order.
 
     Any union of i <= p color classes induces a subgraph whose weak
@@ -390,9 +367,9 @@ def low_treedepth_coloring(g: Digraph, p: int, max_radius: int = 32) -> list[int
     if p < 1:
         raise ValueError("class budget must be at least 1")
     radius = 2 ** p
-    if radius > max_radius:
+    if radius > MAX_COLORING_RADIUS:
         raise SizeCapError(
-            f"low_treedepth_coloring: radius 2^{p} exceeds cap {max_radius}"
+            f"low_treedepth_coloring: radius 2^{p} exceeds cap {MAX_COLORING_RADIUS}"
         )
     res = compute_wcol_order(g, radius)
     sets = wreach_all(g, res.order, radius)

@@ -22,8 +22,6 @@ from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import SizeCapError
 
-VertexSet = frozenset  # alias used in signatures; members are ints
-
 
 class Digraph:
     """Immutable digraph stored as sorted out- and in-adjacency tuples.
@@ -233,6 +231,24 @@ def _adjacency_masks(g: Digraph) -> tuple[list[int], list[int]]:
         out_mask[u] |= 1 << v
         in_mask[v] |= 1 << u
     return out_mask, in_mask
+
+
+def _mask_reach(masks: Sequence[int], start: int, allowed: int,
+                steps: Optional[int]) -> int:
+    """Bitmask of the vertices reached from the bitmask ``start`` in at
+    most ``steps`` moves along ``masks`` (no limit when None), entering
+    only vertices of ``allowed``; ``start`` itself is always included,
+    as ``_bfs`` includes its sources."""
+    seen = frontier = start
+    d = 0
+    while frontier and (steps is None or d < steps):
+        d += 1
+        nxt = 0
+        for v in _bits(frontier):
+            nxt |= masks[v]
+        frontier = nxt & allowed & ~seen
+        seen |= frontier
+    return seen
 
 
 def out_ball(g: Digraph, v: int, r: int, within: Optional[frozenset] = None) -> frozenset:

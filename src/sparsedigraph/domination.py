@@ -19,10 +19,11 @@ stitches the result together with shortest paths through v.
 from __future__ import annotations
 
 import heapq
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
 from .digraph import Digraph, _walk_back, in_ball, in_distances, out_distances
-from .errors import InfeasibleError, InternalInvariantError, _check_cap
+from .errors import InfeasibleError, InternalInvariantError, SizeCapError, _check_cap
 from .oracles import verify_dominating, verify_strongly_connected
 
 UNREACHED = None  # distance-vector entry for "further than r"
@@ -155,6 +156,9 @@ def redblue_dominate_approx(g: Digraph, red: Iterable[int], blue: Iterable[int],
 # ---------------------------------------------------------------------------
 # strongly connected distance-r dominating sets
 
+# largest all-pairs distance table, n^2 cells, that scds_approx builds
+MAX_SCDS_TABLE_CELLS = 1 << 22
+
 
 def scds_approx(g: Digraph, r: int, stats_out: Optional[dict] = None) -> frozenset:
     """Strongly connected set dominating every vertex within distance r.
@@ -163,7 +167,9 @@ def scds_approx(g: Digraph, r: int, stats_out: Optional[dict] = None) -> frozens
     validated answer at the first feasible radius is returned.  When a
     dict is passed as ``stats_out`` it receives that radius as
     ``k_guess`` and the center as ``center`` (both None on the empty
-    graph).
+    graph).  A strongly connected graph whose distance table would have
+    more than ``MAX_SCDS_TABLE_CELLS`` cells raises SizeCapError before
+    the table is built.
     """
     if g.n == 0:
         if stats_out is not None:
@@ -171,9 +177,13 @@ def scds_approx(g: Digraph, r: int, stats_out: Optional[dict] = None) -> frozens
         return frozenset()
     if not verify_strongly_connected(g, range(g.n)):
         raise InfeasibleError("graph is not strongly connected")
+    if g.n * g.n > MAX_SCDS_TABLE_CELLS:
+        raise SizeCapError(f"scds_approx: {g.n}^2 = {g.n * g.n} distance table cells"
+                           f" exceed cap {MAX_SCDS_TABLE_CELLS}")
 
     dist_from = [out_distances(g, v) for v in range(g.n)]
-    rank_from: dict[int, dict[int, int]] = {}  # discovery ranks of the tables walked
+    # discovery ranks of the tables walked
+    rank_from = cache(lambda src: {x: i for i, x in enumerate(dist_from[src])})
 
     best: Optional[frozenset] = None
     best_center = None
@@ -191,9 +201,7 @@ def scds_approx(g: Digraph, r: int, stats_out: Optional[dict] = None) -> frozens
             stitched = set(core) | {center}
             for w in sorted(core):
                 for src, v in ((center, w), (w, center)):
-                    if src not in rank_from:
-                        rank_from[src] = {x: i for i, x in enumerate(dist_from[src])}
-                    stitched.update(_walk_back(g, dist_from[src], rank_from[src], v))
+                    stitched.update(_walk_back(g, dist_from[src], rank_from(src), v))
             result = frozenset(stitched)
             if not verify_dominating(g, result, r):
                 raise InternalInvariantError("stitched dominator lost coverage")

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations, islice
 from typing import Optional
 
-from .digraph import Digraph, _adjacency_masks, _bits, _peel, out_distances
+from .digraph import Digraph, _adjacency_masks, _bits, _mask_reach, _peel, out_distances
 from .errors import _check_cap
 from .instances import crown
 
@@ -55,20 +56,15 @@ def _connected_subsets(g: Digraph) -> list[int]:
     und_mask = [o | i for o, i in zip(*_adjacency_masks(g))]
     result = []
     for mask in range(1, 1 << n):
-        rest = mask
-        start = (rest & -rest).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= und_mask[v] & mask & ~seen
-            seen |= nxt
-            frontier = nxt
-        if seen == mask:
+        if _mask_reach(und_mask, mask & -mask, mask, None) == mask:
             result.append(mask)
     result.sort(key=lambda m: (bin(m).count("1"), m))
     return result
+
+
+def _arcs_between(g: Digraph, src_mask: int, dst_mask: int) -> list[tuple[int, int]]:
+    """Host arcs from the vertices of ``src_mask`` into ``dst_mask``."""
+    return [(a, b) for a in _bits(src_mask) for b in g.out_neighbors(a) if dst_mask >> b & 1]
 
 
 class _BlockInfo:
@@ -164,12 +160,8 @@ def is_depth_r_minor(h: Digraph, g: Digraph, r: int,
     subsets = _connected_subsets(g)
     max_block = g.n - (h.n - 1)
     subsets = [m for m in subsets if bin(m).count("1") <= max_block]
-    info_cache: dict[int, _BlockInfo] = {}
-
-    def info(mask: int) -> _BlockInfo:
-        if mask not in info_cache:
-            info_cache[mask] = _BlockInfo(g, mask, r)
-        return info_cache[mask]
+    info = cache(partial(_BlockInfo, g, r=r))
+    arcs_between = cache(partial(_arcs_between, g))
 
     # place high-degree pattern vertices first: they prune hardest
     h_order = sorted(
@@ -177,14 +169,6 @@ def is_depth_r_minor(h: Digraph, g: Digraph, r: int,
         key=lambda v: (-(len(h.out_neighbors(v)) + len(h.in_neighbors(v))), v),
     )
     assign: dict[int, int] = {}
-
-    def arcs_between(src_mask: int, dst_mask: int) -> list[tuple[int, int]]:
-        return [
-            (a, b)
-            for a in _bits(src_mask)
-            for b in g.out_neighbors(a)
-            if dst_mask >> b & 1
-        ]
 
     def try_images() -> Optional[DirectedModel]:
         harcs = h.arcs()
@@ -250,17 +234,10 @@ def is_depth_r_minor(h: Digraph, g: Digraph, r: int,
             if mask & used:
                 continue
             assign[v] = mask
-            ok = True
-            for u in h.out_neighbors(v):
-                if u in assign and not arcs_between(mask, assign[u]):
-                    ok = False
-                    break
-            if ok:
-                for u in h.in_neighbors(v):
-                    if u in assign and not arcs_between(assign[u], mask):
-                        ok = False
-                        break
-            if ok:
+            # every pattern arc to an already placed neighbour needs a host arc
+            links = [(mask, assign[u]) for u in h.out_neighbors(v) if u in assign]
+            links += [(assign[u], mask) for u in h.in_neighbors(v) if u in assign]
+            if all(arcs_between(a, b) for a, b in links):
                 found = place(i + 1, used | mask)
                 if found is not None:
                     return found
@@ -335,22 +312,8 @@ def grad(g: Digraph, r: int, max_n: int = 8) -> Fraction:
     for mask in subsets:
         by_leader[(mask & -mask).bit_length() - 1].append(mask)
 
-    info_cache: dict[int, _BlockInfo] = {}
-
-    def info(mask: int) -> _BlockInfo:
-        if mask not in info_cache:
-            info_cache[mask] = _BlockInfo(g, mask, r)
-        return info_cache[mask]
-
-    arcs_between_cache: dict[tuple[int, int], list] = {}
-
-    def arcs_between(ma: int, mb: int):
-        key = (ma, mb)
-        if key not in arcs_between_cache:
-            arcs_between_cache[key] = [
-                (a, b) for a in _bits(ma) for b in g.out_neighbors(a) if mb >> b & 1
-            ]
-        return arcs_between_cache[key]
+    info = cache(partial(_BlockInfo, g, r=r))
+    arcs_between = cache(partial(_arcs_between, g))
 
     best = Fraction(0)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from struct import Struct
 from typing import Optional
 
@@ -76,12 +77,13 @@ def source_terminals(g: Digraph, terminals) -> frozenset:
 # ---------------------------------------------------------------------------
 # exact subset DP
 
-# largest subset DP table, 2^k * n cells, that dst_exact_subset allocates
+# most source terminals, k, and largest subset DP table, 2^k * n cells,
+# that dst_exact_subset accepts
+MAX_SUBSET_SOURCES = 16
 MAX_SUBSET_DP_CELLS = 1 << 24
 
 
-def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int,
-                     max_sources: int = 16) -> Optional[frozenset]:
+def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> Optional[frozenset]:
     """Minimum set of non-terminals connecting the root to every source.
 
     A Dreyfus-Wagner subset DP over the k sources with all terminals free:
@@ -90,7 +92,7 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int,
     in-arcs with a heap.  The table, and so the returned set, does not
     depend on the budget; only the final test against it does.  Returns
     None when the minimum exceeds the budget or no tree exists.  More
-    than ``max_sources`` sources, or a table of more than
+    than ``MAX_SUBSET_SOURCES`` sources, or a table of more than
     ``MAX_SUBSET_DP_CELLS`` cells, raise SizeCapError before anything is
     allocated.
 
@@ -126,9 +128,9 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int,
         raise ValueError("sources must be terminals")
     if root in terminals:
         raise ValueError("root cannot be a terminal")
-    if len(sources) > max_sources:
+    if len(sources) > MAX_SUBSET_SOURCES:
         raise SizeCapError(
-            f"dst_exact_subset: {len(sources)} sources exceed cap {max_sources}"
+            f"dst_exact_subset: {len(sources)} sources exceed cap {MAX_SUBSET_SOURCES}"
         )
     if budget < 0:
         return None
@@ -254,8 +256,7 @@ class DstFptResult:
     nodes_per_budget: tuple[int, ...]
 
 
-def dst_fpt(inst: DstInstance, max_sources: int = 16, *,
-            _degeneracy: Optional[int] = None) -> DstFptResult:
+def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptResult:
     """Solve DST, minimizing the solution size within the budget.
 
     Budgets are tried in increasing order, so a returned solution has
@@ -282,34 +283,27 @@ def dst_fpt(inst: DstInstance, max_sources: int = 16, *,
             inverse[new] = old
 
     everything = frozenset(range(g.n))
-    leaves: dict[tuple[frozenset, frozenset], Optional[frozenset]] = {}
 
-    def solve_leaf(alive: frozenset, absorbed: frozenset, k_rem: int) -> Optional[frozenset]:
-        """Optimal completion of a leaf, within ``k_rem``, or None.
+    @cache
+    def leaf_optimum(alive: frozenset, absorbed: frozenset) -> Optional[frozenset]:
+        """Optimal completion of a leaf within the largest budget, or None.
 
         The DP runs once per ``(alive, absorbed)`` leaf, at the largest
         budget, on one contracted graph with the dead vertices' arcs
-        dropped.  Its set has the size of the leaf's optimum, so later
-        budgets reaching the same leaf only compare that size.
+        dropped.  Its set has the size of the leaf's optimum, so every
+        budget reaching the leaf only compares that size.
         """
-        key = (alive, absorbed)
-        if key not in leaves:
-            inner = DstInstance(g, root, terminals | absorbed, inst.budget)
-            inner2, inner_map, _ = preprocess_contract(inner, everything - alive)
-            t0 = source_terminals(inner2.graph, inner2.terminals)
-            sol = dst_exact_subset(
-                inner2.graph, inner2.root, inner2.terminals, t0, inst.budget,
-                max_sources,
-            )
-            if sol is not None:
-                inner_inverse = {
-                    new: old for old, new in enumerate(inner_map)
-                    if old not in inner.terminals
-                }
-                sol = frozenset(inner_inverse[v] for v in sol)
-            leaves[key] = sol
-        sol = leaves[key]
-        return sol if sol is not None and len(sol) <= k_rem else None
+        inner = DstInstance(g, root, terminals | absorbed, inst.budget)
+        inner2, inner_map, _ = preprocess_contract(inner, everything - alive)
+        t0 = source_terminals(inner2.graph, inner2.terminals)
+        sol = dst_exact_subset(inner2.graph, inner2.root, inner2.terminals, t0, inst.budget)
+        if sol is None:
+            return None
+        inner_inverse = {
+            new: old for old, new in enumerate(inner_map)
+            if old not in inner.terminals
+        }
+        return frozenset(inner_inverse[v] for v in sol)
 
     counter = [0]
 
@@ -340,8 +334,8 @@ def dst_fpt(inst: DstInstance, max_sources: int = 16, *,
         if len(t_low) > d * k_rem:
             return None
         if not s_high:
-            extra = solve_leaf(alive, absorbed, k_rem)
-            if extra is None:
+            extra = leaf_optimum(alive, absorbed)
+            if extra is None or len(extra) > k_rem:
                 return None
             return absorbed | extra
         v = min(
@@ -383,8 +377,7 @@ def dst_fpt(inst: DstInstance, max_sources: int = 16, *,
 # strongly connected Steiner subgraph
 
 
-def scss_2approx(g: Digraph, terminals, budget: int,
-                 max_sources: int = 16) -> Optional[frozenset]:
+def scss_2approx(g: Digraph, terminals, budget: int) -> Optional[frozenset]:
     """Factor-2 approximation for the strongly connected Steiner subgraph.
 
     Solves two Steiner instances, one on g and one on its reverse, both
@@ -402,10 +395,10 @@ def scss_2approx(g: Digraph, terminals, budget: int,
         raise ValueError("at least one terminal is required")
     anchor = min(term)
     rest = term - {anchor}
-    fwd = dst_fpt(DstInstance(g, anchor, rest, budget), max_sources=max_sources)
+    fwd = dst_fpt(DstInstance(g, anchor, rest, budget))
     if fwd.solution is None:
         return None
-    bwd = dst_fpt(DstInstance(g.reverse(), anchor, rest, budget), max_sources=max_sources,
+    bwd = dst_fpt(DstInstance(g.reverse(), anchor, rest, budget),
                   _degeneracy=fwd.degree_threshold // 2)
     if bwd.solution is None:
         return None

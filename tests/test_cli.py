@@ -183,6 +183,17 @@ def test_domset_scds_infeasible(tmp_path, capsys):
     assert "infeasible" in err
 
 
+def test_domset_scds_table_past_cap_exits_size_cap(tmp_path, capsys, monkeypatch):
+    from sparsedigraph import domination
+
+    path = write_graph(tmp_path, Digraph(3, [(0, 1), (1, 2), (2, 0)]))
+    monkeypatch.setattr(domination, "MAX_SCDS_TABLE_CELLS", 8)  # n = 3: 9 cells
+    code, out, err = run(capsys, "domset", path, "--radius", "1", "--scds")
+    assert code == 3
+    assert out == ""
+    assert "exceed cap 8" in err
+
+
 def test_kernel_roundtrip(tmp_path, capsys):
     g = random_digraph(9, 20, 2)
     path = write_graph(tmp_path, g)

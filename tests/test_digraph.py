@@ -21,7 +21,8 @@ from sparsedigraph import (
     random_digraph,
     scc,
 )
-from sparsedigraph.digraph import _bfs, _smallest_last, induced_subgraph, remove_vertices, shortest_path
+from sparsedigraph.digraph import (_adjacency_masks, _bfs, _mask_reach, _smallest_last,
+                                   induced_subgraph, remove_vertices, shortest_path)
 from sparsedigraph.oracles import verify_strongly_connected
 
 
@@ -406,6 +407,29 @@ def test_bfs_matches_networkx(g, data):
     del ref[-1]
     assert dist == {v: d - 1 for v, d in ref.items()}
     assert list(dist.values()) == sorted(dist.values())  # discovery order
+
+
+@given(digraphs(max_n=12), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_mask_reach_matches_bfs(g, data):
+    """The bitmask reach of the exact searches against ``_bfs`` from the
+    same start set, with ``steps`` as the cap and ``allowed`` as
+    ``within``, along the out- and the in-masks."""
+    if g.n == 0:
+        return
+    vertex_sets = st.frozensets(st.integers(0, g.n - 1))
+    start = data.draw(vertex_sets)
+    allowed = data.draw(vertex_sets)
+    steps = data.draw(st.none() | st.integers(0, 3))
+    reverse = data.draw(st.booleans())
+
+    def mask(vertices):
+        return sum(1 << v for v in vertices)
+
+    reached = _mask_reach(_adjacency_masks(g)[reverse], mask(start), mask(allowed), steps)
+    dist = _bfs(g.in_neighbors if reverse else g.out_neighbors, sorted(start), steps,
+                within=allowed)
+    assert reached == mask(dist)
 
 
 def early_exit_shortest_path(g, u, v, within=None):

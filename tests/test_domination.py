@@ -421,6 +421,21 @@ def test_scds_requires_strong_connectivity():
         scds_approx(directed_path(4), 1)
 
 
+def test_scds_distance_table_cap(monkeypatch):
+    from sparsedigraph import domination
+
+    cycle = Digraph(6, [(i, (i + 1) % 6) for i in range(6)])
+    monkeypatch.setattr(domination, "MAX_SCDS_TABLE_CELLS", 35)  # n = 6: 36 cells
+    # the cap is checked before any table is built
+    monkeypatch.setattr(domination, "out_distances", None)
+    with pytest.raises(SizeCapError, match="36 distance table cells exceed cap 35"):
+        scds_approx(cycle, 1)
+    # the empty graph and a graph that is not strongly connected keep their answers
+    assert scds_approx(Digraph(0), 1) == frozenset()
+    with pytest.raises(InfeasibleError):
+        scds_approx(directed_path(7), 1)
+
+
 def test_scds_random_strong_instances():
     found = 0
     seed = 0

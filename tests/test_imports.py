@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and
-every module-level private function is used somewhere in the package."""
+"""Every module-level import in the package is used by its module, every
+module-level private function is used somewhere in the package, and every
+module-level ``MAX_*`` size cap is named in the README."""
 import ast
 from pathlib import Path
 
@@ -60,3 +61,32 @@ def test_dead_private_helper_is_caught():
         "c": "import a\ndef __getattr__(name):\n    return a._used\n",
     }
     assert dead_private_helpers(sources) == ["a._dead"]
+
+
+def undocumented_caps(sources: dict[str, str], readme: str) -> list[str]:
+    """``module.NAME`` of each module-level ``MAX_*`` constant that the
+    README does not name in that form."""
+    caps = []
+    for mod, src in sources.items():
+        for node in ast.parse(src).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            caps += [f"{mod}.{t.id}" for t in targets
+                     if isinstance(t, ast.Name) and t.id.startswith("MAX_")]
+    return [name for name in caps if name not in readme]
+
+
+def test_size_caps_are_documented():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    assert undocumented_caps(sources, readme) == []
+
+
+def test_undocumented_cap_is_caught():
+    sources = {"a": "MAX_SHOWN = 1\nMAX_HIDDEN: int = 2\nOTHER = 3\n",
+               "b": "def f():\n    MAX_LOCAL = 4\n"}
+    assert undocumented_caps(sources, "`a.MAX_SHOWN` caps it") == ["a.MAX_HIDDEN"]
