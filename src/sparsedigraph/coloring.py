@@ -256,6 +256,12 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     not already augmented.  Each layer's pairs go as undirected lists
     through ``_orient`` into the out-lists of its ``Digraph``, whose
     adjacency later layers and the union peel in ``order_from_augmentation`` read.
+
+    Once layers a .. 2a - 1 are all empty, so is every later one: each
+    split j1 + j2 = t >= 2a has its larger part in a .. t - 1, empty by
+    induction.  The loop stops there and pads ``graphs`` to depth r with
+    one shared empty ``Digraph``, so large radii cost no more than the
+    depth the closure actually reaches.
     """
     if r < 1:
         raise ValueError("augmentation depth must be at least 1")
@@ -269,7 +275,10 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     # unordered pairs {u, v} are kept as the int min(u, v) * n + max(u, v)
     present = {u * n + v if u < v else v * n + u for u, v in layers[0].arcs()}
 
+    empty_from = 2 if layers[0].m else 1  # the trailing run of empty layers starts here
     for t in range(2, r + 1):
+        if t >= 2 * empty_from:
+            break
         fresh: set = set()
         for j1 in range(1, t):
             o1 = layers[j1 - 1].out_neighbors
@@ -301,7 +310,12 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
             und[v].append(u)
         layers.append(Digraph.__new__(Digraph)._fill(n, _orient(und)[2]))
         present |= fresh
+        if fresh:
+            empty_from = t + 1
 
+    if len(layers) < r:
+        empty = Digraph.__new__(Digraph)._fill(n, [()] * n)
+        layers += [empty] * (r - len(layers))
     return Augmentation(n=n, depth=r, graphs=tuple(layers))
 
 
@@ -323,11 +337,12 @@ class WcolOrder:
 
 def order_from_augmentation(g: Digraph, aug: Augmentation) -> WcolOrder:
     """Greedy order of the augmentation union graph with its bound; the
-    union is peeled from the layers' adjacency, never built as a graph."""
+    union is peeled from the adjacency of the layers that have arcs, never
+    built as a graph."""
     if aug.n != g.n:
         raise ValueError("augmentation does not fit the graph")
     # a hand-built augmentation may repeat an arc in two layers or join a pair both ways
-    hs = aug.graphs
+    hs = [h for h in aug.graphs if h.m]
     heads = [{v for h in hs for v in h.out_neighbors(u)} for u in range(g.n)]
     d = max(map(len, heads), default=0)
     c, order = _smallest_last(
@@ -340,9 +355,9 @@ def compute_wcol_order(g: Digraph, r: int) -> WcolOrder:
 
     The result is kept on the (immutable) graph, so repeated calls with
     the same graph object and radius return the same ``WcolOrder`` in
-    O(1); the first call costs the augmentation plus an O((n + m') log n)
-    peel of its union (m' its arcs).  The computation is deterministic,
-    so the memo changes no output.
+    O(1); the first call costs the augmentation plus the bucket-queue
+    peel of its union, O(n + m' log n) for m' union arcs.  The
+    computation is deterministic, so the memo changes no output.
     """
     key = ("wcol_order", r)
     if key not in g._derived:

@@ -16,8 +16,8 @@ The plain-text exchange format is::
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import SizeCapError
@@ -445,32 +445,58 @@ def remove_vertices(g: Digraph, removed: Iterable[int]) -> Digraph:
 # degeneracy
 
 
-def _peel(neighbors: Sequence[Collection[int]]) -> Iterator[tuple[int, int]]:
-    """Min-degree peel: yield each removed vertex with its degree at removal.
+def _peel_lists(neighbors: Sequence[Collection[int]]) -> tuple[list[int], list[int]]:
+    """Min-degree peel: the removed vertices in removal order, and the
+    degree each had at its removal.
 
     ``neighbors[v]`` lists v's neighbors, repeats counting with
-    multiplicity.  Each step removes the live vertex of smallest current
-    degree, ties broken towards the smallest index.  A lazy min-heap holds
-    one key ``degree * n + vertex`` per degree a vertex has had (plain ints
-    compare faster than tuples).  Degrees only fall, so a vertex's newest
-    key is its smallest and pops first; later pops of its stale keys find
-    it removed and are skipped.  Costs O((n + m) log n).
+    multiplicity, and v appears in ``neighbors[u]`` as often as u in
+    ``neighbors[v]``.  Each step removes the live vertex of smallest
+    current degree, ties broken towards the smallest index.  A bucket
+    queue (Matula and Beck 1983) holds one min-heap of vertex ids per
+    degree; a vertex enters the bucket of every degree it takes, and
+    entries whose vertex has since moved lower or been removed (degree
+    set to -1) are skipped when popped.  ``low`` never exceeds the
+    smallest live degree: it rises one empty bucket at a time and falls
+    only to a degree a removal produced, so it moves O(n + m) times, and
+    the heaps make the peel O(n + m log n).  Two flat lists, not n
+    pairs, keep the allocations few.
     """
     n = len(neighbors)
     deg = [len(a) for a in neighbors]
-    alive = [True] * n
-    heap = [d * n + v for v, d in enumerate(deg)]
-    heapq.heapify(heap)
-    while heap:
-        d, v = divmod(heapq.heappop(heap), n)
-        if not alive[v]:
-            continue
-        alive[v] = False
-        yield v, d
+    # filled in ascending v, every bucket starts as a valid heap
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, d in enumerate(deg):
+        buckets[d].append(v)
+    removed: list[int] = []
+    degrees: list[int] = []
+    low = 0
+    for _ in range(n):
+        bucket = buckets[low]
+        while True:
+            while not bucket:
+                low += 1
+                bucket = buckets[low]
+            v = heappop(bucket)
+            if deg[v] == low:
+                break
+        removed.append(v)
+        degrees.append(low)
+        deg[v] = -1
         for u in neighbors[v]:
-            if alive[u]:
-                deg[u] -= 1
-                heapq.heappush(heap, deg[u] * n + u)
+            d = deg[u]
+            if d > 0:
+                d -= 1
+                deg[u] = d
+                heappush(buckets[d], u)
+                if d < low:
+                    low = d
+    return removed, degrees
+
+
+def _peel(neighbors: Sequence[Collection[int]]) -> list[tuple[int, int]]:
+    """``_peel_lists`` as (vertex, degree at removal) pairs, in removal order."""
+    return list(zip(*_peel_lists(neighbors)))
 
 
 def _smallest_last(und: Sequence[Collection[int]]) -> tuple[int, LinearOrder]:
@@ -478,15 +504,11 @@ def _smallest_last(und: Sequence[Collection[int]]) -> tuple[int, LinearOrder]:
     whose vertex v has the neighbors ``und[v]``, each listed once.
 
     Returns ``(d, order)``: d is the largest degree at removal in
-    ``_peel``, and every vertex has at most d neighbors earlier in
-    ``order`` (the peel reversed).  Costs O((n + m) log n).
+    ``_peel_lists``, and every vertex has at most d neighbors earlier in
+    ``order`` (the peel reversed).  Costs the peel's O(n + m log n).
     """
-    d = 0
-    peel: list[int] = []
-    for v, deg_v in _peel(und):
-        d = max(d, deg_v)
-        peel.append(v)
-    return d, LinearOrder(peel[::-1])
+    removed, degrees = _peel_lists(und)
+    return max(degrees, default=0), LinearOrder(removed[::-1])
 
 
 def _orient(und: Sequence[Collection[int]]) -> tuple[int, LinearOrder, list[list[int]]]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Optional
 
 from .digraph import Digraph, _adjacency_masks, _bits, _mask_reach, _peel, out_distances
@@ -262,14 +262,14 @@ def grad_lower_bound(g: Digraph) -> Fraction:
 
     The peel runs on out+in degree, so an antiparallel pair counts twice;
     removing a vertex drops exactly its degree's worth of arcs.  Costs
-    O((n + m) log n).
+    the bucket-queue peel's O(n + m log n).
     """
     if g.n == 0:
         return Fraction(0)
     arcs = best_arcs = g.m
     alive = best_alive = g.n
     peel = _peel([g.out_neighbors(v) + g.in_neighbors(v) for v in range(g.n)])
-    for _, deg_v in islice(peel, g.n - 1):
+    for _, deg_v in peel[:-1]:
         arcs -= deg_v
         alive -= 1
         if arcs * best_alive > best_arcs * alive:

@@ -15,10 +15,10 @@ reachability checks on the caller's graph.
 """
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from heapq import heappop, heappush
 from struct import Struct
 from typing import Optional
 
@@ -89,12 +89,12 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
     A Dreyfus-Wagner subset DP over the k sources with all terminals free:
     dp[mask][v] is the cheapest tree at v reaching the sources in mask.
     Each mask merges two halves at every vertex, then relaxes along
-    in-arcs with a heap.  The table, and so the returned set, does not
-    depend on the budget; only the final test against it does.  Returns
-    None when the minimum exceeds the budget or no tree exists.  More
-    than ``MAX_SUBSET_SOURCES`` sources, or a table of more than
-    ``MAX_SUBSET_DP_CELLS`` cells, raise SizeCapError before anything is
-    allocated.
+    in-arcs in a shortest-path search.  The table, and so the returned
+    set, does not depend on the budget; only the final test against it
+    does.  Returns None when the minimum exceeds the budget or no tree
+    exists.  More than ``MAX_SUBSET_SOURCES`` sources, or a table of more
+    than ``MAX_SUBSET_DP_CELLS`` cells, raise SizeCapError before
+    anything is allocated.
 
     Each row dp[mask] is one int with a 32-bit lane per vertex: lane v
     is bits 32v to 32v + 31.  A split is merged into the row for all
@@ -106,18 +106,27 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
     cand <= 2 * INF; with k >= 1 the cap keeps n <= MAX_SUBSET_DP_CELLS
     / 2, so both stay below 2^31 and no subtraction borrows across
     lanes.  The merge costs O(3^k) operations on n-lane ints, O(3^k * n)
-    word steps with a small constant; the heap runs on the row unpacked
-    into a list, with keys dist * n + v, in O(2^k * (n + m log n)).
+    word steps with a small constant.
+
+    The relaxation runs on the row unpacked into a list.  Vertex costs
+    are 0 or 1, so its queue is Dial's (1969): a dict from distance to a
+    min-heap of vertex ids.  Relaxing out of a free vertex pushes into
+    the bucket being drained, out of a non-terminal into the next one.
+    A heap of the distances that hold a bucket jumps over the ones no
+    lane holds: a merged row may have gaps between its finite values,
+    as many as it has lanes.  Vertices leave in (dist, v) order, the
+    order of one heap keyed by both, so the tie-break does not depend on
+    the queue; a mask costs O(n + m log n) for the heaps.
 
     Bypass arcs from each source to the first non-terminals along
     terminal-internal paths are laid over the in-lists of their heads
     (no second graph).  They never lower a cost, since terminals are
-    free, but they change which of several equal-cost trees the heap
+    free, but they change which of several equal-cost trees the search
     finds first, and the tie-break fixes the output, so they stay.
 
-    Only the heap relaxations record parents, packed like the rows, with
-    n in the lanes no relaxation reached: with free terminals the
-    heap's pop order cannot be replayed from the table.  The walk back
+    Only the relaxations record parents, packed like the rows, with n in
+    the lanes no relaxation reached: with free terminals the search's
+    pop order cannot be replayed from the table.  The walk back
     takes, at a state without one that is not a source's base case, the
     first split in enumeration order whose halves sum to the state's
     value: the one a strict-improvement loop would have kept.
@@ -179,7 +188,7 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
             source = src[mask.bit_length() - 1]
             row = [INF] * n
             row[source] = 0
-            heap = [source]  # key 0 * n + source
+            buckets = {0: [source]}
         else:
             acc = all_inf
             sub = (mask - 1) & mask
@@ -189,19 +198,40 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
                 acc ^= (acc ^ cand) & (t - (t >> 31))
                 sub = (sub - 1) & mask
             row = unpack(acc)
-            heap = [d * n + v for v, d in enumerate(row) if d < INF]
-            heapq.heapify(heap)
+            # filled in ascending v, every bucket starts as a valid heap
+            buckets = {}
+            for v, d in enumerate(row):
+                if d < INF:
+                    if d in buckets:
+                        buckets[d].append(v)
+                    else:
+                        buckets[d] = [v]
         parent = [n] * n
-        while heap:
-            dist, x = divmod(heapq.heappop(heap), n)
-            if dist > row[x]:
-                continue
-            step = dist + cost[x]
-            for w in in_nb[x]:
-                if step < row[w]:
-                    row[w] = step
-                    parent[w] = x
-                    heapq.heappush(heap, step * n + w)
+        levels = sorted(buckets)  # the distances that hold a bucket, as a heap
+        while levels:
+            dist = heappop(levels)
+            here = buckets.pop(dist)
+            later = None
+            while here:
+                x = heappop(here)
+                if dist > row[x]:
+                    continue
+                if cost[x]:
+                    step = dist + 1
+                    if later is None:
+                        later = buckets.get(step)
+                        if later is None:
+                            later = buckets[step] = []
+                            heappush(levels, step)
+                    into = later
+                else:
+                    step = dist
+                    into = here
+                for w in in_nb[x]:
+                    if step < row[w]:
+                        row[w] = step
+                        parent[w] = x
+                        heappush(into, w)
         dp[mask] = pack(row)
         step_parent[mask] = pack(parent)
 
@@ -261,7 +291,8 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
 
     Budgets are tried in increasing order, so a returned solution has
     globally minimum cardinality.  Each run's recursion-node count is
-    checked against (d+1)^(budget*(d+1)).
+    checked against (d+1)^(budget*(d+1)) at every node, so a run past the
+    bound stops there.
 
     The high-degree threshold d is twice the degeneracy of the contracted
     host's underlying graph, computable at any size.  ``_degeneracy``
@@ -306,60 +337,66 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
         return frozenset(inner_inverse[v] for v in sol)
 
     counter = [0]
+    limit = [0]
 
     def rec(alive: frozenset, absorbed: frozenset, k_rem: int) -> Optional[frozenset]:
-        counter[0] += 1
-        t_all = terminals | absorbed
-        sources = frozenset(
-            t for t in t_all
-            if not any(u in t_all for u in g.in_neighbors(t) if u in alive)
-        )
-        dominated = set()
-        for x in sorted(absorbed | {root}):
-            dominated.update(w for w in g.out_neighbors(x) if w in alive)
-        t_bar = frozenset(t for t in sources if t not in dominated)
-        if k_rem == 0 and t_bar:
-            return None  # every undominated source needs a fresh non-terminal
-        # how many sources in t_bar each alive non-terminal dominates
-        dominates = Counter(
-            u for t in t_bar for u in g.in_neighbors(t)
-            if u in alive and u not in t_all and u != root
-        )
-        s_high = frozenset(u for u, count in dominates.items() if count > d)
-        t_high = frozenset(
-            t for t in t_bar
-            if any(u in s_high for u in g.in_neighbors(t))
-        )
-        t_low = t_bar - t_high
-        if len(t_low) > d * k_rem:
-            return None
-        if not s_high:
-            extra = leaf_optimum(alive, absorbed)
-            if extra is None or len(extra) > k_rem:
+        """Search one node and, in a loop, its chain of deletion branches:
+        each pass of the loop is one counted node, and the recursion goes
+        only through absorptions, so its depth is at most k_rem + 1."""
+        while True:
+            counter[0] += 1
+            if counter[0] > limit[0]:
+                raise InternalInvariantError(
+                    f"recursion grew past (d+1)^(k(d+1)) at budget {budget}"
+                )
+            t_all = terminals | absorbed
+            sources = frozenset(
+                t for t in t_all
+                if not any(u in t_all for u in g.in_neighbors(t) if u in alive)
+            )
+            dominated = set()
+            for x in sorted(absorbed | {root}):
+                dominated.update(w for w in g.out_neighbors(x) if w in alive)
+            t_bar = frozenset(t for t in sources if t not in dominated)
+            if k_rem == 0 and t_bar:
+                return None  # every undominated source needs a fresh non-terminal
+            # how many sources in t_bar each alive non-terminal dominates
+            dominates = Counter(
+                u for t in t_bar for u in g.in_neighbors(t)
+                if u in alive and u not in t_all and u != root
+            )
+            s_high = frozenset(u for u, count in dominates.items() if count > d)
+            t_high = frozenset(
+                t for t in t_bar
+                if any(u in s_high for u in g.in_neighbors(t))
+            )
+            t_low = t_bar - t_high
+            if len(t_low) > d * k_rem:
                 return None
-            return absorbed | extra
-        v = min(
-            t_high,
-            key=lambda t: (sum(1 for u in g.in_neighbors(t) if u in s_high), t),
-        )
-        dominators = sorted(u for u in g.in_neighbors(v) if u in s_high)
-        if k_rem >= 1:
-            for cand in dominators:
-                found = rec(alive, absorbed | {cand}, k_rem - 1)
-                if found is not None:
-                    return found
-        return rec(alive - frozenset(dominators), absorbed, k_rem)
+            if not s_high:
+                extra = leaf_optimum(alive, absorbed)
+                if extra is None or len(extra) > k_rem:
+                    return None
+                return absorbed | extra
+            v = min(
+                t_high,
+                key=lambda t: (sum(1 for u in g.in_neighbors(t) if u in s_high), t),
+            )
+            dominators = sorted(u for u in g.in_neighbors(v) if u in s_high)
+            if k_rem >= 1:
+                for cand in dominators:
+                    found = rec(alive, absorbed | {cand}, k_rem - 1)
+                    if found is not None:
+                        return found
+            alive = alive - frozenset(dominators)
 
     nodes_per_budget = []
     solution = None
     for budget in range(inst.budget + 1):
         counter[0] = 0
+        limit[0] = (d + 1) ** (budget * (d + 1))
         found = rec(frozenset(range(g.n)), frozenset(), budget)
         nodes_per_budget.append(counter[0])
-        if counter[0] > (d + 1) ** (budget * (d + 1)):
-            raise InternalInvariantError(
-                f"recursion grew past (d+1)^(k(d+1)) at budget {budget}"
-            )
         if found is not None:
             solution = frozenset(inverse[v] for v in found)
             if not dst_valid(inst.graph, inst.root, inst.terminals, solution):

@@ -60,6 +60,17 @@ def test_wcol_tfa(tmp_path, capsys):
     assert sorted(rep["order"]) == list(range(12))
 
 
+def test_wcol_and_kernel_at_huge_radius_on_a_path(tmp_path, capsys):
+    # the augmentation stops at its closure, so neither job grows with r
+    path = write_graph(tmp_path, directed_path(3))
+    code, out, _ = run(capsys, "wcol", path, "--radius", "100000")
+    assert code == 0
+    assert json_out(out)["valid"] is True
+    code, out, _ = run(capsys, "kernel", path, "--radius", "3000", "--budget", "1")
+    assert code == 0
+    json_out(out)
+
+
 def test_wcol_exact_flag(tmp_path, capsys):
     path = write_graph(tmp_path, directed_path(5))
     code, out, _ = run(capsys, "wcol", path, "--radius", "5", "--exact")

@@ -418,6 +418,55 @@ def test_wcol_order_reads_no_arc_view(monkeypatch):
     assert compute_wcol_order(random_digraph(200, 600, 1), 3) == expected
 
 
+_TINY_GRAPHS = [
+    Digraph(1),
+    Digraph(3, [(0, 1), (1, 2)]),
+    Digraph(4, [(0, 1), (1, 0), (2, 3)]),
+    apex_crown(3),
+]
+
+
+@given(_GRAPHS.filter(lambda g: g.n <= 12), st.integers(4, 24))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_augmentation_past_its_closure_matches_pair_list_reference(g, r):
+    # the reference computes every layer up to r; the augmentation stops
+    # once a run of empty layers proves the rest empty
+    aug = tfa_augment(g, r)
+    ref_layers = _ref_tfa_augment(g, r)
+    assert aug.layers == tuple(ref_layers)
+    res = order_from_augmentation(g, aug)
+    assert (res.order, res.smaller_neighbors, res.max_outdegree) == _ref_order(g.n, ref_layers)
+
+
+@pytest.mark.parametrize("g", _TINY_GRAPHS, ids=["point", "path3", "pair-and-arc", "apex-crown3"])
+def test_large_radius_augmentation_is_a_padded_small_run(g):
+    small, big = tfa_augment(g, 12), tfa_augment(g, 2000)
+    assert big.depth == len(big.graphs) == 2000
+    assert big.graphs[:12] == small.graphs
+    tail = big.graphs[12:]
+    assert all(h.m == 0 and h.n == g.n for h in tail)
+    assert len({id(h) for h in tail}) == 1  # one shared empty layer
+    assert order_from_augmentation(g, big) == order_from_augmentation(g, small)
+
+
+def test_augmentation_builds_no_layer_past_its_closure(monkeypatch):
+    g = random_digraph(30, 60, 4)
+    fills = []
+    real = Digraph._fill
+
+    def counted(self, n, out):
+        fills.append(n)
+        return real(self, n, out)
+
+    monkeypatch.setattr(Digraph, "_fill", counted)
+    counts = []
+    for r in (40, 400, 4000):
+        fills.clear()
+        tfa_augment(g, r)
+        counts.append(len(fills))
+    assert counts[0] == counts[1] == counts[2] < 40
+
+
 def test_order_guarantee_holds():
     cases = [(directed_path(8), 3), (apex_crown(5), 2), (directed_path(16), 4)]
     for seed in range(3):

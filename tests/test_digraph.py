@@ -1,5 +1,7 @@
 """Core digraph representation, balls, SCCs, contraction, degeneracy."""
+import heapq
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from sparsedigraph import (
     random_digraph,
     scc,
 )
-from sparsedigraph.digraph import (_adjacency_masks, _bfs, _mask_reach, _smallest_last,
+from sparsedigraph.digraph import (_adjacency_masks, _bfs, _mask_reach, _peel, _smallest_last,
                                    induced_subgraph, remove_vertices, shortest_path)
 from sparsedigraph.oracles import verify_strongly_connected
 
@@ -371,6 +373,90 @@ def test_peel_large_graphs(build, expected):
     assert max(outdeg) <= d
     # every subgraph has at most 2d arcs per vertex (antiparallel pairs twice)
     assert Fraction(g.m, g.n) <= grad_lower_bound(g) <= 2 * d
+
+
+def _heap_peel_reference(neighbors):
+    """The peel as a lazy global heap with keys ``degree * n + vertex``,
+    as it stood before the bucket queue."""
+    n = len(neighbors)
+    deg = [len(a) for a in neighbors]
+    alive = [True] * n
+    heap = [d * n + v for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    while heap:
+        d, v = divmod(heapq.heappop(heap), n)
+        if not alive[v]:
+            continue
+        alive[v] = False
+        yield v, d
+        for u in neighbors[v]:
+            if alive[u]:
+                deg[u] -= 1
+                heapq.heappush(heap, deg[u] * n + u)
+
+
+def _heap_grad_lower_bound_reference(g):
+    """``grad_lower_bound`` on the heap peel."""
+    if g.n == 0:
+        return Fraction(0)
+    arcs = best_arcs = g.m
+    alive = best_alive = g.n
+    peel = _heap_peel_reference([g.out_neighbors(v) + g.in_neighbors(v) for v in range(g.n)])
+    for _, deg_v in islice(peel, g.n - 1):
+        arcs -= deg_v
+        alive -= 1
+        if arcs * best_alive > best_arcs * alive:
+            best_arcs, best_alive = arcs, alive
+    return Fraction(best_arcs, best_alive)
+
+
+@st.composite
+def multigraph_lists(draw, max_n=30):
+    """Symmetric neighbor lists with repeated edges: a random multigraph,
+    optionally with a hub joined to many vertices (a star) and with
+    isolated vertices left over, so degrees tie often."""
+    n = draw(st.integers(0, max_n))
+    nbrs = [[] for _ in range(n)]
+    if n < 2:
+        return nbrs
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    if draw(st.booleans()):
+        hub = draw(vertex)
+        edges += [(hub, v) for v in draw(st.lists(vertex, max_size=2 * n))]
+    for u, v in edges:
+        if u != v:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    return nbrs
+
+
+@given(multigraph_lists())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_bucket_peel_matches_heap_peel(nbrs):
+    got = _peel(nbrs)
+    assert isinstance(got, list)
+    assert got == list(_heap_peel_reference(nbrs))
+
+
+@pytest.mark.parametrize("nbrs", [
+    [],
+    [[]],
+    [[], [], []],
+    [[1, 2, 3, 4], [0], [0], [0], [0]],  # a star: leaves tie, the hub goes last
+    [[1, 1, 1], [0, 0, 0, 2], [1]],  # a tripled edge counts three times
+    [[1, 2], [0, 2], [0, 1], [4], [3], []],  # a triangle, an edge, an isolated vertex
+], ids=["empty", "single", "isolated", "star", "repeats", "mixed"])
+def test_bucket_peel_small_cases(nbrs):
+    assert _peel(nbrs) == list(_heap_peel_reference(nbrs))
+
+
+@given(st.integers(1, 120), st.integers(0, 6), st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_grad_lower_bound_matches_heap_peel(n, k, seed):
+    # random digraphs have antiparallel pairs, which the out+in lists repeat
+    g = random_digraph(n, min(k * n, n * (n - 1)), seed)
+    assert grad_lower_bound(g) == _heap_grad_lower_bound_reference(g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Steiner solvers against the enumeration oracle."""
 import heapq
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from sparsedigraph import Digraph, DstInstance, apex_crown, directed_path, random_digraph
 from sparsedigraph import steiner
 from sparsedigraph.digraph import _bfs, degeneracy, remove_vertices
-from sparsedigraph.errors import SizeCapError
+from sparsedigraph.errors import InternalInvariantError, SizeCapError
 from sparsedigraph.oracles import (
     dst_exact_enum,
     dst_valid,
@@ -349,6 +351,81 @@ def test_subset_dp_lanes_hold_costs_past_16_bits():
     assert dst_exact_subset(g, 0, t, t, n - 4) is None
 
 
+@st.composite
+def gapped_subset_instances(draw, max_sources=6):
+    """Sources fed by non-terminal chains of mixed lengths, so that merged
+    rows hold finite values with gaps between them, on a spine of
+    terminals t1 -> t2 -> ... whose zero-cost runs are long."""
+    spine = draw(st.integers(1, 12))
+    n = 1 + spine  # root 0, then the terminal spine 1 .. spine
+    arcs = {(t, t + 1) for t in range(1, spine)}
+    for _ in range(draw(st.integers(1, 5))):
+        # a chain of fresh non-terminals from an existing vertex into another
+        start, end = draw(st.integers(0, n - 1)), draw(st.integers(1, n - 1))
+        prev = start
+        for v in range(n, n + draw(st.integers(0, 9))):
+            arcs.add((prev, v))
+            prev = v
+        n = max(n, prev + 1)
+        if prev != end:
+            arcs.add((prev, end))
+    vertex = st.integers(0, n - 1)
+    arcs |= {(u, v) for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=n // 2))
+             if u != v}
+    terminals = frozenset(range(1, spine + 1))
+    k = draw(st.integers(1, min(max_sources, spine)))
+    sources = frozenset(draw(st.permutations(sorted(terminals)))[:k])
+    return Digraph(n, arcs), 0, terminals, sources
+
+
+@given(gapped_subset_instances())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_subset_dp_matches_reference_on_gapped_rows(case):
+    g, root, terminals, sources = case
+    got = dst_exact_subset(g, root, terminals, sources, g.n)
+    assert got == _dst_exact_subset_reference(g, root, terminals, sources, g.n)
+    assert (_root_value(dst_exact_subset, g, root, terminals, sources)
+            == _root_value(_dst_exact_subset_reference, g, root, terminals, sources))
+
+
+@pytest.mark.parametrize("spine", [0, 1, 40])
+def test_subset_dp_merged_row_with_even_values_only(spine):
+    # root 0 -> 1 -> ... -> 30 forks to two sources, which hang off the end
+    # of a terminal spine of length ``spine``: the full row holds only even
+    # values along the path, so every other distance has an empty bucket
+    n = 31
+    arcs = [(v, v + 1) for v in range(30)]
+    terms = []
+    for _ in range(2):
+        chain = list(range(n, n + spine + 1))
+        n += spine + 1
+        arcs += [(30, chain[0])] + list(zip(chain, chain[1:]))
+        terms += chain
+    g = Digraph(n, arcs)
+    t = frozenset(terms)
+    sources = frozenset({terms[spine], terms[-1]})
+    got = dst_exact_subset(g, 0, t, sources, n)
+    assert got == frozenset(range(1, 31))
+    assert got == _dst_exact_subset_reference(g, 0, t, sources, n)
+    assert dst_exact_subset(g, 0, t, sources, 29) is None
+
+
+def test_subset_dp_tie_breaks_match_reference_on_dense_hosts():
+    # on about one dense host in 500, equal-cost trees with different
+    # non-terminals are told apart only by the order in which vertices of
+    # one distance leave the queue (smallest id first)
+    for seed in range(3000):
+        rng = random.Random(seed)
+        n = rng.randint(4, 14)
+        g = random_digraph(n, rng.randint(n, min(3 * n, n * (n - 1))), seed)
+        root = rng.randrange(n)
+        pool = [v for v in range(n) if v != root]
+        terminals = frozenset(rng.sample(pool, rng.randint(1, min(len(pool), 7))))
+        sources = frozenset(rng.sample(sorted(terminals), rng.randint(1, min(4, len(terminals)))))
+        got = dst_exact_subset(g, root, terminals, sources, n)
+        assert got == _dst_exact_subset_reference(g, root, terminals, sources, n), seed
+
+
 def test_subset_dp_table_cap(monkeypatch):
     g = Digraph(20, [(0, v) for v in range(1, 20)])
     t = frozenset(range(1, 6))
@@ -563,6 +640,49 @@ def test_fpt_node_counter_under_bound():
         d = res.degree_threshold
         for budget, nodes in enumerate(res.nodes_per_budget):
             assert nodes <= (d + 1) ** (budget * (d + 1))
+
+
+def _stack_depth():
+    return len(inspect.stack(0))
+
+
+def test_fpt_deletion_chain_does_not_recurse():
+    # hubs 1..L each point at an own source and at 2L shared ones; the
+    # underlying graph has degeneracy L, so d = 2L and every hub
+    # dominates 2L + 1 > d sources.  At budget 1 each deletion branch
+    # strips one hub (the one over the smallest own source), L times in a
+    # row, until the 3L undominated sources exceed d * 1
+    L = 60
+    hubs = range(1, L + 1)
+    own = range(L + 1, 2 * L + 1)
+    shared = range(2 * L + 1, 4 * L + 1)
+    arcs = [(0, h) for h in hubs] + list(zip(hubs, own))
+    arcs += [(h, s) for h in hubs for s in shared]
+    inst = DstInstance(Digraph(4 * L + 1, arcs), 0, frozenset(own) | frozenset(shared), 1)
+    limit = sys.getrecursionlimit()
+    # a chain of L nested calls would not fit
+    sys.setrecursionlimit(_stack_depth() + L // 2)
+    try:
+        res = dst_fpt(inst)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.solution is None
+    assert res.degree_threshold == 2 * L
+    # budget 1: L deletion passes, one failing absorption under each, and
+    # the last pass
+    assert res.nodes_per_budget == (1, 2 * L + 1)
+
+
+def test_fpt_node_bound_stops_the_run_at_once(monkeypatch):
+    # a forced d = 0 allows one node per budget; at budget 1 the child
+    # that absorbs hub 1 is the second node, and the run must stop before
+    # that child solves its leaf
+    calls = []
+    monkeypatch.setattr(steiner, "dst_exact_subset", lambda *args: calls.append(args))
+    inst = DstInstance(Digraph(3, [(0, 1), (1, 2)]), 0, frozenset({2}), 1)
+    with pytest.raises(InternalInvariantError, match="recursion grew past"):
+        dst_fpt(inst, _degeneracy=0)
+    assert calls == []
 
 
 def test_fpt_apex_crown_root_through_apex():
