@@ -261,7 +261,10 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     split j1 + j2 = t >= 2a has its larger part in a .. t - 1, empty by
     induction.  The loop stops there and pads ``graphs`` to depth r with
     one shared empty ``Digraph``, so large radii cost no more than the
-    depth the closure actually reaches.
+    depth the closure actually reaches.  A closure that never empties
+    still scans every split of every layer, O(r^2 * n) before any candidate
+    pair: on ``directed_path(n)`` at r = n single calls take 0.03, 0.22
+    and 2.43 s at n = 50, 100 and 200 (2-core VM, Python 3.11).
     """
     if r < 1:
         raise ValueError("augmentation depth must be at least 1")

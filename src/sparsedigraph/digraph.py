@@ -396,7 +396,8 @@ def contract(g: Digraph, partition: Iterable[Iterable[int]],
     first, so dead vertices become isolated husks; with no blocks this is
     ``remove_vertices``.  Returns the contracted digraph and the old-to-new
     vertex mapping.  New indices follow the smallest old index of each
-    block.
+    block.  If every block is a singleton and no dead vertex has an arc,
+    ``g`` itself comes back with the identity mapping: nothing is built.
     """
     blocks = [sorted(set(b)) for b in partition]
     lead = list(range(g.n))  # smallest vertex of each vertex's block
@@ -413,6 +414,8 @@ def contract(g: Digraph, partition: Iterable[Iterable[int]],
     new_id = {x: i for i, x in enumerate(leaders)}
     mapping = [new_id[lead[v]] for v in range(g.n)]
     dead = frozenset(dead)
+    if len(leaders) == g.n and not any(g._out[v] or g._in[v] for v in dead if v < g.n):
+        return g, mapping
     proj: list[set[int]] = [set() for _ in leaders]
     for u, heads in enumerate(g._out):
         if u not in dead:
@@ -436,7 +439,8 @@ def remove_vertices(g: Digraph, removed: Iterable[int]) -> Digraph:
     """Same vertex set, but all arcs touching ``removed`` are dropped.
 
     Keeping the indexing intact (removed vertices stay as isolated husks)
-    lets callers mix results from G and G - X without renumbering.
+    lets callers mix results from G and G - X without renumbering.  If
+    no removed vertex has an arc, ``g`` itself comes back.
     """
     return contract(g, (), removed)[0]
 
@@ -492,11 +496,6 @@ def _peel_lists(neighbors: Sequence[Collection[int]]) -> tuple[list[int], list[i
                 if d < low:
                     low = d
     return removed, degrees
-
-
-def _peel(neighbors: Sequence[Collection[int]]) -> list[tuple[int, int]]:
-    """``_peel_lists`` as (vertex, degree at removal) pairs, in removal order."""
-    return list(zip(*_peel_lists(neighbors)))
 
 
 def _smallest_last(und: Sequence[Collection[int]]) -> tuple[int, LinearOrder]:

@@ -25,7 +25,7 @@ from functools import cache, partial
 from itertools import combinations
 from typing import Optional
 
-from .digraph import Digraph, _adjacency_masks, _bits, _mask_reach, _peel, out_distances
+from .digraph import Digraph, _adjacency_masks, _bits, _mask_reach, _peel_lists, out_distances
 from .errors import _check_cap
 from .instances import crown
 
@@ -268,8 +268,8 @@ def grad_lower_bound(g: Digraph) -> Fraction:
         return Fraction(0)
     arcs = best_arcs = g.m
     alive = best_alive = g.n
-    peel = _peel([g.out_neighbors(v) + g.in_neighbors(v) for v in range(g.n)])
-    for _, deg_v in peel[:-1]:
+    _, degrees = _peel_lists([g.out_neighbors(v) + g.in_neighbors(v) for v in range(g.n)])
+    for deg_v in degrees[:-1]:
         arcs -= deg_v
         alive -= 1
         if arcs * best_alive > best_arcs * alive:

@@ -8,7 +8,8 @@ d = 2 * degeneracy source terminals are few enough that branching over
 them plus one deletion branch keeps the tree small; once no such vertex
 remains the residual instance is solved exactly by a subset dynamic
 program over the source terminals (Dreyfus-Wagner style, with vertex
-costs as arc head weights).
+costs as arc head weights).  Each host is contracted once, at the top;
+SCSS runs both of its instances on that one contraction.
 
 Every solution that leaves this module has been validated by direct
 reachability checks on the caller's graph.
@@ -45,7 +46,8 @@ def preprocess_contract(inst: DstInstance, dead: frozenset = frozenset()
     directions: the contracted vertices are all terminals.  The arcs at
     the ``dead`` vertices (never the root or a terminal) are dropped in
     the same pass, so the result equals preprocessing
-    ``remove_vertices(inst.graph, dead)``.
+    ``remove_vertices(inst.graph, dead)``.  If that changes nothing,
+    the reduced instance shares ``inst.graph`` (see ``contract``).
     """
     g = inst.graph
     term = sorted(inst.terminals)
@@ -64,6 +66,13 @@ def preprocess_contract(inst: DstInstance, dead: frozenset = frozenset()
         budget=inst.budget,
     )
     return reduced, mapping, s
+
+
+def _lift(mapping: list[int], terminals, solution) -> frozenset:
+    """A reduced instance's solution in the original's vertex ids: its
+    vertices are non-terminals, which ``preprocess_contract`` never merges."""
+    inverse = {new: old for old, new in enumerate(mapping) if old not in terminals}
+    return frozenset(inverse[v] for v in solution)
 
 
 def source_terminals(g: Digraph, terminals) -> frozenset:
@@ -308,11 +317,6 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
         dgen, _ = _smallest_last([g.underlying_neighbors(v) for v in range(g.n)])
     d = 2 * dgen
 
-    inverse = {}
-    for old, new in enumerate(mapping):
-        if old not in inst.terminals:
-            inverse[new] = old
-
     everything = frozenset(range(g.n))
 
     @cache
@@ -322,7 +326,9 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
         The DP runs once per ``(alive, absorbed)`` leaf, at the largest
         budget, on one contracted graph with the dead vertices' arcs
         dropped.  Its set has the size of the leaf's optimum, so every
-        budget reaching the leaf only compares that size.
+        budget reaching the leaf only compares that size.  Unless a dead
+        vertex has an arc or absorbed vertices close a terminal cycle,
+        its preprocessing hands back ``g`` and builds no graph.
         """
         inner = DstInstance(g, root, terminals | absorbed, inst.budget)
         inner2, inner_map, _ = preprocess_contract(inner, everything - alive)
@@ -330,11 +336,7 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
         sol = dst_exact_subset(inner2.graph, inner2.root, inner2.terminals, t0, inst.budget)
         if sol is None:
             return None
-        inner_inverse = {
-            new: old for old, new in enumerate(inner_map)
-            if old not in inner.terminals
-        }
-        return frozenset(inner_inverse[v] for v in sol)
+        return _lift(inner_map, inner.terminals, sol)
 
     counter = [0]
     limit = [0]
@@ -398,7 +400,7 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
         found = rec(frozenset(range(g.n)), frozenset(), budget)
         nodes_per_budget.append(counter[0])
         if found is not None:
-            solution = frozenset(inverse[v] for v in found)
+            solution = _lift(mapping, inst.terminals, found)
             if not dst_valid(inst.graph, inst.root, inst.terminals, solution):
                 raise InternalInvariantError("branching solver returned an invalid set")
             break
@@ -421,25 +423,25 @@ def scss_2approx(g: Digraph, terminals, budget: int) -> Optional[frozenset]:
     rooted at a fixed terminal, and returns the union.  The output always
     induces a strongly connected subgraph together with the terminals.
 
-    The terminals' strongly connected components are the same in g and
-    its reverse, so both runs contract the same blocks, and the two
-    contracted hosts are reverses of each other with one underlying
-    graph.  The backward run takes its degeneracy from the forward one
-    instead of peeling again.
+    Contracting the terminals' strongly connected components commutes
+    with reversal, so it is done once: the forward run solves the
+    reduced instance and the backward run its reverse, whose one
+    underlying graph gives both the same degeneracy (peeled once).
+    Both solutions map back through the one mapping.
     """
     term = frozenset(terminals)
     if not term:
         raise ValueError("at least one terminal is required")
     anchor = min(term)
-    rest = term - {anchor}
-    fwd = dst_fpt(DstInstance(g, anchor, rest, budget))
+    reduced, mapping, _ = preprocess_contract(DstInstance(g, anchor, term - {anchor}, budget))
+    fwd = dst_fpt(reduced)
     if fwd.solution is None:
         return None
-    bwd = dst_fpt(DstInstance(g.reverse(), anchor, rest, budget),
+    bwd = dst_fpt(DstInstance(reduced.graph.reverse(), reduced.root, reduced.terminals, budget),
                   _degeneracy=fwd.degree_threshold // 2)
     if bwd.solution is None:
         return None
-    union = fwd.solution | bwd.solution
+    union = _lift(mapping, term, fwd.solution | bwd.solution)
     if not verify_strongly_connected(g, term | union):
         raise InternalInvariantError("SCSS union is not strongly connected")
     return union

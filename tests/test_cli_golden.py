@@ -130,6 +130,21 @@ def _split_tie_instance() -> DstInstance:
                        frozenset({0, 4, 5, 9, 10}), 3)
 
 
+def _deletion_leaf_instance() -> DstInstance:
+    # hub 3 dominates all six terminals and is high-degree (d = 4), but
+    # the root reaches it only by 0 -> 4 -> 5 -> 6 -> 3; 1 and 2 cover
+    # three terminals each.  At budget 2 absorbing 3 fails, and the
+    # deletion branch's leaf, where dead 3 still has arcs, answers [1, 2]
+    n, hub = 20, 3
+    arcs = {(0, 1), (0, 2), (0, 4), (4, 5), (5, 6), (6, hub)}
+    arcs |= {(1, t) for t in (10, 11, 12)} | {(2, t) for t in (13, 14, 15)}
+    arcs |= {(hub, t) for t in range(10, 16)}
+    others = [v for v in range(n) if not 10 <= v < 16]
+    background = random_digraph(len(others), len(others), 1)
+    arcs |= {(others[u], others[v]) for u, v in background.arcs()}
+    return DstInstance(Digraph(n, arcs), 0, frozenset(range(10, 16)), 3)
+
+
 DST_INSTANCES = {
     # the bypass arcs pick [3, 13] here; without them the DP finds [4, 13]
     "bypass-tie": lambda: DstInstance(
@@ -138,6 +153,7 @@ DST_INSTANCES = {
     "terminal-chain": _terminal_chain_instance,
     "split-tie": _split_tie_instance,
     "planted-hub24": planted_hub_instance,
+    "deletion-leaf": _deletion_leaf_instance,
 }
 
 DST_COMMANDS = {"fpt": ("--fpt",), "scss": ("--scss",)}
@@ -154,6 +170,8 @@ DST_EXPECTED = {
     ("split-tie", "scss"): (0, "88647740bd39dfe2"),
     ("planted-hub24", "fpt"): (0, "bda5b6bbb0e2367d"),
     ("planted-hub24", "scss"): (0, "7d85e9e637f62da7"),
+    ("deletion-leaf", "fpt"): (0, "a398720a346639e6"),
+    ("deletion-leaf", "scss"): (1, "863d545e2a717da3"),
 }
 
 

@@ -21,7 +21,7 @@ from sparsedigraph.coloring import (
     wcol_of_order,
     wreach_all,
 )
-from sparsedigraph.digraph import _peel, degeneracy, out_distances, remove_vertices
+from sparsedigraph.digraph import _peel_lists, degeneracy, out_distances, remove_vertices
 from sparsedigraph.errors import SizeCapError
 
 
@@ -308,7 +308,7 @@ def _ref_undirected_lists(n, pairs):
 def _ref_degeneracy(und):
     d = 0
     peel = []
-    for v, deg_v in _peel(und):
+    for v, deg_v in zip(*_peel_lists(und)):
         d = max(d, deg_v)
         peel.append(v)
     order = LinearOrder(peel[::-1])

@@ -23,7 +23,7 @@ from sparsedigraph import (
     random_digraph,
     scc,
 )
-from sparsedigraph.digraph import (_adjacency_masks, _bfs, _mask_reach, _peel, _smallest_last,
+from sparsedigraph.digraph import (_adjacency_masks, _bfs, _mask_reach, _peel_lists, _smallest_last,
                                    induced_subgraph, remove_vertices, shortest_path)
 from sparsedigraph.oracles import verify_strongly_connected
 
@@ -434,9 +434,9 @@ def multigraph_lists(draw, max_n=30):
 @given(multigraph_lists())
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_bucket_peel_matches_heap_peel(nbrs):
-    got = _peel(nbrs)
-    assert isinstance(got, list)
-    assert got == list(_heap_peel_reference(nbrs))
+    removed, degrees = _peel_lists(nbrs)
+    assert isinstance(removed, list) and isinstance(degrees, list)
+    assert list(zip(removed, degrees)) == list(_heap_peel_reference(nbrs))
 
 
 @pytest.mark.parametrize("nbrs", [
@@ -448,7 +448,7 @@ def test_bucket_peel_matches_heap_peel(nbrs):
     [[1, 2], [0, 2], [0, 1], [4], [3], []],  # a triangle, an edge, an isolated vertex
 ], ids=["empty", "single", "isolated", "star", "repeats", "mixed"])
 def test_bucket_peel_small_cases(nbrs):
-    assert _peel(nbrs) == list(_heap_peel_reference(nbrs))
+    assert list(zip(*_peel_lists(nbrs))) == list(_heap_peel_reference(nbrs))
 
 
 @given(st.integers(1, 120), st.integers(0, 6), st.integers(0, 10**6))
@@ -640,6 +640,59 @@ def test_derived_graphs_equal_checked_constructor(g, data):
     assert_same_graph(h, [(new_of[u], new_of[v]) for u, v in g.arcs()
                           if u in keep and v in keep])
     assert_same_graph(g.reverse(), [(v, u) for u, v in g.arcs()])
+
+
+def _contract_reference(g, partition, dead=()):
+    """``contract`` before its no-op path: it rebuilds the graph every time."""
+    blocks = [sorted(set(b)) for b in partition]
+    lead = list(range(g.n))
+    seen: set[int] = set()
+    for b in blocks:
+        for v in b:
+            if not (0 <= v < g.n):
+                raise ValueError(f"vertex {v} out of range")
+            if v in seen:
+                raise ValueError(f"partition blocks overlap at vertex {v}")
+            seen.add(v)
+            lead[v] = b[0]
+    leaders = [v for v in range(g.n) if lead[v] == v]
+    new_id = {x: i for i, x in enumerate(leaders)}
+    mapping = [new_id[lead[v]] for v in range(g.n)]
+    dead = frozenset(dead)
+    proj: list[set[int]] = [set() for _ in leaders]
+    for u, heads in enumerate(g._out):
+        if u not in dead:
+            proj[mapping[u]].update(mapping[v] for v in heads if v not in dead)
+    out = [sorted(s - {a}) for a, s in enumerate(proj)]
+    return Digraph.__new__(Digraph)._fill(len(out), out), mapping
+
+
+@given(digraphs(max_n=14), st.integers(0, 3), st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_contract_matches_rebuild_reference(g, isolated, data):
+    g = Digraph(g.n + isolated, g.arcs())  # isolated vertices: dead without arcs
+    vertices = st.sampled_from(range(g.n)) if g.n else st.nothing()
+    kind = data.draw(st.sampled_from(["empty", "singletons", "mixed"]))
+    if kind == "empty":
+        blocks = []
+    elif kind == "singletons":
+        blocks = [[v] for v in data.draw(st.lists(vertices, unique=True))]
+    else:
+        labels = data.draw(st.lists(st.integers(-1, 3), min_size=g.n, max_size=g.n))
+        blocks = [[v for v in range(g.n) if labels[v] == b] for b in range(4)]
+        blocks = [b for b in blocks if b]
+    bare = [v for v in range(g.n) if not g.out_neighbors(v) and not g.in_neighbors(v)]
+    if data.draw(st.booleans()) and bare:
+        dead = data.draw(st.frozensets(st.sampled_from(bare)))
+    else:
+        dead = data.draw(st.frozensets(vertices, min_size=min(g.n, 1)))
+    h, mapping = contract(g, blocks, dead)
+    ref, ref_mapping = _contract_reference(g, blocks, dead)
+    assert (h, mapping) == (ref, ref_mapping)
+    assert h._in == ref._in and h.m == ref.m
+    unchanged = (all(len(b) < 2 for b in blocks)
+                 and not any(g.out_neighbors(v) or g.in_neighbors(v) for v in dead))
+    assert (h is g) == unchanged
 
 
 # ---------------------------------------------------------------------------

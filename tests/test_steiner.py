@@ -616,6 +616,34 @@ def test_scss_peels_once(inst):
     assert got == (None if bwd is None else fwd | bwd)
 
 
+def test_each_host_is_contracted_once(monkeypatch):
+    # the terminal 2-cycle 5 <-> 6 makes the top-level contraction build a
+    # graph; the leaf then finds only singletons and no dead vertex, so it
+    # reuses that graph, and SCSS contracts once for both of its runs
+    built = []
+    reversed_n = []
+    real_contract, real_reverse = steiner.contract, Digraph.reverse
+
+    def counted_contract(g, partition, dead=()):
+        h, mapping = real_contract(g, partition, dead)
+        built.append(h is not g)
+        return h, mapping
+
+    def counted_reverse(g):
+        reversed_n.append(g.n)
+        return real_reverse(g)
+
+    monkeypatch.setattr(steiner, "contract", counted_contract)
+    monkeypatch.setattr(Digraph, "reverse", counted_reverse)
+    inst = planted_hub_instance()
+    dst_fpt(inst)
+    assert built == [True, False]  # the top level, then the one leaf
+    built.clear()
+    assert scss_2approx(inst.graph, inst.terminals | {inst.root}, inst.budget) is not None
+    assert len(built) >= 2 and built.count(True) == 1
+    assert reversed_n == [inst.graph.n - 1]
+
+
 def test_fpt_budget_zero():
     g = Digraph(3, [(0, 1), (1, 2)])
     res = dst_fpt(DstInstance(g, 0, frozenset({1, 2}), 0))
