@@ -8,6 +8,9 @@ to the timing field.
 
 Exit codes: 0 success, 1 infeasible or negative decision, 2 usage error,
 3 size-cap error, 4 internal invariant failure or unexpected error.
+
+In-process callers of ``main`` share one argument parser, built on first
+use (``build_parser`` is cached).
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import json
 import math
 import sys
 import time
+from functools import cache
 from typing import Optional
 
 from . import acceptance
@@ -265,7 +269,11 @@ def _cmd_selftest(args) -> tuple[int, dict]:
     }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call; callers must not modify it.  It names no handler: ``_run``
+    looks the ``_cmd_*`` function up when it dispatches."""
     parser = argparse.ArgumentParser(
         prog="sparsedigraph",
         description="Sparse digraph algorithm toolkit",
@@ -282,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arcs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("wcol", help="weak coloring orders")
     p.add_argument("graph")
@@ -291,14 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tfa", action="store_true")
     p.add_argument("--coloring", type=int, metavar="P")
     p.add_argument("--max-n", type=int, default=9)
-    p.set_defaults(fn=_cmd_wcol)
 
     p = sub.add_parser("minor", help="crown minor search")
     p.add_argument("graph")
     p.add_argument("--crown", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--max-n", type=int, default=12)
-    p.set_defaults(fn=_cmd_minor)
 
     p = sub.add_parser("dst", help="directed Steiner tree")
     p.add_argument("instance")
@@ -310,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="strongly connected variant; root plus terminals form the terminal set",
     )
     p.add_argument("--max-n", type=int, default=12)
-    p.set_defaults(fn=_cmd_dst)
 
     p = sub.add_parser("domset", help="distance-r dominating sets")
     p.add_argument("graph")
@@ -322,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle-ratio", action="store_true",
         help="also report |D| / optimum when the enumeration oracle finds one",
     )
-    p.set_defaults(fn=_cmd_domset)
 
     p = sub.add_parser("kernel", help="domination kernelization")
     p.add_argument("graph")
@@ -330,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--emit-core", action="store_true")
     p.add_argument("--emit-kernel", metavar="FILE")
-    p.set_defaults(fn=_cmd_kernel)
 
     p = sub.add_parser("oracle", help="exact brute-force references")
     p.add_argument("graph")
@@ -345,11 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crown", type=int, default=3)
     p.add_argument("--set", metavar="FILE", help="vertex list for the verify kinds")
     p.add_argument("--max-n", type=int, default=16)
-    p.set_defaults(fn=_cmd_oracle)
 
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.set_defaults(fn=_cmd_selftest)
-
+    sub.add_parser("selftest", help="run the acceptance suite")
     return parser
 
 
@@ -362,14 +361,17 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _run(argv: Optional[list[str]]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     started = time.perf_counter()
     try:
-        code, report = args.fn(args)
+        code, report = {
+            "gen": _cmd_gen, "wcol": _cmd_wcol, "minor": _cmd_minor,
+            "dst": _cmd_dst, "domset": _cmd_domset, "kernel": _cmd_kernel,
+            "oracle": _cmd_oracle, "selftest": _cmd_selftest,
+        }[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

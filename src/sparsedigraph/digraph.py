@@ -546,13 +546,20 @@ def format_digraph(g: Digraph, comments: Iterable[str] = ()) -> str:
 MAX_PARSE_N = 1_000_000
 
 
-def parse_digraph(text: str) -> Digraph:
+def _content_lines(text: str) -> list[str]:
+    """The stripped lines of ``text`` that are neither blank nor comments."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+
+
+def parse_digraph(text: str | list[str]) -> Digraph:
     """Parse the plain-text digraph format; duplicates and loops rejected.
 
-    A header with more than ``MAX_PARSE_N`` vertices raises SizeCapError.
+    ``text`` is the file's text, or its stripped lines without blanks and
+    comments (``_content_lines``) when a caller has already split them
+    out, as ``steiner.parse_dst_instance`` does.  A header with more than
+    ``MAX_PARSE_N`` vertices raises SizeCapError.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = _content_lines(text) if isinstance(text, str) else text
     if not lines:
         raise ValueError("empty digraph file")
     head = lines[0].split()
@@ -563,10 +570,13 @@ def parse_digraph(text: str) -> Digraph:
         raise SizeCapError(f"digraph header: n={n} exceeds cap {MAX_PARSE_N}")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} arc lines, found {len(lines) - 1}")
-    arcs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad arc line: {ln!r}")
-        arcs.append((int(parts[0]), int(parts[1])))
+    try:
+        arcs = [(int(u), int(v)) for u, v in map(str.split, lines[1:])]
+    except ValueError:  # name the first bad line, in file order
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != 2:
+                raise ValueError(f"bad arc line: {ln!r}") from None
+            int(parts[0]), int(parts[1])
+        raise
     return Digraph(n, arcs)

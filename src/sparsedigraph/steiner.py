@@ -26,10 +26,13 @@ from typing import Optional
 from .digraph import (
     Digraph,
     _bfs,
+    _content_lines,
     _smallest_last,
     contract,
+    format_digraph,
     induced_subgraph,
     out_ball,
+    parse_digraph,
     scc,
 )
 from .errors import InternalInvariantError, SizeCapError
@@ -452,8 +455,6 @@ def scss_2approx(g: Digraph, terminals, budget: int) -> Optional[frozenset]:
 
 
 def format_dst_instance(inst: DstInstance, comments=()) -> str:
-    from .digraph import format_digraph
-
     parts = [format_digraph(inst.graph, comments=comments).rstrip("\n")]
     parts.append(f"root {inst.root}")
     parts.extend(f"terminal {t}" for t in sorted(inst.terminals))
@@ -462,23 +463,25 @@ def format_dst_instance(inst: DstInstance, comments=()) -> str:
 
 
 def parse_dst_instance(text: str) -> DstInstance:
-    from .digraph import parse_digraph
-
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    """Parse a digraph file followed (or interleaved) by ``root r``,
+    ``terminal t`` and ``budget k`` lines.  The graph is checked first,
+    then the keyword lines in file order."""
     graph_lines = []
-    rest = []
-    for ln in lines:
-        if ln.split()[0] in ("root", "terminal", "budget"):
-            rest.append(ln)
+    keyed = []
+    for ln in _content_lines(text):
+        # only a line starting with r, t or b can be a keyword line
+        if ln[0] in "rtb" and (parts := ln.split())[0] in ("root", "terminal", "budget"):
+            keyed.append((ln, parts))
         else:
             graph_lines.append(ln)
-    g = parse_digraph("\n".join(graph_lines))
+    g = parse_digraph(graph_lines)
     root = None
     budget = None
     terminals = set()
-    for ln in rest:
-        key, value = ln.split()
+    for ln, parts in keyed:
+        if len(parts) != 2:
+            raise ValueError(f"bad instance line: {ln!r}")
+        key, value = parts
         if key == "root":
             root = int(value)
         elif key == "terminal":

@@ -1,7 +1,13 @@
 """Command line surface: subcommands, formats, exit codes, determinism."""
 import dataclasses
 import json
+import os
+import re
+import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from sparsedigraph import cli
 
@@ -355,3 +361,142 @@ def test_exact_grad0_flag_is_gone(tmp_path, capsys):
     path.write_text("digraph 2 1\n0 1\nroot 0\nterminal 1\nbudget 1\n")
     assert run(capsys, "dst", str(path), "--fpt")[0] == 0
     assert run(capsys, "dst", str(path), "--fpt", "--exact-grad0")[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+TIMING_LINE = re.compile(r'^(  "timing_ms": |timing_ms\t).*\n', re.M)
+
+
+def without_timing(out):
+    return TIMING_LINE.sub("", out)
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    path = write_graph(tmp_path, directed_path(4))
+    cli.build_parser.cache_clear()
+    for _ in range(4):
+        assert run(capsys, "wcol", path, "--radius", "2")[0] == 0
+    assert run(capsys, "--bogus")[0] == 2
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_usage_errors_leave_the_parser_as_a_cold_one(tmp_path, capsys):
+    path = write_graph(tmp_path, random_digraph(12, 30, 3))
+    calls = [("wcol", path, "--radius", "2", "--coloring", "2"),
+             ("--format", "tsv", "wcol", path, "--radius", "2")]
+    cold = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        cold.append(run(capsys, *argv))
+    cold_usage = []
+    for argv in (["wcol"], ["--bogus"]):
+        cli.build_parser.cache_clear()
+        cold_usage.append(run(capsys, *argv))
+    assert [code for code, _, _ in cold_usage] == [2, 2]
+    for argv, (code, out, err) in zip(calls, cold):
+        assert [run(capsys, "wcol"), run(capsys, "--bogus")] == cold_usage
+        warm_code, warm_out, warm_err = run(capsys, *argv)
+        assert (warm_code, without_timing(warm_out), warm_err) == (code, without_timing(out), err)
+        assert code == 0 and without_timing(out) != out  # a timing line was dropped
+
+
+def test_handler_patched_after_first_call_runs(tmp_path, capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    path = write_graph(tmp_path, directed_path(4))
+    assert run(capsys, "wcol", path, "--radius", "2")[0] == 0
+    monkeypatch.setattr(cli, "_cmd_wcol", boom)
+    assert run(capsys, "wcol", path, "--radius", "2") == (
+        4, "", "internal error: RuntimeError: boom\n")
+
+
+def test_help_is_wrapped_to_the_current_width(capsys, monkeypatch):
+    assert main(["selftest", "--help"]) == 0  # the parser is cached from here on
+    capsys.readouterr()
+    texts = {}
+    for columns in ("40", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(["wcol", "--help"]) == 0
+        texts[columns] = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli.build_parser.__wrapped__().parse_args(["wcol", "--help"])
+        assert capsys.readouterr().out == texts[columns]
+    assert texts["40"] != texts["80"]
+
+
+def test_malformed_keyword_line_names_the_line(tmp_path, capsys):
+    for line in ("terminal 2 3", "root", "budget 1 2"):
+        path = tmp_path / "inst.dst"
+        path.write_text(f"digraph 4 3\n0 1\n1 2\n2 3\nroot 0\nterminal 3\nbudget 2\n{line}\n")
+        assert run(capsys, "dst", str(path), "--fpt") == (
+            2, "", f"error: bad instance line: {line!r}\n")
+
+
+# ---------------------------------------------------------------------------
+# the module run as a program
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+TOP_HELP = """\
+usage: sparsedigraph [-h] [--format {json,tsv}]
+                     {gen,wcol,minor,dst,domset,kernel,oracle,selftest} ...
+
+Sparse digraph algorithm toolkit
+
+positional arguments:
+  {gen,wcol,minor,dst,domset,kernel,oracle,selftest}
+    gen                 generate an instance
+    wcol                weak coloring orders
+    minor               crown minor search
+    dst                 directed Steiner tree
+    domset              distance-r dominating sets
+    kernel              domination kernelization
+    oracle              exact brute-force references
+    selftest            run the acceptance suite
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,tsv}
+"""
+
+WCOL_HELP = """\
+usage: sparsedigraph wcol [-h] --radius RADIUS [--exact] [--tfa]
+                          [--coloring P] [--max-n MAX_N]
+                          graph
+
+positional arguments:
+  graph
+
+options:
+  -h, --help       show this help message and exit
+  --radius RADIUS
+  --exact
+  --tfa
+  --coloring P
+  --max-n MAX_N
+"""
+
+
+def run_module(*argv):
+    env = {k: v for k, v in os.environ.items() if k != "FORCE_COLOR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["COLUMNS"] = "80"
+    done = subprocess.run([sys.executable, "-m", "sparsedigraph.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_module_entry_point_matches_in_process_call(tmp_path, capsys):
+    path = write_graph(tmp_path, random_digraph(12, 30, 3))
+    code, out, err = run_module("wcol", path, "--radius", "2")
+    assert (code, err) == (0, "")
+    in_code, in_out, _ = run(capsys, "wcol", path, "--radius", "2")
+    assert in_code == 0
+    assert without_timing(out) == without_timing(in_out)
+    assert run_module("--help") == (0, TOP_HELP, "")
+    assert run_module("wcol", "--help") == (0, WCOL_HELP, "")
