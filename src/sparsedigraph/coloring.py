@@ -15,8 +15,10 @@ d is the union's max out-degree and c its peel degeneracy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
+from itertools import combinations
+from typing import Optional
 
 from .digraph import (Digraph, LinearOrder, _adjacency_masks, _bfs, _bits, _mask_reach,
                       _orient, _smallest_last, out_distances)
@@ -228,15 +230,26 @@ class Augmentation:
     """Layered arc sets E_1..E_depth over the base graph's vertices.
 
     E_1 re-orients the base arcs; deeper layers hold the oriented
-    fraternal/transitive closures.  No pair of vertices is ever connected
-    in both directions across the layers.  ``graphs`` holds the layers as
+    fraternal/transitive closures.  ``tfa_augment`` never joins a pair
+    twice: no two arcs of the layers join the same two vertices, in either
+    direction, so a vertex's out-degrees summed over the layers are its
+    out-degree in the union.  ``graphs`` holds the layers as
     ``Digraph``s; ``layers`` derives their arc frozensets for callers that
     test and count arcs (the definition checker in ``acceptance``).
+
+    ``partners[u]`` is the frozenset of vertices that some layer joins to
+    u in either direction: the union's undirected adjacency, which
+    ``tfa_augment`` fills from its closure.  It is None on an augmentation
+    built by hand, which may repeat a pair; ``order_from_augmentation``
+    then derives the union from the layer graphs.  It takes no part in
+    ``==`` or ``repr``.
     """
 
     n: int
     depth: int
     graphs: tuple[Digraph, ...]
+    partners: Optional[tuple[frozenset, ...]] = field(
+        default=None, compare=False, repr=False)
 
     @property
     def layers(self) -> tuple[frozenset, ...]:
@@ -253,9 +266,21 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     (w,v) in E_j2 and every transitive pattern (u,v) in E_j1, (v,w) in
     E_j2 with j1 + j2 = t, provided the base graph joins the new pair by
     a directed path of length at most t in some direction and the pair is
-    not already augmented.  Each layer's pairs go as undirected lists
-    through ``_orient`` into the out-lists of its ``Digraph``, whose
-    adjacency later layers and the union peel in ``order_from_augmentation`` read.
+    not already augmented.  Each layer's pairs go as undirected lists,
+    sorted ascending, through ``_orient`` into the out-lists of its
+    ``Digraph``, whose adjacency later layers read.
+
+    ``partners[u]`` is the set of vertices that some layer so far pairs
+    with u: a proposed pair is new when v is not in ``partners[u]``, and
+    an accepted pair enters both sets at once, so no pair is joined twice
+    or both ways.  The sets become ``Augmentation.partners``, the union
+    that ``order_from_augmentation`` peels without deriving it again.
+    Transitive patterns are scanned for every split j1 + j2 = t;
+    fraternal ones only once per unordered split: out_j1(w) x out_j2(w)
+    for j1 < j2, the 2-combinations of the one out-list for j1 = j2, and
+    none for j1 > j2, which the split (j2, j1) already proposes.  A
+    pattern with u == v would need the pair {u, w} joined twice, or u
+    twice in one out-list, so none arises and none is tested for.
 
     Once layers a .. 2a - 1 are all empty, so is every later one: each
     split j1 + j2 = t >= 2a has its larger part in a .. t - 1, empty by
@@ -263,8 +288,10 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     one shared empty ``Digraph``, so large radii cost no more than the
     depth the closure actually reaches.  A closure that never empties
     still scans every split of every layer, O(r^2 * n) before any candidate
-    pair: on ``directed_path(n)`` at r = n single calls take 0.03, 0.22
-    and 2.43 s at n = 50, 100 and 200 (2-core VM, Python 3.11).
+    pair: on ``directed_path(n)`` at r = n single calls take 0.03, 0.19
+    and 1.5 s at n = 50, 100 and 200 (2-core VM, Python 3.11), against
+    0.05, 0.33 and 2.8 s on the same host for the closure that kept one
+    global pair set and proposed each fraternal pair twice.
     """
     if r < 1:
         raise ValueError("augmentation depth must be at least 1")
@@ -275,51 +302,55 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     # ascending neighbor lists orient into ascending out-lists, as ``_fill`` needs
     und = [g.underlying_neighbors(v) for v in range(n)]
     layers = [Digraph.__new__(Digraph)._fill(n, _orient(und)[2])]
-    # unordered pairs {u, v} are kept as the int min(u, v) * n + max(u, v)
-    present = {u * n + v if u < v else v * n + u for u, v in layers[0].arcs()}
+    partners = [set(a) for a in und]
 
     empty_from = 2 if layers[0].m else 1  # the trailing run of empty layers starts here
     for t in range(2, r + 1):
         if t >= 2 * empty_from:
             break
-        fresh: set = set()
+        und = [[] for _ in range(n)]  # this layer's pairs, listed at both ends
         for j1 in range(1, t):
-            o1 = layers[j1 - 1].out_neighbors
+            j2 = t - j1
             i1 = layers[j1 - 1].in_neighbors
-            o2 = layers[t - j1 - 1].out_neighbors
+            o1 = layers[j1 - 1].out_neighbors
+            o2 = layers[j2 - 1].out_neighbors
             for w in range(n):
                 ends = o2(w)
                 if not ends:
                     continue
-                # fraternal: w -> u in E_j1 and w -> v in E_j2;
-                # transitive: u -> w in E_j1 followed by w -> v in E_j2
-                for starts in (o1(w), i1(w)):
-                    for u in starts:
-                        du = dist[u]
-                        for v in ends:
-                            if u == v:
-                                continue
-                            key = u * n + v if u < v else v * n + u
-                            # a pair's freshness does not depend on who proposed it
-                            if key not in fresh and key not in present and (
-                                du.get(v, far) <= t or dist[v].get(u, far) <= t
-                            ):
-                                fresh.add(key)
-        # sorted keys fill each list ascending: smaller partners come first
-        und = [[] for _ in range(n)]
-        for key in sorted(fresh):
-            u, v = divmod(key, n)
-            und[u].append(v)
-            und[v].append(u)
+                # transitive: u -> w in E_j1 followed by w -> v in E_j2, every split;
+                # fraternal: w -> u in E_j1 and w -> v in E_j2, the split j1 <= j2 only
+                for u in i1(w) + o1(w) if j1 < j2 else i1(w):
+                    pu = partners[u]
+                    du = dist[u]
+                    for v in ends:
+                        if v not in pu and (du.get(v, far) <= t or dist[v].get(u, far) <= t):
+                            pu.add(v)
+                            partners[v].add(u)
+                            und[u].append(v)
+                            und[v].append(u)
+                if j1 == j2:
+                    for u, v in combinations(ends, 2):
+                        if v not in partners[u] and (
+                            dist[u].get(v, far) <= t or dist[v].get(u, far) <= t
+                        ):
+                            partners[u].add(v)
+                            partners[v].add(u)
+                            und[u].append(v)
+                            und[v].append(u)
+        for a in und:
+            a.sort()
         layers.append(Digraph.__new__(Digraph)._fill(n, _orient(und)[2]))
-        present |= fresh
-        if fresh:
+        if layers[-1].m:
             empty_from = t + 1
 
     if len(layers) < r:
         empty = Digraph.__new__(Digraph)._fill(n, [()] * n)
         layers += [empty] * (r - len(layers))
-    return Augmentation(n=n, depth=r, graphs=tuple(layers))
+    del dist  # freed before the sets are frozen in place, one at a time, to bound the peak
+    for u, s in enumerate(partners):
+        partners[u] = frozenset(s)
+    return Augmentation(n=n, depth=r, graphs=tuple(layers), partners=tuple(partners))
 
 
 @dataclass(frozen=True)
@@ -338,18 +369,36 @@ class WcolOrder:
     max_outdegree: int
 
 
+def _layer_union(n: int, hs: list[Digraph]) -> tuple[int, list[set]]:
+    """The union's largest out-degree and its undirected neighbor sets,
+    derived from the layer graphs ``hs`` of an augmentation without
+    ``partners``, which may repeat an arc in two layers or join a pair
+    both ways."""
+    heads = [{v for h in hs for v in h.out_neighbors(u)} for u in range(n)]
+    return (max(map(len, heads), default=0),
+            [s.union(*(h.in_neighbors(u) for h in hs)) for u, s in enumerate(heads)])
+
+
 def order_from_augmentation(g: Digraph, aug: Augmentation) -> WcolOrder:
-    """Greedy order of the augmentation union graph with its bound; the
-    union is peeled from the adjacency of the layers that have arcs, never
-    built as a graph."""
+    """Greedy order of the augmentation union graph with its bound.
+
+    The union is never built as a graph.  The smallest-last peel runs on
+    ``aug.partners``, and d, the union's largest out-degree, is the
+    largest sum of a vertex's out-degrees over the layers, which the
+    closure's never-twice invariant makes exact.  Only an augmentation
+    without ``partners`` (built by hand) has both derived from its layer
+    graphs by ``_layer_union``.
+    """
     if aug.n != g.n:
         raise ValueError("augmentation does not fit the graph")
-    # a hand-built augmentation may repeat an arc in two layers or join a pair both ways
     hs = [h for h in aug.graphs if h.m]
-    heads = [{v for h in hs for v in h.out_neighbors(u)} for u in range(g.n)]
-    d = max(map(len, heads), default=0)
-    c, order = _smallest_last(
-        [s.union(*(h.in_neighbors(u) for h in hs)) for u, s in enumerate(heads)])
+    if aug.partners is None:
+        d, union = _layer_union(g.n, hs)
+    else:
+        d = max(map(sum, zip(*(map(len, map(h.out_neighbors, range(g.n))) for h in hs))),
+                default=0)
+        union = aug.partners
+    c, order = _smallest_last(union)
     return WcolOrder(order=order, guarantee=(d + 1) * c + 1, smaller_neighbors=c, max_outdegree=d)
 
 
@@ -359,7 +408,8 @@ def compute_wcol_order(g: Digraph, r: int) -> WcolOrder:
     The result is kept on the (immutable) graph, so repeated calls with
     the same graph object and radius return the same ``WcolOrder`` in
     O(1); the first call costs the augmentation plus the bucket-queue
-    peel of its union, O(n + m' log n) for m' union arcs.  The
+    peel of the union the augmentation's partner sets already hold,
+    O(n + m' log n) for m' union arcs, with no rebuild of the union.  The
     computation is deterministic, so the memo changes no output.
     """
     key = ("wcol_order", r)

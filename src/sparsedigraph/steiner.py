@@ -463,9 +463,10 @@ def format_dst_instance(inst: DstInstance, comments=()) -> str:
 
 
 def parse_dst_instance(text: str) -> DstInstance:
-    """Parse a digraph file followed (or interleaved) by ``root r``,
-    ``terminal t`` and ``budget k`` lines.  The graph is checked first,
-    then the keyword lines in file order."""
+    """Parse a digraph file followed (or interleaved) by one ``root r``
+    line, ``terminal t`` lines and one ``budget k`` line.  The graph is
+    checked first, then the keyword lines in file order; a second root or
+    budget line is rejected, not read over the first."""
     graph_lines = []
     keyed = []
     for ln in _content_lines(text):
@@ -475,19 +476,18 @@ def parse_dst_instance(text: str) -> DstInstance:
         else:
             graph_lines.append(ln)
     g = parse_digraph(graph_lines)
-    root = None
-    budget = None
+    single: dict[str, int] = {}  # the root and the budget, each given once
     terminals = set()
     for ln, parts in keyed:
         if len(parts) != 2:
             raise ValueError(f"bad instance line: {ln!r}")
         key, value = parts
-        if key == "root":
-            root = int(value)
-        elif key == "terminal":
+        if key == "terminal":
             terminals.add(int(value))
+        elif key in single:
+            raise ValueError(f"repeated instance line: {ln!r}")
         else:
-            budget = int(value)
-    if root is None or budget is None:
+            single[key] = int(value)
+    if len(single) != 2:
         raise ValueError("instance file needs root and budget lines")
-    return DstInstance(g, root, frozenset(terminals), budget)
+    return DstInstance(g, single["root"], frozenset(terminals), single["budget"])

@@ -437,6 +437,15 @@ def test_malformed_keyword_line_names_the_line(tmp_path, capsys):
             2, "", f"error: bad instance line: {line!r}\n")
 
 
+@pytest.mark.parametrize("repeat", ["root 1", "budget 0"])
+def test_repeated_root_or_budget_line_is_a_usage_error(tmp_path, capsys, repeat):
+    # the second line no longer overrides the first
+    path = tmp_path / "inst.dst"
+    path.write_text(f"digraph 3 2\n0 1\n1 2\nroot 0\nterminal 2\nbudget 1\n{repeat}\n")
+    assert run(capsys, "dst", str(path), "--fpt") == (
+        2, "", f"error: repeated instance line: {repeat!r}\n")
+
+
 # ---------------------------------------------------------------------------
 # the module run as a program
 

@@ -33,6 +33,8 @@ GRAPHS = {
 # listing every third vertex
 COMMANDS = {
     "wcol-r2": ("wcol", "--radius", "2"),
+    "wcol-r3": ("wcol", "--radius", "3"),
+    "wcol-r4": ("wcol", "--radius", "4"),
     "domset-r1": ("domset", "--radius", "1"),
     "domset-r1-red": ("domset", "--radius", "1", "--red", "RED"),
     "domset-r2": ("domset", "--radius", "2"),
@@ -44,6 +46,8 @@ COMMANDS = {
 # (graph, command) -> (exit code, first 16 hex digits of the stdout digest)
 EXPECTED = {
     ("random60-1", "wcol-r2"): (0, "acc4825bc97a21a3"),
+    ("random60-1", "wcol-r3"): (0, "6258ed4681b9cefc"),
+    ("random60-1", "wcol-r4"): (0, "dc7a6548563c9b8a"),
     ("random60-1", "domset-r1"): (0, "429b3fbb1a78809c"),
     ("random60-1", "domset-r1-red"): (0, "885546380111198f"),
     ("random60-1", "domset-r2"): (0, "249f0123d2ae682f"),
@@ -51,6 +55,8 @@ EXPECTED = {
     ("random60-1", "kernel-r1-k3"): (1, "7044f7c7c23bfb5c"),
     ("random60-1", "kernel-r2-k3"): (0, "1e4dc7f17968e933"),
     ("random60-2", "wcol-r2"): (0, "6b6ab58028416b9a"),
+    ("random60-2", "wcol-r3"): (0, "057f140014cc8f74"),
+    ("random60-2", "wcol-r4"): (0, "a8cc095198d10c03"),
     ("random60-2", "domset-r1"): (0, "a8e25dcd636e5a12"),
     ("random60-2", "domset-r1-red"): (0, "15a82c7e234ec10c"),
     ("random60-2", "domset-r2"): (0, "7846da240f534c6c"),
@@ -58,6 +64,8 @@ EXPECTED = {
     ("random60-2", "kernel-r1-k3"): (1, "1d8ac4b1784673bc"),
     ("random60-2", "kernel-r2-k3"): (0, "f2adbe1bf3d99b1e"),
     ("random60-3", "wcol-r2"): (0, "ca7a361baef0f8da"),
+    ("random60-3", "wcol-r3"): (0, "fa1b184454f1efbc"),
+    ("random60-3", "wcol-r4"): (0, "08845c4aa5411caa"),
     ("random60-3", "domset-r1"): (0, "35a374bf84abdea3"),
     ("random60-3", "domset-r1-red"): (0, "6cfc5cfdc0fb1022"),
     ("random60-3", "domset-r2"): (0, "922ca7291524d644"),
@@ -65,6 +73,8 @@ EXPECTED = {
     ("random60-3", "kernel-r1-k3"): (1, "496ae152cc13b6d0"),
     ("random60-3", "kernel-r2-k3"): (0, "a206724b0dc463f2"),
     ("apex10", "wcol-r2"): (0, "bf04240516b6d250"),
+    ("apex10", "wcol-r3"): (0, "a1dec0d63ad5de2b"),
+    ("apex10", "wcol-r4"): (0, "3ac8b4d83cee3f78"),
     ("apex10", "domset-r1"): (0, "0951840234cec72a"),
     ("apex10", "domset-r1-red"): (0, "68562fa238b9e817"),
     ("apex10", "domset-r2"): (0, "534b0d17ad4b0f1d"),

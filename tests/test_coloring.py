@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsedigraph import Digraph, LinearOrder, apex_crown, directed_path, random_digraph
+from sparsedigraph import coloring
 from sparsedigraph.acceptance import check_augmentation
 from sparsedigraph.coloring import (
     Augmentation,
@@ -415,6 +416,50 @@ def test_wcol_order_reads_no_arc_view(monkeypatch):
     expected = order_from_augmentation(g, tfa_augment(g, 3))
     monkeypatch.setattr(Augmentation, "layers", property(_refuse_arc_view))
     monkeypatch.setattr(Augmentation, "union_arcs", _refuse_arc_view)
+    assert compute_wcol_order(random_digraph(200, 600, 1), 3) == expected
+
+
+def _bidirected_star(leaves):
+    return Digraph(leaves + 1, [a for v in range(1, leaves + 1) for a in ((0, v), (v, 0))])
+
+
+def _with_antiparallel_arcs(g):
+    # every third arc also runs backwards
+    return Digraph(g.n, set(g.arcs()) | {(v, u) for u, v in g.arcs()[::3]})
+
+
+_CLOSURE_GRAPHS = st.one_of(
+    _GRAPHS,
+    st.builds(_bidirected_star, st.integers(0, 30)),
+    _GRAPHS.map(_with_antiparallel_arcs),
+)
+
+
+@given(_CLOSURE_GRAPHS, st.integers(1, 4))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_partner_sets_are_the_layer_union(g, r):
+    aug = tfa_augment(g, r)
+    union = [set() for _ in range(g.n)]
+    for u, v in aug.union_arcs():
+        union[u].add(v)
+        union[v].add(u)
+    assert list(aug.partners) == union
+    # without its partner sets, the union is derived from the layer graphs
+    bare = Augmentation(n=aug.n, depth=aug.depth, graphs=aug.graphs)
+    assert bare.partners is None and bare == aug and hash(bare) == hash(aug)
+    assert repr(bare) == repr(aug)
+    assert order_from_augmentation(g, aug) == order_from_augmentation(g, bare)
+
+
+def _refuse_layer_union(*args, **kwargs):
+    raise AssertionError("the closure's partner sets already hold the union")
+
+
+def test_wcol_order_derives_no_union_from_the_layers(monkeypatch):
+    g = random_digraph(200, 600, 1)
+    aug = tfa_augment(g, 3)
+    expected = order_from_augmentation(g, Augmentation(n=aug.n, depth=aug.depth, graphs=aug.graphs))
+    monkeypatch.setattr(coloring, "_layer_union", _refuse_layer_union)
     assert compute_wcol_order(random_digraph(200, 600, 1), 3) == expected
 
 
