@@ -10,11 +10,15 @@ Exit codes: 0 success, 1 infeasible or negative decision, 2 usage error,
 3 size-cap error, 4 internal invariant failure or unexpected error.
 
 In-process callers of ``main`` share one argument parser, built on first
-use (``build_parser`` is cached).
+use (``build_parser`` is cached).  ``main`` pauses the cyclic garbage
+collector for the call and restores the caller's setting afterwards.
+Package code builds no reference cycles, so reference counting frees
+memory while a command runs.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -353,11 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    enabled = gc.isenabled()
+    gc.disable()  # long-lived data need no cycle scans; package code makes no cycles
     try:
         return _run(argv)
     except Exception as exc:  # any other fault exits 4, without a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _run(argv: Optional[list[str]]) -> int:

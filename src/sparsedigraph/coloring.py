@@ -110,7 +110,10 @@ def wcol_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
             for w in _bits(touched):
                 counts[w] -= 1
 
-    dfs((1 << n) - 1, 1)
+    try:
+        dfs((1 << n) - 1, 1)
+    finally:
+        del dfs  # dfs's cell holds dfs: free the search and its memo without the collector
     return best, best_order
 
 
@@ -131,18 +134,16 @@ def _adm_candidates(g: Digraph, v: int, smaller: frozenset, r: int) -> list[froz
     """
     found: set[frozenset] = set()
     for adj in (g.out_neighbors, g.in_neighbors):
-
-        def dfs(x, trail):
+        stack = [(v, frozenset())] if r >= 1 else []
+        while stack:
+            x, trail = stack.pop()
             for y in adj(x):
                 if y == v or y in trail:
                     continue
                 if y in smaller:
                     found.add(frozenset(trail | {y}))
                 elif len(trail) + 1 < r:
-                    dfs(y, trail | {y})
-
-        if r >= 1:
-            dfs(v, frozenset())
+                    stack.append((y, trail | {y}))
     minimal: list[frozenset] = []
     for s in sorted(found, key=lambda s: (len(s), sorted(s))):
         if not any(t <= s for t in minimal):
@@ -150,23 +151,17 @@ def _adm_candidates(g: Digraph, v: int, smaller: frozenset, r: int) -> list[froz
     return minimal
 
 
-def _max_disjoint(sets: list[frozenset]) -> int:
-    best = 0
-    k = len(sets)
-
-    def rec(idx: int, used: frozenset, cnt: int):
-        nonlocal best
-        if cnt + (k - idx) <= best:
-            return
-        if idx == k:
-            best = max(best, cnt)
-            return
-        if not (sets[idx] & used):
-            rec(idx + 1, used | sets[idx], cnt + 1)
-        rec(idx + 1, used, cnt)
-
-    rec(0, frozenset(), 0)
-    return best
+def _max_disjoint(sets: list[frozenset], idx: int = 0, used: frozenset = frozenset(),
+                  cnt: int = 0, best: int = 0) -> int:
+    """Most pairwise disjoint members of ``sets[idx:]`` that also avoid
+    ``used``, plus ``cnt``; or ``best`` if that is not larger."""
+    if cnt + (len(sets) - idx) <= best:
+        return best
+    if idx == len(sets):
+        return cnt
+    if not (sets[idx] & used):
+        best = _max_disjoint(sets, idx + 1, used | sets[idx], cnt + 1, best)
+    return _max_disjoint(sets, idx + 1, used, cnt, best)
 
 
 def adm_of_order(g: Digraph, order: LinearOrder, v: int, r: int) -> int:
@@ -217,7 +212,10 @@ def adm_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
             dfs(placed_mask | (1 << u), new_max)
             seq.pop()
 
-    dfs(0, 0)
+    try:
+        dfs(0, 0)
+    finally:
+        del dfs  # dfs's cell holds dfs: free the search and its memo without the collector
     return best, best_order
 
 

@@ -209,7 +209,11 @@ def is_depth_r_minor(h: Digraph, g: Digraph, r: int,
                     ins[v].discard(b)
             return False
 
-        if not place_arc(0):
+        try:
+            placed = place_arc(0)
+        finally:
+            del place_arc  # its cell holds it: break the cycle for reference counting
+        if not placed:
             return None
         sources, sinks = {}, {}
         for v in range(h.n):
@@ -244,7 +248,10 @@ def is_depth_r_minor(h: Digraph, g: Digraph, r: int,
             del assign[v]
         return None
 
-    return place(0, 0)
+    try:
+        return place(0, 0)
+    finally:
+        del place  # its cell holds it: break the cycle for reference counting
 
 
 def contains_crown(g: Digraph, q: int, r: int, max_n: int = 12) -> bool:
@@ -355,7 +362,10 @@ def grad(g: Digraph, r: int, max_n: int = 8) -> Fraction:
                     ins[j].discard(b)
             rec(idx + 1, cnt)
 
-        rec(0, 0)
+        try:
+            rec(0, 0)
+        finally:
+            del rec  # its cell holds it: break the cycle for reference counting
         return best_cnt
 
     blocks: list[int] = []
@@ -376,7 +386,10 @@ def grad(g: Digraph, r: int, max_n: int = 8) -> Fraction:
             partitions(avail & ~mask)
             blocks.pop()
 
-    partitions((1 << g.n) - 1)
+    try:
+        partitions((1 << g.n) - 1)
+    finally:
+        del partitions  # its cell holds it: break the cycle for reference counting
     return best
 
 
@@ -396,28 +409,18 @@ def top_grad(g: Digraph, r: int, max_n: int = 8) -> Fraction:
 
     def paths(a: int, b: int, principals: frozenset) -> list[frozenset]:
         """Inclusion-minimal internal vertex sets of a->b paths, length <= 2r."""
-        found: list[frozenset] = []
+        found: set[frozenset] = set()
         limit = 2 * r
-
-        def dfs(v, internal):
-            if len(internal) > max(0, limit - 1):
-                return
+        stack = [(a, ())] if limit >= 1 else []
+        while stack:
+            v, internal = stack.pop()
             for w in g.out_neighbors(v):
                 if w == b:
-                    found.append(frozenset(internal))
-                elif (
-                    w not in principals
-                    and w not in internal
-                    and len(internal) + 1 <= limit - 1
-                ):
-                    internal.append(w)
-                    dfs(w, internal)
-                    internal.pop()
-
-        if limit >= 1:
-            dfs(a, [])
+                    found.add(frozenset(internal))
+                elif w not in principals and w not in internal and len(internal) + 1 < limit:
+                    stack.append((w, internal + (w,)))
         minimal = []
-        for s in sorted(set(found), key=lambda s: (len(s), sorted(s))):
+        for s in sorted(found, key=lambda s: (len(s), sorted(s))):
             if not any(t <= s for t in minimal):
                 minimal.append(s)
         return minimal
@@ -449,6 +452,9 @@ def top_grad(g: Digraph, r: int, max_n: int = 8) -> Fraction:
                         used.difference_update(internal)
                 rec(idx + 1, cnt)
 
-            rec(0, 0)
+            try:
+                rec(0, 0)
+            finally:
+                del rec  # its cell holds it: break the cycle for reference counting
             best = max(best, Fraction(best_cnt, size))
     return best

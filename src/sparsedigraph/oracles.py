@@ -94,7 +94,10 @@ def gamma_r_exact(g: Digraph, r: int, targets: Optional[Iterable[int]] = None,
             rec(uncovered & ~masks[v])
             chosen.pop()
 
-    rec(full)
+    try:
+        rec(full)
+    finally:
+        del rec  # its cell holds it: break the cycle for reference counting
     return len(best_set), frozenset(best_set)
 
 
@@ -134,7 +137,10 @@ def alpha_r_exact(g: Digraph, r: int, candidates: Optional[Iterable[int]] = None
         chosen.pop()
         rec(avail & ~(1 << i))
 
-    rec((1 << k) - 1)
+    try:
+        rec((1 << k) - 1)
+    finally:
+        del rec  # its cell holds it: break the cycle for reference counting
     return len(best_set), frozenset(cand[i] for i in best_set)
 
 

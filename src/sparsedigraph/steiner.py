@@ -397,16 +397,19 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
 
     nodes_per_budget = []
     solution = None
-    for budget in range(inst.budget + 1):
-        counter[0] = 0
-        limit[0] = (d + 1) ** (budget * (d + 1))
-        found = rec(frozenset(range(g.n)), frozenset(), budget)
-        nodes_per_budget.append(counter[0])
-        if found is not None:
-            solution = _lift(mapping, inst.terminals, found)
-            if not dst_valid(inst.graph, inst.root, inst.terminals, solution):
-                raise InternalInvariantError("branching solver returned an invalid set")
-            break
+    try:
+        for budget in range(inst.budget + 1):
+            counter[0] = 0
+            limit[0] = (d + 1) ** (budget * (d + 1))
+            found = rec(frozenset(range(g.n)), frozenset(), budget)
+            nodes_per_budget.append(counter[0])
+            if found is not None:
+                solution = _lift(mapping, inst.terminals, found)
+                if not dst_valid(inst.graph, inst.root, inst.terminals, solution):
+                    raise InternalInvariantError("branching solver returned an invalid set")
+                break
+    finally:
+        del rec  # rec's cell holds rec: without this the memo and graphs wait for the collector
     return DstFptResult(
         solution=solution,
         degree_threshold=d,

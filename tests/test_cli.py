@@ -1,5 +1,6 @@
 """Command line surface: subcommands, formats, exit codes, determinism."""
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -509,3 +510,88 @@ def test_module_entry_point_matches_in_process_call(tmp_path, capsys):
     assert without_timing(out) == without_timing(in_out)
     assert run_module("--help") == (0, TOP_HELP, "")
     assert run_module("wcol", "--help") == (0, WCOL_HELP, "")
+
+
+def cyclic_garbage(call) -> int:
+    """Objects that only the cyclic collector frees after ``call()``, which
+    runs with automatic collection off."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+GARBAGE_CASES = {
+    "wcol": ["wcol", "{graph}", "--radius", "2"],
+    "wcol-exact": ["wcol", "{graph}", "--radius", "2", "--exact"],
+    "wcol-coloring": ["wcol", "{graph}", "--radius", "2", "--coloring", "2"],
+    "minor": ["minor", "{graph}", "--crown", "3", "--depth", "1"],
+    "dst-fpt": ["dst", "{dst}", "--fpt"],
+    "dst-scss": ["dst", "{dst}", "--scss"],
+    "dst-exact": ["dst", "{dst}", "--exact"],
+    "domset": ["domset", "{graph}", "--radius", "1"],
+    "domset-red": ["domset", "{graph}", "--radius", "2", "--red", "{set}"],
+    "domset-scds": ["domset", "{graph}", "--radius", "1", "--scds"],
+    "kernel-core": ["kernel", "{graph}", "--radius", "1", "--budget", "3", "--emit-core"],
+    "gen": ["gen", "random", "12", "--arcs", "30", "--seed", "4"],
+    **{
+        f"oracle-{kind}": ["oracle", "{graph}", kind, "--set", "{set}"]
+        for kind in ("gamma", "alpha", "vc", "crown",
+                     "verify-dominating", "verify-scattered", "verify-strong")
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(GARBAGE_CASES))
+def test_command_leaves_no_cyclic_garbage(tmp_path, capsys, case):
+    # TSV: the stdlib's indented JSON encoder builds its own closure cycles
+    base = random_digraph(9, 14, 2)
+    host = Digraph(9, set(base.arcs()) | {(v, u) for u, v in base.arcs()})
+    files = {
+        "graph": write_graph(tmp_path, host),
+        "dst": str(tmp_path / "inst.dst"),
+        "set": str(tmp_path / "set.txt"),
+    }
+    Path(files["dst"]).write_text(format_dst_instance(
+        DstInstance(random_digraph(12, 30, 2), 0, frozenset({4, 7, 9}), 3)))
+    Path(files["set"]).write_text("0\n3\n5\n")
+    argv = ["--format", "tsv"] + [a.format(**files) for a in GARBAGE_CASES[case]]
+    cli.build_parser()  # built once per process; argparse's help formatters are cyclic
+    codes = []
+    assert cyclic_garbage(lambda: codes.append(main(argv))) == 0
+    assert codes[0] in (0, 1), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector(tmp_path, monkeypatch, enabled):
+    from sparsedigraph.digraph import MAX_PARSE_N
+
+    path = write_graph(tmp_path, directed_path(4))
+    big = tmp_path / "big.dg"
+    big.write_text(f"digraph {MAX_PARSE_N + 1} 0\n")
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_oracle", boom)
+    calls = [
+        (0, ["wcol", path, "--radius", "2"]),
+        (1, ["minor", path, "--crown", "3", "--depth", "1"]),
+        (2, ["wcol", path]),  # argparse exits through SystemExit
+        (2, ["domset", path, "--radius", "0"]),  # ValueError
+        (3, ["wcol", str(big), "--radius", "1"]),
+        (4, ["oracle", path, "gamma"]),
+    ]
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for code, argv in calls:
+            assert main(argv) == code, argv
+            assert gc.isenabled() is enabled, argv
+    finally:
+        (gc.enable if was else gc.disable)()
