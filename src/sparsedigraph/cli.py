@@ -26,13 +26,12 @@ import time
 from functools import cache
 from typing import Optional
 
-from . import acceptance
 from .coloring import compute_wcol_order, low_treedepth_coloring, wcol_exact, wreach_all
 from .digraph import Digraph, format_digraph, parse_digraph
 from .domination import redblue_dominate_approx, scds_approx, vc_dimension_distance_r
 from .duality import kernelize
 from .errors import InfeasibleError, InternalInvariantError, SizeCapError
-from .instances import InstanceRecipe, crown
+from .instances import FAMILIES, InstanceRecipe, crown
 from .minors import contains_crown, is_depth_r_minor
 from .oracles import (
     alpha_r_exact,
@@ -87,10 +86,6 @@ def _emit(report: dict, fmt: str):
         print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def _vertices(values) -> list[int]:
-    return sorted(values)
-
-
 def _cmd_gen(args) -> tuple[int, dict]:
     if args.family == "random":
         if args.arcs is None or args.seed is None:
@@ -143,7 +138,7 @@ def _cmd_minor(args) -> tuple[int, dict]:
     report = {"crown": args.crown, "depth": args.depth, "found": found}
     if found:
         report["witness"] = {
-            str(v): _vertices(bs) for v, bs in model.branch_sets.items()
+            str(v): sorted(bs) for v, bs in model.branch_sets.items()
         }
     return (EXIT_OK if found else EXIT_NEGATIVE), report
 
@@ -154,34 +149,23 @@ def _cmd_dst(args) -> tuple[int, dict]:
     report: dict = {
         "n": inst.graph.n,
         "root": inst.root,
-        "terminals": _vertices(inst.terminals),
+        "terminals": sorted(inst.terminals),
         "budget": inst.budget,
     }
     if args.scss:
         terminals = frozenset(inst.terminals) | {inst.root}
         sol = scss_2approx(inst.graph, terminals, inst.budget)
-        report["feasible"] = sol is not None
-        if sol is not None:
-            report["solution"] = _vertices(sol)
-        return (EXIT_OK if sol is not None else EXIT_NEGATIVE), report
-    if args.exact:
+    elif args.exact:
         sol = dst_exact_enum(inst, max_n=args.max_n, max_k=max(4, inst.budget))
-        report["feasible"] = sol is not None
-        if sol is not None:
-            report["solution"] = _vertices(sol)
-        return (EXIT_OK if sol is not None else EXIT_NEGATIVE), report
-    res = dst_fpt(inst)
-    report.update(
-        {
-            "feasible": res.solution is not None,
-            "d": res.degree_threshold,
-            "s": res.scc_diameter,
-            "nodes_expanded": list(res.nodes_per_budget),
-        }
-    )
-    if res.solution is not None:
-        report["solution"] = _vertices(res.solution)
-    return (EXIT_OK if res.solution is not None else EXIT_NEGATIVE), report
+    else:
+        res = dst_fpt(inst)
+        sol = res.solution
+        report.update({"d": res.degree_threshold, "s": res.scc_diameter,
+                       "nodes_expanded": list(res.nodes_per_budget)})
+    report["feasible"] = sol is not None
+    if sol is not None:
+        report["solution"] = sorted(sol)
+    return (EXIT_OK if sol is not None else EXIT_NEGATIVE), report
 
 
 def _cmd_domset(args) -> tuple[int, dict]:
@@ -190,12 +174,12 @@ def _cmd_domset(args) -> tuple[int, dict]:
     if args.scds:
         stats: dict = {}
         sol = scds_approx(g, args.radius, stats_out=stats)
-        report.update({"solution": _vertices(sol), "valid": True, **stats})
+        report.update({"solution": sorted(sol), "valid": True, **stats})
         return EXIT_OK, report
     red = _read_vertex_list(args.red) if args.red else list(range(g.n))
     blue = _read_vertex_list(args.blue) if args.blue else list(range(g.n))
     sol = redblue_dominate_approx(g, red, blue, args.radius)
-    report.update({"solution": _vertices(sol), "valid": True})
+    report.update({"solution": sorted(sol), "valid": True})
     if args.oracle_ratio:
         opt = redblue_exact_enum(g, red, blue, args.radius, max_k=4)
         if opt is not None:
@@ -225,7 +209,7 @@ def _cmd_kernel(args) -> tuple[int, dict]:
         report["threshold"] = None
         report["threshold_log10"] = round(math.log10(res.threshold), 3)
     if args.emit_core:
-        report["core"] = _vertices(res.core)
+        report["core"] = sorted(res.core)
     if args.emit_kernel:
         with open(args.emit_kernel, "w", encoding="utf-8") as fh:
             fh.write(format_digraph(res.graph, comments=["standard-form kernel"]))
@@ -238,13 +222,13 @@ def _cmd_oracle(args) -> tuple[int, dict]:
     report: dict = {"n": g.n, "radius": args.radius}
     if args.kind == "gamma":
         size, witness = gamma_r_exact(g, args.radius, max_n=args.max_n)
-        report.update({"gamma": size, "witness": _vertices(witness)})
+        report.update({"gamma": size, "witness": sorted(witness)})
     elif args.kind == "alpha":
         size, witness = alpha_r_exact(g, args.radius, max_n=args.max_n)
-        report.update({"alpha": size, "witness": _vertices(witness)})
+        report.update({"alpha": size, "witness": sorted(witness)})
     elif args.kind == "vc":
         dim, witness = vc_dimension_distance_r(g, args.radius, max_n=args.max_n)
-        report.update({"vc_dimension": dim, "witness": _vertices(witness)})
+        report.update({"vc_dimension": dim, "witness": sorted(witness)})
     elif args.kind == "crown":
         found = contains_crown(g, args.crown, args.radius, max_n=args.max_n)
         report.update({"crown": args.crown, "found": found})
@@ -259,12 +243,14 @@ def _cmd_oracle(args) -> tuple[int, dict]:
             ok = verify_scattered(g, vertices, args.radius)
         else:
             ok = verify_strongly_connected(g, vertices)
-        report.update({"set": _vertices(vertices), "valid": ok})
+        report.update({"set": sorted(vertices), "valid": ok})
         return (EXIT_OK if ok else EXIT_NEGATIVE), report
     return EXIT_OK, report
 
 
 def _cmd_selftest(args) -> tuple[int, dict]:
+    from . import acceptance  # only this command loads the acceptance suite
+
     results = acceptance.run_all(verbose=True)
     ok = all(r.ok for r in results)
     return (EXIT_OK if ok else EXIT_NEGATIVE), {
@@ -286,10 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance")
-    p.add_argument(
-        "family",
-        choices=("path", "crown", "apex-crown", "bidirected-clique", "random"),
-    )
+    p.add_argument("family", choices=tuple(FAMILIES))
     p.add_argument("size", type=int)
     p.add_argument("--arcs", type=int)
     p.add_argument("--seed", type=int)

@@ -281,10 +281,9 @@ def out_distances(g: Digraph, v: int, cap: Optional[int] = None,
     return _bfs(g.out_neighbors, (v,), cap, within)
 
 
-def in_distances(g: Digraph, v: int, cap: Optional[int] = None,
-                 within: Optional[frozenset] = None) -> dict[int, int]:
+def in_distances(g: Digraph, v: int, cap: Optional[int] = None) -> dict[int, int]:
     """BFS distances towards v (i.e. from v in the reversed digraph)."""
-    return _bfs(g.in_neighbors, (v,), cap, within)
+    return _bfs(g.in_neighbors, (v,), cap)
 
 
 def shortest_path(g: Digraph, u: int, v: int,

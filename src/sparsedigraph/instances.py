@@ -105,7 +105,15 @@ class _OrderedPairs(Sequence):
         return u, w + (w >= u)
 
 
-_FAMILIES = ("path", "crown", "apex-crown", "random", "bidirected-clique")
+# family name -> generator, in the order the command line lists them; each
+# takes the size, and random_digraph also the arc count and seed
+FAMILIES = {
+    "path": directed_path,
+    "crown": crown,
+    "apex-crown": apex_crown,
+    "bidirected-clique": bidirected_clique,
+    "random": random_digraph,
+}
 
 
 @dataclass(frozen=True)
@@ -118,7 +126,7 @@ class InstanceRecipe:
     seed: Optional[int] = None          # random family only
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.size < 1:
             raise ValueError("size must be positive")
@@ -127,15 +135,8 @@ class InstanceRecipe:
                 raise ValueError("random recipes need arcs and seed")
 
     def build(self) -> Digraph:
-        if self.family == "path":
-            return directed_path(self.size)
-        if self.family == "crown":
-            return crown(self.size)
-        if self.family == "apex-crown":
-            return apex_crown(self.size)
-        if self.family == "bidirected-clique":
-            return bidirected_clique(self.size)
-        return random_digraph(self.size, self.arcs, self.seed)
+        extra = (self.arcs, self.seed) if self.family == "random" else ()
+        return FAMILIES[self.family](self.size, *extra)
 
     def describe(self) -> str:
         if self.family == "random":

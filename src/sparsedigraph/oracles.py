@@ -101,22 +101,18 @@ def gamma_r_exact(g: Digraph, r: int, targets: Optional[Iterable[int]] = None,
     return len(best_set), frozenset(best_set)
 
 
-def alpha_r_exact(g: Digraph, r: int, candidates: Optional[Iterable[int]] = None,
-                  max_n: int = 16) -> tuple[int, frozenset]:
-    """Exact maximum r-scattered subset of ``candidates`` (default: all).
+def alpha_r_exact(g: Digraph, r: int, max_n: int = 16) -> tuple[int, frozenset]:
+    """Exact maximum r-scattered vertex set.
 
     A set is r-scattered when no single vertex has two of its members in
     its r-out-ball, i.e. members have pairwise disjoint r-in-balls.
     """
     _check_cap("alpha_r_exact", g.n, max_n)
-    cand = sorted(set(range(g.n) if candidates is None else candidates))
-    k = len(cand)
-    if k == 0:
-        return 0, frozenset()
-    balls = [in_ball(g, v, r) for v in cand]
-    conflict = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
+    n = g.n
+    balls = [in_ball(g, v, r) for v in range(n)]
+    conflict = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
             if balls[i] & balls[j]:
                 conflict[i] |= 1 << j
                 conflict[j] |= 1 << i
@@ -138,10 +134,10 @@ def alpha_r_exact(g: Digraph, r: int, candidates: Optional[Iterable[int]] = None
         rec(avail & ~(1 << i))
 
     try:
-        rec((1 << k) - 1)
+        rec((1 << n) - 1)
     finally:
         del rec  # its cell holds it: break the cycle for reference counting
-    return len(best_set), frozenset(cand[i] for i in best_set)
+    return len(best_set), frozenset(best_set)
 
 
 # ---------------------------------------------------------------------------

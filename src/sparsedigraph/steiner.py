@@ -354,11 +354,8 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
                 raise InternalInvariantError(
                     f"recursion grew past (d+1)^(k(d+1)) at budget {budget}"
                 )
-            t_all = terminals | absorbed
-            sources = frozenset(
-                t for t in t_all
-                if not any(u in t_all for u in g.in_neighbors(t) if u in alive)
-            )
+            t_all = terminals | absorbed  # all alive: deletions remove only dominators
+            sources = source_terminals(g, t_all)
             dominated = set()
             for x in sorted(absorbed | {root}):
                 dominated.update(w for w in g.out_neighbors(x) if w in alive)

@@ -49,6 +49,16 @@ def test_gen_random_requires_seed(capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("family,text", [
+    ("apex-crown", "# recipe apex-crown 3\ndigraph 7 9\n"
+                   "3 0\n3 1\n4 0\n4 2\n5 1\n5 2\n6 3\n6 4\n6 5\n"),
+    ("bidirected-clique", "# recipe bidirected-clique 3\ndigraph 3 6\n"
+                          "0 1\n0 2\n1 0\n1 2\n2 0\n2 1\n"),
+])
+def test_gen_named_family(capsys, family, text):
+    assert run(capsys, "gen", family, "3") == (0, text, "")
+
+
 def test_gen_to_file(tmp_path, capsys):
     target = tmp_path / "out.dg"
     code, out, _ = run(capsys, "gen", "crown", "3", "-o", str(target))
@@ -492,6 +502,45 @@ options:
 """
 
 
+GEN_HELP = """\
+usage: sparsedigraph gen [-h] [--arcs ARCS] [--seed SEED] [-o OUTPUT]
+                         {path,crown,apex-crown,bidirected-clique,random} size
+
+positional arguments:
+  {path,crown,apex-crown,bidirected-clique,random}
+  size
+
+options:
+  -h, --help            show this help message and exit
+  --arcs ARCS
+  --seed SEED
+  -o OUTPUT, --output OUTPUT
+"""
+
+GEN_UNKNOWN_FAMILY = """\
+usage: sparsedigraph gen [-h] [--arcs ARCS] [--seed SEED] [-o OUTPUT]
+                         {path,crown,apex-crown,bidirected-clique,random} size
+sparsedigraph gen: error: argument family: invalid choice: 'tree' (choose from \
+'path', 'crown', 'apex-crown', 'bidirected-clique', 'random')
+"""
+
+DST_HELP = """\
+usage: sparsedigraph dst [-h] [--fpt | --exact | --scss] [--max-n MAX_N]
+                         instance
+
+positional arguments:
+  instance
+
+options:
+  -h, --help     show this help message and exit
+  --fpt
+  --exact
+  --scss         strongly connected variant; root plus terminals form the
+                 terminal set
+  --max-n MAX_N
+"""
+
+
 def run_module(*argv):
     env = {k: v for k, v in os.environ.items() if k != "FORCE_COLOR"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -510,6 +559,12 @@ def test_module_entry_point_matches_in_process_call(tmp_path, capsys):
     assert without_timing(out) == without_timing(in_out)
     assert run_module("--help") == (0, TOP_HELP, "")
     assert run_module("wcol", "--help") == (0, WCOL_HELP, "")
+    assert run_module("gen", "--help") == (0, GEN_HELP, "")
+    assert run_module("dst", "--help") == (0, DST_HELP, "")
+
+
+def test_gen_unknown_family_is_a_usage_error():
+    assert run_module("gen", "tree", "3") == (2, "", GEN_UNKNOWN_FAMILY)
 
 
 def cyclic_garbage(call) -> int:

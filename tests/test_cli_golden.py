@@ -197,6 +197,22 @@ def test_dst_golden_table_covers_every_case():
     assert set(DST_EXPECTED) == {(i, c) for i in DST_INSTANCES for c in DST_COMMANDS}
 
 
+# dst --exact, within the enumeration oracle's default cap of 12 vertices:
+# instance -> (exit code, first 16 hex digits of the stdout digest)
+DST_EXACT_EXPECTED = {
+    "feasible": (0, "75154c95eaa484dc"),    # solution [2, 3], at the budget
+    "infeasible": (1, "138e0c3543305c34"),
+}
+
+
+@pytest.mark.parametrize("instance,seed", [("feasible", 5), ("infeasible", 3)])
+def test_dst_exact_output_matches_golden(tmp_path, instance, seed):
+    path = tmp_path / "inst.dst"
+    path.write_text(format_dst_instance(
+        DstInstance(random_digraph(12, 20, seed), 0, frozenset({5, 8, 11}), 2)))
+    assert _run(["dst", str(path), "--exact"]) == DST_EXACT_EXPECTED[instance]
+
+
 # ---------------------------------------------------------------------------
 # domset --scds
 

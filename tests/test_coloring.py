@@ -187,6 +187,18 @@ def test_wcol_exact_cap():
         wcol_exact(random_digraph(10, 20, 0), 2)
 
 
+def test_exact_caps_rise_with_max_n():
+    # one vertex past the default cap of 9; max_n= lets the search run
+    g = directed_path(10)
+    with pytest.raises(SizeCapError):
+        wcol_infty_exact(g)
+    assert wcol_infty_exact(g, max_n=10)[0] == 4  # ceil(log2(11))
+    with pytest.raises(SizeCapError):
+        adm_exact(g, 1)
+    value, order = adm_exact(g, 1, max_n=10)
+    assert value == max(adm_of_order(g, order, v, 1) for v in range(10)) == 1
+
+
 # ---------------------------------------------------------------------------
 # admissibility
 

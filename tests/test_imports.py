@@ -1,12 +1,18 @@
 """Every module-level import in the package is used by its module, every
-module-level private function is used somewhere in the package, and every
-module-level ``MAX_*`` size cap is named in the README."""
+module-level private function is used somewhere in the package, every
+module-level ``MAX_*`` size cap is named in the README, every defaulted
+parameter of a module-level function is passed by some call, and the
+command line loads the acceptance suite only for ``selftest``."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sparsedigraph"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "sparsedigraph"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
@@ -22,6 +28,14 @@ def unused_imports(source: str) -> list[str]:
             bound += [a.asname or a.name for a in node.names]
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [name for name in bound if name not in used]
+
+
+def test_cli_loads_the_acceptance_suite_only_for_selftest():
+    code = ("import sys, sparsedigraph.cli\n"
+            "assert 'sparsedigraph.acceptance' not in sys.modules\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -82,7 +96,7 @@ def undocumented_caps(sources: dict[str, str], readme: str) -> list[str]:
 
 def test_size_caps_are_documented():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
-    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
     assert undocumented_caps(sources, readme) == []
 
 
@@ -90,3 +104,53 @@ def test_undocumented_cap_is_caught():
     sources = {"a": "MAX_SHOWN = 1\nMAX_HIDDEN: int = 2\nOTHER = 3\n",
                "b": "def f():\n    MAX_LOCAL = 4\n"}
     assert undocumented_caps(sources, "`a.MAX_SHOWN` caps it") == ["a.MAX_HIDDEN"]
+
+
+def unset_keywords(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function.param`` of each defaulted parameter of a
+    module-level function in ``sources`` that no call in ``callers`` passes,
+    by keyword or by position.  A call through ``*`` or ``**`` passes them
+    all.  Calls are matched to functions by name."""
+    defaulted = {}
+    for mod, src in sources.items():
+        for node in ast.parse(src).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                names = positional[len(positional) - len(a.defaults):]
+                names += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                defaulted.setdefault(node.name, []).append((mod, positional, names))
+    passed = {name: set() for name in defaulted}
+    for src in callers:
+        for call in ast.walk(ast.parse(src)):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            for _, positional, names in defaulted.get(name, ()):
+                if (any(isinstance(x, ast.Starred) for x in call.args)
+                        or any(k.arg is None for k in call.keywords)):
+                    passed[name].update(names)
+                passed[name].update(positional[:len(call.args)])
+                passed[name].update(k.arg for k in call.keywords)
+    return sorted(f"{mod}.{fn}.{p}" for fn, entries in defaulted.items()
+                  for mod, _, names in entries for p in names if p not in passed[fn])
+
+
+def test_every_keyword_is_passed_somewhere():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    callers = [p.read_text(encoding="utf-8")
+               for top in ("src", "tests", "demos", "perfbench")
+               for p in sorted((REPO / top).rglob("*.py"))]
+    assert unset_keywords(sources, callers) == []
+
+
+def test_unset_keyword_is_caught():
+    sources = {"a": "def f(x, y=1, *, z=2, w):\n    pass\n\n"
+                    "def g(x=0, y=0):\n    pass\n\n"
+                    "def h(x=0):\n    pass\n\n"
+                    "class C:\n    def m(self, q=0):\n        pass\n"}
+    callers = ["f(0, w=1)\nmod.f(0, 1, w=2)\ng(*args)\n",
+               "h(**kw)\nobj.m()\n"]
+    assert unset_keywords(sources, callers) == ["a.f.z"]
+    assert unset_keywords(sources, callers + ["f(0, z=3, w=1)"]) == []

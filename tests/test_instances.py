@@ -99,6 +99,8 @@ def test_random_digraph_deterministic():
 def test_recipe_roundtrip():
     assert InstanceRecipe("path", 4).build() == directed_path(4)
     assert InstanceRecipe("bidirected-clique", 3).build() == bidirected_clique(3)
+    assert InstanceRecipe("crown", 4).build() == crown(4)
+    assert InstanceRecipe("apex-crown", 4).build() == apex_crown(4)
     r = InstanceRecipe("random", 6, arcs=9, seed=4)
     assert r.build() == random_digraph(6, 9, 4)
     assert "seed=4" in r.describe()

@@ -136,3 +136,14 @@ def test_grad_cap():
         grad(random_digraph(9, 20, 0), 1)
     with pytest.raises(SizeCapError):
         top_grad(random_digraph(9, 20, 0), 1)
+
+
+def test_grad_caps_rise_with_max_n():
+    # one vertex past the default cap of 8: a path's densest minor is itself
+    g = directed_path(9)
+    with pytest.raises(SizeCapError):
+        grad(g, 1)
+    assert grad(g, 1, max_n=9) == Fraction(8, 9)
+    with pytest.raises(SizeCapError):
+        top_grad(g, 1)
+    assert top_grad(g, 1, max_n=9) == Fraction(8, 9)

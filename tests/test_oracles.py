@@ -151,6 +151,14 @@ def test_scss_enum_star():
     assert scss_exact_enum(g, [1, 2, 3], 1) == frozenset({0})
 
 
+def test_scss_enum_cap_rises_with_max_n():
+    # one vertex past the default cap of 12; one terminal needs no connector
+    g = directed_path(13)
+    with pytest.raises(SizeCapError):
+        scss_exact_enum(g, [0], 1)
+    assert scss_exact_enum(g, [0], 1, max_n=13) == frozenset()
+
+
 def test_redblue_enum():
     g = directed_path(4)
     # at r = 2 blue vertex 1 covers {1, 2, 3} on its own
