@@ -90,9 +90,11 @@ def _cmd_gen(args) -> tuple[int, dict]:
     if args.family == "random":
         if args.arcs is None or args.seed is None:
             raise ValueError("random generation needs --arcs and --seed")
-        recipe = InstanceRecipe("random", args.size, arcs=args.arcs, seed=args.seed)
     else:
-        recipe = InstanceRecipe(args.family, args.size)
+        for option, value in (("--arcs", args.arcs), ("--seed", args.seed)):
+            if value is not None:
+                raise ValueError(f"{option} applies only to the random family")
+    recipe = InstanceRecipe(args.family, args.size, arcs=args.arcs, seed=args.seed)
     g = recipe.build()
     text = format_digraph(g, comments=[recipe.describe()])
     if args.output:

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Optional
 
 from .digraph import (Digraph, LinearOrder, _adjacency_masks, _bfs, _bits, _mask_reach,
-                      _orient, _smallest_last, out_distances)
+                      _peel_lists, _smallest_last, out_distances)
 from .errors import InternalInvariantError, SizeCapError, _check_cap
 
 
@@ -235,18 +235,19 @@ class Augmentation:
     ``Digraph``s; ``layers`` derives their arc frozensets for callers that
     test and count arcs (the definition checker in ``acceptance``).
 
-    ``partners[u]`` is the frozenset of vertices that some layer joins to
-    u in either direction: the union's undirected adjacency, which
-    ``tfa_augment`` fills from its closure.  It is None on an augmentation
-    built by hand, which may repeat a pair; ``order_from_augmentation``
-    then derives the union from the layer graphs.  It takes no part in
-    ``==`` or ``repr``.
+    ``partners[u]`` is the set of vertices that some layer joins to u in
+    either direction: the union's undirected adjacency.  These are the
+    closure's own sets, handed over by ``tfa_augment`` without a copy, so
+    they are read-only by contract: nothing may change them.  It is None
+    on an augmentation built by hand, which may repeat a pair;
+    ``order_from_augmentation`` then derives the union from the layer
+    graphs.  It takes no part in ``==`` or ``repr``.
     """
 
     n: int
     depth: int
     graphs: tuple[Digraph, ...]
-    partners: Optional[tuple[frozenset, ...]] = field(
+    partners: Optional[tuple[set, ...]] = field(
         default=None, compare=False, repr=False)
 
     @property
@@ -265,14 +266,17 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     E_j2 with j1 + j2 = t, provided the base graph joins the new pair by
     a directed path of length at most t in some direction and the pair is
     not already augmented.  Each layer's pairs go as undirected lists,
-    sorted ascending, through ``_orient`` into the out-lists of its
-    ``Digraph``, whose adjacency later layers read.
+    sorted ascending, through ``_peel_lists``, whose live-neighbor lists
+    are the layer's out-lists towards the vertices peeled later; they
+    fill its ``Digraph`` as they are, and later layers index its adjacency
+    tuples.  A layer that gains no pair is filled with no peel.
 
     ``partners[u]`` is the set of vertices that some layer so far pairs
     with u: a proposed pair is new when v is not in ``partners[u]``, and
     an accepted pair enters both sets at once, so no pair is joined twice
     or both ways.  The sets become ``Augmentation.partners``, the union
-    that ``order_from_augmentation`` peels without deriving it again.
+    that ``order_from_augmentation`` peels without deriving it again;
+    they are handed over as they are, not frozen.
     Transitive patterns are scanned for every split j1 + j2 = t;
     fraternal ones only once per unordered split: out_j1(w) x out_j2(w)
     for j1 < j2, the 2-combinations of the one out-list for j1 = j2, and
@@ -286,10 +290,12 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     one shared empty ``Digraph``, so large radii cost no more than the
     depth the closure actually reaches.  A closure that never empties
     still scans every split of every layer, O(r^2 * n) before any candidate
-    pair: on ``directed_path(n)`` at r = n single calls take 0.03, 0.19
-    and 1.5 s at n = 50, 100 and 200 (2-core VM, Python 3.11), against
-    0.05, 0.33 and 2.8 s on the same host for the closure that kept one
-    global pair set and proposed each fraternal pair twice.
+    pair: on ``directed_path(n)`` at r = n single calls take 0.014, 0.09
+    and 0.53 s at n = 50, 100 and 200 (median of three, 2-core VM, Python
+    3.11), against 0.021, 0.13 and 0.96 s interleaved on the same host for
+    the closure that called the layers' adjacency methods, oriented each
+    layer in a second pass over a ``LinearOrder`` and froze its partner
+    sets.
     """
     if r < 1:
         raise ValueError("augmentation depth must be at least 1")
@@ -297,9 +303,9 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     dist = [out_distances(g, v, cap=r) for v in range(n)]
     far = r + 1
 
-    # ascending neighbor lists orient into ascending out-lists, as ``_fill`` needs
+    # ascending neighbor lists peel into ascending out-lists, as ``_fill`` needs
     und = [g.underlying_neighbors(v) for v in range(n)]
-    layers = [Digraph.__new__(Digraph)._fill(n, _orient(und)[2])]
+    layers = [Digraph.__new__(Digraph)._fill(n, _peel_lists(und)[1] if g.m else und)]
     partners = [set(a) for a in und]
 
     empty_from = 2 if layers[0].m else 1  # the trailing run of empty layers starts here
@@ -309,16 +315,16 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
         und = [[] for _ in range(n)]  # this layer's pairs, listed at both ends
         for j1 in range(1, t):
             j2 = t - j1
-            i1 = layers[j1 - 1].in_neighbors
-            o1 = layers[j1 - 1].out_neighbors
-            o2 = layers[j2 - 1].out_neighbors
+            i1 = layers[j1 - 1]._in
+            o1 = layers[j1 - 1]._out
+            o2 = layers[j2 - 1]._out
             for w in range(n):
-                ends = o2(w)
+                ends = o2[w]
                 if not ends:
                     continue
                 # transitive: u -> w in E_j1 followed by w -> v in E_j2, every split;
                 # fraternal: w -> u in E_j1 and w -> v in E_j2, the split j1 <= j2 only
-                for u in i1(w) + o1(w) if j1 < j2 else i1(w):
+                for u in i1[w] + o1[w] if j1 < j2 else i1[w]:
                     pu = partners[u]
                     du = dist[u]
                     for v in ends:
@@ -336,18 +342,16 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
                             partners[v].add(u)
                             und[u].append(v)
                             und[v].append(u)
-        for a in und:
-            a.sort()
-        layers.append(Digraph.__new__(Digraph)._fill(n, _orient(und)[2]))
-        if layers[-1].m:
+        if any(und):
+            for a in und:
+                a.sort()
+            und = _peel_lists(und)[1]
             empty_from = t + 1
+        layers.append(Digraph.__new__(Digraph)._fill(n, und))
 
     if len(layers) < r:
         empty = Digraph.__new__(Digraph)._fill(n, [()] * n)
         layers += [empty] * (r - len(layers))
-    del dist  # freed before the sets are frozen in place, one at a time, to bound the peak
-    for u, s in enumerate(partners):
-        partners[u] = frozenset(s)
     return Augmentation(n=n, depth=r, graphs=tuple(layers), partners=tuple(partners))
 
 
@@ -393,8 +397,7 @@ def order_from_augmentation(g: Digraph, aug: Augmentation) -> WcolOrder:
     if aug.partners is None:
         d, union = _layer_union(g.n, hs)
     else:
-        d = max(map(sum, zip(*(map(len, map(h.out_neighbors, range(g.n))) for h in hs))),
-                default=0)
+        d = max(map(sum, zip(*(map(len, h._out) for h in hs))), default=0)
         union = aug.partners
     c, order = _smallest_last(union)
     return WcolOrder(order=order, guarantee=(d + 1) * c + 1, smaller_neighbors=c, max_outdegree=d)

@@ -61,8 +61,8 @@ class Digraph:
         free of duplicates and of u, with entries in ``0..n-1``.  The tails
         are visited in ascending order, so the in-lists come out sorted.
         Package code builds these: ``contract``, ``induced_subgraph`` and
-        ``reverse`` here, and in ``coloring`` the augmentation's layer
-        graphs.
+        ``reverse`` here, the augmentation's layer graphs in ``coloring``
+        and the kernel graph in ``duality``.
         """
         inc: list[list[int]] = [[] for _ in range(n)]
         for u, heads in enumerate(out):
@@ -424,11 +424,14 @@ def contract(g: Digraph, partition: Iterable[Iterable[int]],
 
 
 def induced_subgraph(g: Digraph, vertices: Iterable[int]) -> tuple[Digraph, list[int]]:
-    """Induced subgraph on ``vertices``; returns (subgraph, new-to-old map)."""
+    """Induced subgraph on ``vertices``; returns (subgraph, new-to-old map).
+    If every vertex is kept, ``g`` itself comes back with the identity map."""
     old = sorted(set(vertices))
     for v in old:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
+    if len(old) == g.n:
+        return g, old
     new_of = {v: i for i, v in enumerate(old)}
     out = [[new_of[v] for v in g._out[u] if v in new_of] for u in old]
     return Digraph.__new__(Digraph)._fill(len(old), out), old
@@ -448,22 +451,31 @@ def remove_vertices(g: Digraph, removed: Iterable[int]) -> Digraph:
 # degeneracy
 
 
-def _peel_lists(neighbors: Sequence[Collection[int]]) -> tuple[list[int], list[int]]:
-    """Min-degree peel: the removed vertices in removal order, and the
-    degree each had at its removal.
+def _peel_lists(neighbors: Sequence[Collection[int]]) -> tuple[list[int], list[list[int]]]:
+    """Min-degree peel: ``(removed, later)``, the vertices in removal
+    order, and for each vertex v the entries of ``neighbors[v]`` still
+    live when v is removed, in list order.
 
     ``neighbors[v]`` lists v's neighbors, repeats counting with
     multiplicity, and v appears in ``neighbors[u]`` as often as u in
-    ``neighbors[v]``.  Each step removes the live vertex of smallest
-    current degree, ties broken towards the smallest index.  A bucket
-    queue (Matula and Beck 1983) holds one min-heap of vertex ids per
-    degree; a vertex enters the bucket of every degree it takes, and
-    entries whose vertex has since moved lower or been removed (degree
-    set to -1) are skipped when popped.  ``low`` never exceeds the
-    smallest live degree: it rises one empty bucket at a time and falls
-    only to a degree a removal produced, so it moves O(n + m) times, and
-    the heaps make the peel O(n + m log n).  Two flat lists, not n
-    pairs, keep the allocations few.
+    ``neighbors[v]``; a ``set`` is read in its iteration order.  The
+    lists are only read, so ``Augmentation.partners``, the closure's own
+    sets, are peeled as they are, with no copy.
+    ``len(later[v])`` is v's degree at its removal, so the degrees in
+    removal order are ``[len(later[v]) for v in removed]``.  For ascending
+    lists without repeats, ``later[v]`` is v's out-list in the orientation
+    towards the vertices removed after it, ready for ``Digraph._fill``.
+
+    Each step removes the live vertex of smallest current degree, ties
+    broken towards the smallest index.  A bucket queue (Matula and Beck
+    1983) holds one min-heap of vertex ids per degree; a vertex enters
+    the bucket of every degree it takes, and entries whose vertex has
+    since moved lower or been removed (degree set to -1) are skipped when
+    popped.  ``low`` never exceeds the smallest live degree: it rises one
+    empty bucket at a time and falls only to a degree a removal produced,
+    so it moves O(n + m) times, and the heaps make the peel
+    O(n + m log n).  The live entries are collected in the same loop that
+    lowers their degrees, so no second pass reads the lists.
     """
     n = len(neighbors)
     deg = [len(a) for a in neighbors]
@@ -472,7 +484,7 @@ def _peel_lists(neighbors: Sequence[Collection[int]]) -> tuple[list[int], list[i
     for v, d in enumerate(deg):
         buckets[d].append(v)
     removed: list[int] = []
-    degrees: list[int] = []
+    later: list[list[int]] = [[]] * n  # every slot is replaced
     low = 0
     for _ in range(n):
         bucket = buckets[low]
@@ -484,41 +496,42 @@ def _peel_lists(neighbors: Sequence[Collection[int]]) -> tuple[list[int], list[i
             if deg[v] == low:
                 break
         removed.append(v)
-        degrees.append(low)
         deg[v] = -1
+        live = later[v] = []
         for u in neighbors[v]:
             d = deg[u]
             if d > 0:
                 d -= 1
                 deg[u] = d
                 heappush(buckets[d], u)
+                live.append(u)
                 if d < low:
                     low = d
-    return removed, degrees
+    return removed, later
 
 
 def _smallest_last(und: Sequence[Collection[int]]) -> tuple[int, LinearOrder]:
     """Smallest-last order (Matula and Beck 1983) of the undirected graph
     whose vertex v has the neighbors ``und[v]``, each listed once.
 
-    Returns ``(d, order)``: d is the largest degree at removal in
-    ``_peel_lists``, and every vertex has at most d neighbors earlier in
-    ``order`` (the peel reversed).  Costs the peel's O(n + m log n).
+    Returns ``(d, order)``: d is the largest degree at removal, the
+    length of the longest of ``_peel_lists``' live lists, and every vertex
+    has at most d neighbors earlier in ``order`` (the peel reversed).
+    Costs the peel's O(n + m log n).
     """
-    removed, degrees = _peel_lists(und)
-    return max(degrees, default=0), LinearOrder(removed[::-1])
+    return _orient(und)[:2]
 
 
 def _orient(und: Sequence[Collection[int]]) -> tuple[int, LinearOrder, list[list[int]]]:
     """``_smallest_last`` plus the orientation towards earlier neighbors:
     ``(d, order, out)``, where ``out[u]`` keeps u's earlier neighbors in
     ``und[u]``'s order, so ascending lists give out-lists ready for
-    ``Digraph._fill``.
+    ``Digraph._fill``.  ``out`` is ``_peel_lists``'s ``later``, taken
+    from the peel with no second pass: the vertices earlier in ``order``
+    are those removed later.  Like the peel, it only reads ``und``.
     """
-    d, order = _smallest_last(und)
-    pos = order._pos
-    out = [[v for v in nbrs if pos[v] < p] for nbrs, p in zip(und, pos)]
-    return d, order, out
+    removed, later = _peel_lists(und)
+    return max(map(len, later), default=0), LinearOrder(removed[::-1]), later
 
 
 def degeneracy(g: Digraph) -> tuple[int, LinearOrder, list[tuple[int, int]]]:

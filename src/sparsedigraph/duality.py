@@ -572,29 +572,20 @@ def kernelize(g: Digraph, r: int, k: int,
     reps = tuple(sorted(classes.values()))
     keep = sorted(core | set(reps))
     sub, old_of = induced_subgraph(g, keep)
-    new_of = {old: new for new, old in enumerate(old_of)}
-    core_new = {new_of[v] for v in core}
-
-    arcs = set(sub.arcs())
-    w, w_prime = sub.n, sub.n + 1
-    next_free = sub.n + 2
-
-    def add_path(frm: int, to: int):
-        nonlocal next_free
-        prev = frm
+    # w = sub.n runs a length-r path of fresh vertices to w' = sub.n + 1 and
+    # to every kept non-core vertex; each fresh vertex gets the next index
+    w = sub.n
+    out: list = [*sub._out, [], ()]
+    for to in (w + 1, *(v for v, old in enumerate(old_of) if old not in core)):
+        prev = w
         for _ in range(r - 1):
-            arcs.add((prev, next_free))
-            prev = next_free
-            next_free += 1
-        arcs.add((prev, to))
-
-    add_path(w, w_prime)
-    for v in range(sub.n):
-        if v not in core_new:
-            add_path(w, v)
-    kernel_graph = Digraph(next_free, arcs)
+            out[prev].append(len(out))
+            prev = len(out)
+            out.append([])
+        out[prev].append(to)
+    out[w].sort()  # at r = 1, w' comes first but is w's largest head
     return KernelResult(
-        graph=kernel_graph,
+        graph=Digraph.__new__(Digraph)._fill(len(out), out),
         budget=k + 1,
         infeasible=False,
         core_size=len(core),

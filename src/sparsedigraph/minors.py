@@ -275,9 +275,9 @@ def grad_lower_bound(g: Digraph) -> Fraction:
         return Fraction(0)
     arcs = best_arcs = g.m
     alive = best_alive = g.n
-    _, degrees = _peel_lists([g.out_neighbors(v) + g.in_neighbors(v) for v in range(g.n)])
-    for deg_v in degrees[:-1]:
-        arcs -= deg_v
+    removed, later = _peel_lists([out + inc for out, inc in zip(g._out, g._in)])
+    for v in removed[:-1]:  # removal order: a degree is its live list's length
+        arcs -= len(later[v])
         alive -= 1
         if arcs * best_alive > best_arcs * alive:
             best_arcs, best_alive = arcs, alive

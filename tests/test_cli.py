@@ -47,6 +47,18 @@ def test_gen_random_requires_seed(capsys):
     code, _, err = run(capsys, "gen", "random", "5")
     assert code == 2
     assert "seed" in err
+    assert run(capsys, "gen", "random", "5", "--seed", "1")[0] == 2
+    assert run(capsys, "gen", "random", "5", "--arcs", "4")[0] == 2
+
+
+@pytest.mark.parametrize("extra, option", [
+    (("--arcs", "99", "--seed", "1"), "--arcs"),
+    (("--seed", "1"), "--seed"),
+    (("--arcs", "2"), "--arcs"),
+])
+def test_gen_rejects_options_its_family_ignores(capsys, extra, option):
+    assert run(capsys, "gen", "path", "3", *extra) == (
+        2, "", f"error: {option} applies only to the random family\n")
 
 
 @pytest.mark.parametrize("family,text", [

@@ -319,11 +319,8 @@ def _ref_undirected_lists(n, pairs):
 
 
 def _ref_degeneracy(und):
-    d = 0
-    peel = []
-    for v, deg_v in zip(*_peel_lists(und)):
-        d = max(d, deg_v)
-        peel.append(v)
+    peel, later = _peel_lists(und)
+    d = max((len(later[v]) for v in peel), default=0)
     order = LinearOrder(peel[::-1])
     orientation = [(u, v) for u in range(len(und)) for v in und[u]
                    if order.position(v) < order.position(u)]
@@ -429,6 +426,42 @@ def test_wcol_order_reads_no_arc_view(monkeypatch):
     monkeypatch.setattr(Augmentation, "layers", property(_refuse_arc_view))
     monkeypatch.setattr(Augmentation, "union_arcs", _refuse_arc_view)
     assert compute_wcol_order(random_digraph(200, 600, 1), 3) == expected
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records the arguments of
+    each call; returns the list of records."""
+    real = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("g, r", [
+    (random_digraph(200, 600, 1), 3),
+    (random_digraph(30, 60, 4), 40),  # the closure stops, the rest is padding
+    (directed_path(12), 12),
+    (Digraph(5), 3),  # no arcs: no layer is peeled
+], ids=["random", "past-closure", "path", "edgeless"])
+def test_augmentation_peels_each_nonempty_layer_once(monkeypatch, g, r):
+    # the peel's live lists are the layers' out-lists: no order is built,
+    # and a layer that gains no pair is not peeled
+    orders = _count_calls(monkeypatch, LinearOrder, "__init__")
+    peels = _count_calls(monkeypatch, coloring, "_peel_lists")
+    aug = tfa_augment(g, r)
+    assert orders == []
+    assert len(peels) == sum(1 for h in aug.graphs if h.m)
+
+
+def test_wcol_order_builds_one_linear_order(monkeypatch):
+    orders = _count_calls(monkeypatch, LinearOrder, "__init__")
+    compute_wcol_order(random_digraph(200, 600, 1), 3)
+    assert len(orders) == 1
 
 
 def _bidirected_star(leaves):

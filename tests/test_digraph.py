@@ -1,7 +1,6 @@
 """Core digraph representation, balls, SCCs, contraction, degeneracy."""
 import heapq
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +22,9 @@ from sparsedigraph import (
     random_digraph,
     scc,
 )
-from sparsedigraph.digraph import (_adjacency_masks, _bfs, _mask_reach, _peel_lists, _smallest_last,
-                                   induced_subgraph, remove_vertices, shortest_path)
+from sparsedigraph.digraph import (_adjacency_masks, _bfs, _mask_reach, _orient, _peel_lists,
+                                   _smallest_last, induced_subgraph, remove_vertices,
+                                   shortest_path)
 from sparsedigraph.oracles import verify_strongly_connected
 
 
@@ -377,10 +377,13 @@ def test_peel_large_graphs(build, expected):
 
 def _heap_peel_reference(neighbors):
     """The peel as a lazy global heap with keys ``degree * n + vertex``,
-    as it stood before the bucket queue."""
+    as it stood before the bucket queue, in ``_peel_lists``' return shape:
+    the removal order, and each vertex's live neighbor entries at its
+    removal (as many as its degree then)."""
     n = len(neighbors)
     deg = [len(a) for a in neighbors]
     alive = [True] * n
+    removed, later = [], [None] * n
     heap = [d * n + v for v, d in enumerate(deg)]
     heapq.heapify(heap)
     while heap:
@@ -388,11 +391,13 @@ def _heap_peel_reference(neighbors):
         if not alive[v]:
             continue
         alive[v] = False
-        yield v, d
-        for u in neighbors[v]:
-            if alive[u]:
-                deg[u] -= 1
-                heapq.heappush(heap, deg[u] * n + u)
+        removed.append(v)
+        later[v] = [u for u in neighbors[v] if alive[u]]
+        assert len(later[v]) == d
+        for u in later[v]:
+            deg[u] -= 1
+            heapq.heappush(heap, deg[u] * n + u)
+    return removed, later
 
 
 def _heap_grad_lower_bound_reference(g):
@@ -401,9 +406,10 @@ def _heap_grad_lower_bound_reference(g):
         return Fraction(0)
     arcs = best_arcs = g.m
     alive = best_alive = g.n
-    peel = _heap_peel_reference([g.out_neighbors(v) + g.in_neighbors(v) for v in range(g.n)])
-    for _, deg_v in islice(peel, g.n - 1):
-        arcs -= deg_v
+    removed, later = _heap_peel_reference(
+        [g.out_neighbors(v) + g.in_neighbors(v) for v in range(g.n)])
+    for v in removed[:-1]:
+        arcs -= len(later[v])
         alive -= 1
         if arcs * best_alive > best_arcs * alive:
             best_arcs, best_alive = arcs, alive
@@ -434,9 +440,9 @@ def multigraph_lists(draw, max_n=30):
 @given(multigraph_lists())
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_bucket_peel_matches_heap_peel(nbrs):
-    removed, degrees = _peel_lists(nbrs)
-    assert isinstance(removed, list) and isinstance(degrees, list)
-    assert list(zip(removed, degrees)) == list(_heap_peel_reference(nbrs))
+    removed, later = _peel_lists(nbrs)
+    assert isinstance(removed, list) and isinstance(later, list)
+    assert (removed, later) == _heap_peel_reference(nbrs)
 
 
 @pytest.mark.parametrize("nbrs", [
@@ -448,7 +454,49 @@ def test_bucket_peel_matches_heap_peel(nbrs):
     [[1, 2], [0, 2], [0, 1], [4], [3], []],  # a triangle, an edge, an isolated vertex
 ], ids=["empty", "single", "isolated", "star", "repeats", "mixed"])
 def test_bucket_peel_small_cases(nbrs):
-    assert list(zip(*_peel_lists(nbrs))) == list(_heap_peel_reference(nbrs))
+    assert _peel_lists(nbrs) == _heap_peel_reference(nbrs)
+
+
+def _two_pass_orient_reference(und):
+    """The orientation as ``_orient`` built it before the peel kept the
+    live lists: smallest-last order from the peel, then a second pass
+    keeping each vertex's neighbors earlier in the order, in list order."""
+    removed, _ = _heap_peel_reference(und)
+    pos = [0] * len(und)
+    for i, v in enumerate(reversed(removed)):
+        pos[v] = i
+    return [[v for v in nbrs if pos[v] < p] for nbrs, p in zip(und, pos)]
+
+
+@st.composite
+def simple_lists(draw, max_n=30):
+    """Symmetric neighbor lists of a simple graph, each list ascending."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return [[] for _ in range(n)]
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=3 * n))
+    nbrs = [set() for _ in range(n)]
+    for u, v in pairs:
+        if u != v:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    return [sorted(a) for a in nbrs]
+
+
+@given(st.one_of(simple_lists(), simple_lists().map(lambda lists: [set(a) for a in lists]),
+                 multigraph_lists()))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_live_lists_match_two_pass_orientation(und):
+    # ascending lists (the augmentation's layers), sets (its partner sets,
+    # read in iteration order) and lists with repeats (minors' out+in lists)
+    removed, later = _peel_lists(und)
+    assert later == _two_pass_orient_reference(und)
+    d, order, out = _orient(und)
+    assert out == later and order.seq == tuple(reversed(removed))
+    assert d == max(map(len, later), default=0) == _smallest_last(und)[0]
+    if all(isinstance(a, list) and a == sorted(set(a)) for a in und):
+        assert all(a == sorted(a) for a in later)  # ready for ``Digraph._fill``
 
 
 @given(st.integers(1, 120), st.integers(0, 6), st.integers(0, 10**6))
@@ -598,6 +646,14 @@ def test_induced_subgraph_mapping():
     kept = set(old_of)
     expected = sum(1 for u, v in g.arcs() if u in kept and v in kept)
     assert h.m == expected
+
+
+def test_induced_subgraph_keeping_every_vertex_is_the_input():
+    g = random_digraph(8, 16, seed=21)
+    assert induced_subgraph(g, [7, *range(8)]) == (g, list(range(8)))
+    assert induced_subgraph(g, range(8))[0] is g
+    with pytest.raises(ValueError):
+        induced_subgraph(g, range(9))
 
 
 def test_remove_vertices_keeps_indexing():

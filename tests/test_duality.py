@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsedigraph import Digraph, apex_crown, bidirected_clique, directed_path, random_digraph
-from sparsedigraph import coloring
+from sparsedigraph import coloring, duality
 from sparsedigraph.coloring import compute_wcol_order, wreach_all
-from sparsedigraph.digraph import in_ball, out_ball, remove_vertices
+from sparsedigraph.digraph import in_ball, induced_subgraph, out_ball, remove_vertices
 from sparsedigraph.duality import (
+    CoreResult,
     closure,
     dominator_or_scattered,
     domination_core,
@@ -706,6 +707,52 @@ def test_kernel_decision_preserved_random():
                 gamma_r_exact(res.graph, r, max_n=60)[0] <= res.budget
             )
         assert kernel_decision == original, f"seed {seed}"
+
+
+def _set_built_kernel_graph(g, r, core, reps):
+    """The kernel graph as ``kernelize`` built it before it filled the
+    out-lists directly: an arc set checked by the constructor."""
+    keep = sorted(core | set(reps))
+    sub, old_of = induced_subgraph(g, keep)
+    new_of = {old: new for new, old in enumerate(old_of)}
+    core_new = {new_of[v] for v in core}
+    arcs = set(sub.arcs())
+    w, w_prime = sub.n, sub.n + 1
+    next_free = sub.n + 2
+
+    def add_path(frm, to):
+        nonlocal next_free
+        prev = frm
+        for _ in range(r - 1):
+            arcs.add((prev, next_free))
+            prev = next_free
+            next_free += 1
+        arcs.add((prev, to))
+
+    add_path(w, w_prime)
+    for v in range(sub.n):
+        if v not in core_new:
+            add_path(w, v)
+    return Digraph(next_free, arcs)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("with_reps", [False, True], ids=["full-core", "representatives"])
+def test_kernel_graph_matches_set_built_reference(monkeypatch, r, with_reps):
+    # the core is chosen here, so that some vertices fall outside it and
+    # collapse to representatives; only the graph's assembly is compared
+    rng = random.Random(r)
+    for seed in range(10):
+        n = rng.randint(1, 16)
+        g = random_digraph(n, rng.randint(0, min(3 * n, n * (n - 1))), seed + 300)
+        core = frozenset(rng.sample(range(n), rng.randint(1, n - 1))) if with_reps and n > 1 \
+            else frozenset(range(n))
+        monkeypatch.setattr(duality, "domination_core", lambda *args, **kwargs: CoreResult(
+            kind="core", core=core, removed=(), iterations=1))
+        res = kernelize(g, r, 2, small_threshold=0)
+        assert bool(res.representatives) == (core != frozenset(range(n)))
+        ref = _set_built_kernel_graph(g, r, core, res.representatives)
+        assert res.graph == ref and res.graph._in == ref._in and res.graph.m == ref.m
 
 
 def test_kernel_collapses_twins():
