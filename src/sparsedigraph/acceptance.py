@@ -78,7 +78,7 @@ def check_augmentation(g: Digraph, aug: Augmentation) -> list[str]:
                 problems.append(f"arc ({u},{v}) in layer {i} has no base path")
 
     # (3) no antiparallel pair anywhere in the union
-    union = aug.union_arcs()
+    union = frozenset().union(*layers)
     for (u, v) in union:
         if (v, u) in union:
             problems.append(f"antiparallel pair {u},{v} in the union")

@@ -56,13 +56,18 @@ def _read_graph(path: str) -> Digraph:
         return parse_digraph(fh.read())
 
 
-def _read_vertex_list(path: str) -> list[int]:
+def _read_vertex_list(path: str, n: int) -> list[int]:
+    """The vertices listed one per line in ``path``; the smallest one
+    outside ``0..n-1``, if any, is named in a ValueError."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line and not line.startswith("#"):
                 out.append(int(line))
+    bad = [v for v in out if not 0 <= v < n]
+    if bad:
+        raise ValueError(f"vertex {min(bad)} out of range")
     return out
 
 
@@ -87,10 +92,7 @@ def _emit(report: dict, fmt: str):
 
 
 def _cmd_gen(args) -> tuple[int, dict]:
-    if args.family == "random":
-        if args.arcs is None or args.seed is None:
-            raise ValueError("random generation needs --arcs and --seed")
-    else:
+    if args.family != "random":
         for option, value in (("--arcs", args.arcs), ("--seed", args.seed)):
             if value is not None:
                 raise ValueError(f"{option} applies only to the random family")
@@ -178,8 +180,8 @@ def _cmd_domset(args) -> tuple[int, dict]:
         sol = scds_approx(g, args.radius, stats_out=stats)
         report.update({"solution": sorted(sol), "valid": True, **stats})
         return EXIT_OK, report
-    red = _read_vertex_list(args.red) if args.red else list(range(g.n))
-    blue = _read_vertex_list(args.blue) if args.blue else list(range(g.n))
+    red = _read_vertex_list(args.red, g.n) if args.red else list(range(g.n))
+    blue = _read_vertex_list(args.blue, g.n) if args.blue else list(range(g.n))
     sol = redblue_dominate_approx(g, red, blue, args.radius)
     report.update({"solution": sorted(sol), "valid": True})
     if args.oracle_ratio:
@@ -238,7 +240,7 @@ def _cmd_oracle(args) -> tuple[int, dict]:
     else:
         if not args.set:
             raise ValueError(f"oracle {args.kind} needs --set FILE")
-        vertices = _read_vertex_list(args.set)
+        vertices = _read_vertex_list(args.set, g.n)
         if args.kind == "verify-dominating":
             ok = verify_dominating(g, vertices, args.radius)
         elif args.kind == "verify-scattered":

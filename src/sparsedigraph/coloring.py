@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
-from typing import Optional
 
 from .digraph import (Digraph, LinearOrder, _adjacency_masks, _bfs, _bits, _mask_reach,
                       _peel_lists, _smallest_last, out_distances)
@@ -79,7 +78,7 @@ def wcol_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
         both = _mask_reach(out_mask, start, allowed, r) | _mask_reach(in_mask, start, allowed, r)
         return both & ~start
 
-    _, heuristic = _smallest_last([g.underlying_neighbors(v) for v in range(g.n)])
+    heuristic = _smallest_last([g.underlying_neighbors(v) for v in range(g.n)])[1]
     best = wcol_of_order(g, heuristic, r)
     best_order: LinearOrder = heuristic
 
@@ -144,6 +143,12 @@ def _adm_candidates(g: Digraph, v: int, smaller: frozenset, r: int) -> list[froz
                     found.add(frozenset(trail | {y}))
                 elif len(trail) + 1 < r:
                     stack.append((y, trail | {y}))
+    return _inclusion_minimal(found)
+
+
+def _inclusion_minimal(found: set[frozenset]) -> list[frozenset]:
+    """The members of ``found`` that contain no other member, smallest
+    first, equal sizes ordered by their sorted elements."""
     minimal: list[frozenset] = []
     for s in sorted(found, key=lambda s: (len(s), sorted(s))):
         if not any(t <= s for t in minimal):
@@ -151,17 +156,20 @@ def _adm_candidates(g: Digraph, v: int, smaller: frozenset, r: int) -> list[froz
     return minimal
 
 
-def _max_disjoint(sets: list[frozenset], idx: int = 0, used: frozenset = frozenset(),
+def _max_disjoint(groups: list[list[frozenset]], idx: int = 0, used: frozenset = frozenset(),
                   cnt: int = 0, best: int = 0) -> int:
-    """Most pairwise disjoint members of ``sets[idx:]`` that also avoid
-    ``used``, plus ``cnt``; or ``best`` if that is not larger."""
-    if cnt + (len(sets) - idx) <= best:
+    """Most groups of ``groups[idx:]`` that each give one member, the
+    chosen members pairwise disjoint and avoiding ``used``, plus ``cnt``;
+    or ``best`` if that is not larger.  Admissibility passes one-member
+    groups, ``minors.top_grad`` one group of paths per principal pair."""
+    if cnt + (len(groups) - idx) <= best:
         return best
-    if idx == len(sets):
+    if idx == len(groups):
         return cnt
-    if not (sets[idx] & used):
-        best = _max_disjoint(sets, idx + 1, used | sets[idx], cnt + 1, best)
-    return _max_disjoint(sets, idx + 1, used, cnt, best)
+    for s in groups[idx]:
+        if not (s & used):
+            best = _max_disjoint(groups, idx + 1, used | s, cnt + 1, best)
+    return _max_disjoint(groups, idx + 1, used, cnt, best)
 
 
 def adm_of_order(g: Digraph, order: LinearOrder, v: int, r: int) -> int:
@@ -170,7 +178,7 @@ def adm_of_order(g: Digraph, order: LinearOrder, v: int, r: int) -> int:
     smaller = frozenset(
         w for w in range(g.n) if order.position(w) < order.position(v)
     )
-    return _max_disjoint(_adm_candidates(g, v, smaller, r))
+    return _max_disjoint([[s] for s in _adm_candidates(g, v, smaller, r)])
 
 
 def adm_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
@@ -187,7 +195,7 @@ def adm_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
     @cache
     def adm_val(u: int, smaller_mask: int) -> int:
         smaller = frozenset(_bits(smaller_mask))
-        return _max_disjoint(_adm_candidates(g, u, smaller, r))
+        return _max_disjoint([[s] for s in _adm_candidates(g, u, smaller, r)])
 
     identity = LinearOrder.identity(n)
     best = max(adm_of_order(g, identity, v, r) for v in range(n))
@@ -228,34 +236,29 @@ class Augmentation:
     """Layered arc sets E_1..E_depth over the base graph's vertices.
 
     E_1 re-orients the base arcs; deeper layers hold the oriented
-    fraternal/transitive closures.  ``tfa_augment`` never joins a pair
-    twice: no two arcs of the layers join the same two vertices, in either
-    direction, so a vertex's out-degrees summed over the layers are its
-    out-degree in the union.  ``graphs`` holds the layers as
-    ``Digraph``s; ``layers`` derives their arc frozensets for callers that
-    test and count arcs (the definition checker in ``acceptance``).
+    fraternal/transitive closures.  No two arcs of the layers join the
+    same two vertices, in either direction, so a vertex's out-degrees
+    summed over the layers are its out-degree in the union.  ``graphs``
+    holds the layers as ``Digraph``s; ``layers`` derives their arc
+    frozensets for callers that test and count arcs (the definition
+    checker in ``acceptance``).
 
     ``partners[u]`` is the set of vertices that some layer joins to u in
-    either direction: the union's undirected adjacency.  These are the
-    closure's own sets, handed over by ``tfa_augment`` without a copy, so
-    they are read-only by contract: nothing may change them.  It is None
-    on an augmentation built by hand, which may repeat a pair;
-    ``order_from_augmentation`` then derives the union from the layer
-    graphs.  It takes no part in ``==`` or ``repr``.
+    either direction: the union's undirected adjacency, which
+    ``order_from_augmentation`` peels.  ``tfa_augment`` hands over the
+    closure's own sets without a copy, so they are read-only by contract:
+    nothing may change them.  The field is required and takes no part in
+    ``==`` or ``repr``.
     """
 
     n: int
     depth: int
     graphs: tuple[Digraph, ...]
-    partners: Optional[tuple[set, ...]] = field(
-        default=None, compare=False, repr=False)
+    partners: tuple[set, ...] = field(compare=False, repr=False)
 
     @property
     def layers(self) -> tuple[frozenset, ...]:
         return tuple(frozenset(h.arcs()) for h in self.graphs)
-
-    def union_arcs(self) -> frozenset:
-        return frozenset(a for h in self.graphs for a in h.arcs())
 
 
 def tfa_augment(g: Digraph, r: int) -> Augmentation:
@@ -275,8 +278,8 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     with u: a proposed pair is new when v is not in ``partners[u]``, and
     an accepted pair enters both sets at once, so no pair is joined twice
     or both ways.  The sets become ``Augmentation.partners``, the union
-    that ``order_from_augmentation`` peels without deriving it again;
-    they are handed over as they are, not frozen.
+    that ``order_from_augmentation`` peels; they are handed over as they
+    are, not frozen.
     Transitive patterns are scanned for every split j1 + j2 = t;
     fraternal ones only once per unordered split: out_j1(w) x out_j2(w)
     for j1 < j2, the 2-combinations of the one out-list for j1 = j2, and
@@ -371,35 +374,19 @@ class WcolOrder:
     max_outdegree: int
 
 
-def _layer_union(n: int, hs: list[Digraph]) -> tuple[int, list[set]]:
-    """The union's largest out-degree and its undirected neighbor sets,
-    derived from the layer graphs ``hs`` of an augmentation without
-    ``partners``, which may repeat an arc in two layers or join a pair
-    both ways."""
-    heads = [{v for h in hs for v in h.out_neighbors(u)} for u in range(n)]
-    return (max(map(len, heads), default=0),
-            [s.union(*(h.in_neighbors(u) for h in hs)) for u, s in enumerate(heads)])
-
-
 def order_from_augmentation(g: Digraph, aug: Augmentation) -> WcolOrder:
     """Greedy order of the augmentation union graph with its bound.
 
     The union is never built as a graph.  The smallest-last peel runs on
     ``aug.partners``, and d, the union's largest out-degree, is the
     largest sum of a vertex's out-degrees over the layers, which the
-    closure's never-twice invariant makes exact.  Only an augmentation
-    without ``partners`` (built by hand) has both derived from its layer
-    graphs by ``_layer_union``.
+    never-twice invariant of the layers makes exact.
     """
     if aug.n != g.n:
         raise ValueError("augmentation does not fit the graph")
     hs = [h for h in aug.graphs if h.m]
-    if aug.partners is None:
-        d, union = _layer_union(g.n, hs)
-    else:
-        d = max(map(sum, zip(*(map(len, h._out) for h in hs))), default=0)
-        union = aug.partners
-    c, order = _smallest_last(union)
+    d = max(map(sum, zip(*(map(len, h._out) for h in hs))), default=0)
+    c, order, _ = _smallest_last(aug.partners)
     return WcolOrder(order=order, guarantee=(d + 1) * c + 1, smaller_neighbors=c, max_outdegree=d)
 
 

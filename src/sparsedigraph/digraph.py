@@ -61,8 +61,8 @@ class Digraph:
         free of duplicates and of u, with entries in ``0..n-1``.  The tails
         are visited in ascending order, so the in-lists come out sorted.
         Package code builds these: ``contract``, ``induced_subgraph`` and
-        ``reverse`` here, the augmentation's layer graphs in ``coloring``
-        and the kernel graph in ``duality``.
+        ``reverse`` here, the kernel graph in ``duality`` and, from the
+        peel's live lists, the augmentation's layer graphs in ``coloring``.
         """
         inc: list[list[int]] = [[] for _ in range(n)]
         for u, heads in enumerate(out):
@@ -510,35 +510,27 @@ def _peel_lists(neighbors: Sequence[Collection[int]]) -> tuple[list[int], list[l
     return removed, later
 
 
-def _smallest_last(und: Sequence[Collection[int]]) -> tuple[int, LinearOrder]:
+def _smallest_last(und: Sequence[Collection[int]]) -> tuple[int, LinearOrder, list[list[int]]]:
     """Smallest-last order (Matula and Beck 1983) of the undirected graph
     whose vertex v has the neighbors ``und[v]``, each listed once.
 
-    Returns ``(d, order)``: d is the largest degree at removal, the
-    length of the longest of ``_peel_lists``' live lists, and every vertex
-    has at most d neighbors earlier in ``order`` (the peel reversed).
-    Costs the peel's O(n + m log n).
-    """
-    return _orient(und)[:2]
-
-
-def _orient(und: Sequence[Collection[int]]) -> tuple[int, LinearOrder, list[list[int]]]:
-    """``_smallest_last`` plus the orientation towards earlier neighbors:
-    ``(d, order, out)``, where ``out[u]`` keeps u's earlier neighbors in
-    ``und[u]``'s order, so ascending lists give out-lists ready for
-    ``Digraph._fill``.  ``out`` is ``_peel_lists``'s ``later``, taken
-    from the peel with no second pass: the vertices earlier in ``order``
-    are those removed later.  Like the peel, it only reads ``und``.
+    Returns ``(d, order, out)``.  ``order`` is the peel reversed, and
+    ``out[u]`` keeps u's neighbors earlier in ``order`` (those removed
+    after u) in ``und[u]``'s order: ``_peel_lists``' live lists, so
+    ascending lists give out-lists ready for ``Digraph._fill``.  d, the
+    largest degree at removal, is the length of the longest of them, so
+    every vertex has at most d earlier neighbors.  Like the peel, it only
+    reads ``und`` and costs O(n + m log n).
     """
     removed, later = _peel_lists(und)
     return max(map(len, later), default=0), LinearOrder(removed[::-1]), later
 
 
 def degeneracy(g: Digraph) -> tuple[int, LinearOrder, list[tuple[int, int]]]:
-    """Min-degree peel of the underlying undirected graph, as ``_orient``
-    gives it: ``(d, order, orientation)``, the orientation listing the sorted
-    arcs from each vertex to its earlier neighbors (out-degree <= d)."""
-    d, order, out = _orient([g.underlying_neighbors(v) for v in range(g.n)])
+    """Min-degree peel of the underlying graph, as ``_smallest_last`` gives
+    it: ``(d, order, orientation)``, the orientation listing the sorted arcs
+    from each vertex to its earlier neighbors (out-degree <= d)."""
+    d, order, out = _smallest_last([g.underlying_neighbors(v) for v in range(g.n)])
     return d, order, [(u, v) for u, heads in enumerate(out) for v in heads]
 
 

@@ -25,6 +25,7 @@ from functools import cache, partial
 from itertools import combinations
 from typing import Optional
 
+from .coloring import _inclusion_minimal, _max_disjoint
 from .digraph import Digraph, _adjacency_masks, _bits, _mask_reach, _peel_lists, out_distances
 from .errors import _check_cap
 from .instances import crown
@@ -419,11 +420,7 @@ def top_grad(g: Digraph, r: int, max_n: int = 8) -> Fraction:
                     found.add(frozenset(internal))
                 elif w not in principals and w not in internal and len(internal) + 1 < limit:
                     stack.append((w, internal + (w,)))
-        minimal = []
-        for s in sorted(found, key=lambda s: (len(s), sorted(s))):
-            if not any(t <= s for t in minimal):
-                minimal.append(s)
-        return minimal
+        return _inclusion_minimal(found)
 
     for size in range(1, g.n + 1):
         for principals in combinations(range(g.n), size):
@@ -435,26 +432,5 @@ def top_grad(g: Digraph, r: int, max_n: int = 8) -> Fraction:
                         ps = paths(a, b, pset)
                         if ps:
                             cand.append(ps)
-            best_cnt = 0
-            used: set = set()
-
-            def rec(idx: int, cnt: int):
-                nonlocal best_cnt
-                if cnt + (len(cand) - idx) <= best_cnt:
-                    return
-                if idx == len(cand):
-                    best_cnt = max(best_cnt, cnt)
-                    return
-                for internal in cand[idx]:
-                    if not (internal & used):
-                        used.update(internal)
-                        rec(idx + 1, cnt + 1)
-                        used.difference_update(internal)
-                rec(idx + 1, cnt)
-
-            try:
-                rec(0, 0)
-            finally:
-                del rec  # its cell holds it: break the cycle for reference counting
-            best = max(best, Fraction(best_cnt, size))
+            best = max(best, Fraction(_max_disjoint(cand), size))
     return best

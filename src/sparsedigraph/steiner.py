@@ -317,7 +317,7 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
     terminals = reduced.terminals
     dgen = _degeneracy
     if dgen is None:
-        dgen, _ = _smallest_last([g.underlying_neighbors(v) for v in range(g.n)])
+        dgen = _smallest_last([g.underlying_neighbors(v) for v in range(g.n)])[0]
     d = 2 * dgen
 
     everything = frozenset(range(g.n))

@@ -327,6 +327,24 @@ def test_oracle_gamma(tmp_path, capsys):
     assert json_out(out)["gamma"] == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "{graph}", "verify-dominating", "--set", "{list}"],
+    ["oracle", "{graph}", "verify-scattered", "--set", "{list}"],
+    ["oracle", "{graph}", "verify-strong", "--set", "{list}"],
+    ["domset", "{graph}", "--radius", "1", "--red", "{list}"],
+    ["domset", "{graph}", "--radius", "1", "--blue", "{list}"],
+], ids=["verify-dominating", "verify-scattered", "verify-strong", "red", "blue"])
+@pytest.mark.parametrize("listed, bad", [("0\n1\n7\n", 7), ("9\n-1\n0\n", -1)],
+                         ids=["past-n", "negative"])
+def test_vertex_lists_are_range_checked(tmp_path, capsys, argv, listed, bad):
+    # on a 3-cycle, {0, 1, 7} once passed verify-dominating as a valid set
+    files = {"graph": write_graph(tmp_path, Digraph(3, [(0, 1), (1, 2), (2, 0)])),
+             "list": str(tmp_path / "s.txt")}
+    Path(files["list"]).write_text(listed)
+    assert run(capsys, *(a.format(**files) for a in argv)) == (
+        2, "", f"error: vertex {bad} out of range\n")
+
+
 def test_output_deterministic_modulo_timing(tmp_path, capsys):
     path = write_graph(tmp_path, random_digraph(10, 25, 7))
     _, out1, _ = run(capsys, "domset", path, "--radius", "2")

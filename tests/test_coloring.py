@@ -224,6 +224,54 @@ def test_adm_truncation_is_harmless():
     assert adm_of_order(g, order, 2, 2) == 2
 
 
+def _adm_paths(adj, v, r, smaller):
+    """Bitmask of the non-v vertices of every simple path of 1..r steps
+    along ``adj`` from v whose last vertex is in ``smaller`` and whose
+    internal vertices are not: all of them, not only the minimal ones."""
+    found = []
+    stack = [(v, 0, 0)]  # (tip, vertices after v, steps)
+    while stack:
+        x, mask, steps = stack.pop()
+        for y in adj(x):
+            if y == v or mask >> y & 1:
+                continue
+            if y in smaller:
+                found.append(mask | 1 << y)
+            elif steps + 1 < r:
+                stack.append((y, mask | 1 << y, steps + 1))
+    return found
+
+
+def _max_packing(groups, i=0, used=0, memo=None):
+    """Most groups of ``groups[i:]`` that each give one bitmask member,
+    the chosen members pairwise disjoint and avoiding ``used``: an
+    exhaustive table over (group index, used vertices), no pruning."""
+    memo = {} if memo is None else memo
+    if i == len(groups):
+        return 0
+    if (i, used) not in memo:
+        memo[i, used] = max([_max_packing(groups, i + 1, used, memo)]
+                            + [1 + _max_packing(groups, i + 1, used | s, memo)
+                               for s in groups[i] if not used & s])
+    return memo[i, used]
+
+
+@given(st.integers(1, 6), st.integers(0, 5), st.integers(0, 10**6),
+       st.randoms(use_true_random=False), st.sampled_from([1, 2]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_adm_of_order_matches_path_packing_reference(n, k, seed, rnd, r):
+    # any family of admissibility paths, each path taken or not
+    g = random_digraph(n, min(k * n, n * (n - 1)), seed)
+    seq = list(range(n))
+    rnd.shuffle(seq)
+    order = LinearOrder(seq)
+    for v in range(n):
+        smaller = set(seq[:order.position(v)])
+        paths = [p for adj in (g.out_neighbors, g.in_neighbors)
+                 for p in _adm_paths(adj, v, r, smaller)]
+        assert adm_of_order(g, order, v, r) == _max_packing([[p] for p in paths])
+
+
 def test_wcol_bounded_by_admissibility():
     for seed in range(4):
         g = random_digraph(6, 10, seed)
@@ -269,7 +317,7 @@ def test_path_pattern_in_augmentation():
         g = random_digraph(9, 18, seed)
         r = 3
         aug = tfa_augment(g, r)
-        arcs = aug.union_arcs()
+        arcs = frozenset().union(*aug.layers)
         out = {v: {w for (x, w) in arcs if x == v} for v in range(g.n)}
         for path in all_bounded_paths(g, r):
             u, v = path[0], path[-1]
@@ -286,20 +334,41 @@ def test_order_from_augmentation_edgeless():
     assert res.guarantee == 1
 
 
+def _layer_union(n, hs):
+    """The union's largest out-degree and its undirected neighbor sets,
+    derived from the layer graphs ``hs``: how the order once read an
+    augmentation built without partner sets."""
+    heads = [{v for h in hs for v in h.out_neighbors(u)} for u in range(n)]
+    return (max(map(len, heads), default=0),
+            [s.union(*(h.in_neighbors(u) for h in hs)) for u, s in enumerate(heads)])
+
+
 @given(st.integers(1, 12), st.lists(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
                                              max_size=25), min_size=1, max_size=3))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_order_from_augmentation_matches_union_digraph(n, raw_layers):
-    # reference: peel a Digraph of the union, as the order was once built;
-    # layers may join a pair in both directions, which the underlying
-    # neighbor lists must count once
-    layers = tuple(
-        frozenset((u % n, v % n) for u, v in layer if u % n != v % n) for layer in raw_layers
-    )
-    aug = Augmentation(n=n, depth=len(layers), graphs=tuple(Digraph(n, L) for L in layers))
-    union = Digraph(n, aug.union_arcs())
-    c, order, _ = degeneracy(union)
-    d = max((len(union.out_neighbors(v)) for v in range(n)), default=0)
+    # layers join each unordered pair at most once, as the closure's do;
+    # references: the union's out-degree and partner sets derived from the
+    # layer graphs, and the peel of a Digraph of the union, as the order
+    # was once built
+    joined = set()
+    layers = []
+    for raw in raw_layers:
+        layer = set()
+        for u, v in ((u % n, v % n) for u, v in raw):
+            if u != v and frozenset((u, v)) not in joined:
+                joined.add(frozenset((u, v)))
+                layer.add((u, v))
+        layers.append(frozenset(layer))
+    graphs = tuple(Digraph(n, L) for L in layers)
+    partners = [set() for _ in range(n)]
+    for u, v in joined:
+        partners[u].add(v)
+        partners[v].add(u)
+    d, union = _layer_union(n, graphs)
+    assert union == partners
+    c, order, _ = degeneracy(Digraph(n, frozenset().union(*layers)))
+    aug = Augmentation(n=n, depth=len(layers), graphs=graphs, partners=tuple(partners))
     res = order_from_augmentation(Digraph(n), aug)
     assert (res.order, res.smaller_neighbors, res.max_outdegree) == (order, c, d)
     assert res.guarantee == (d + 1) * c + 1
@@ -413,7 +482,6 @@ def test_augmentation_arc_views_match_layer_graphs(g, r):
     assert len(aug.graphs) == len(aug.layers) == r
     for h, layer in zip(aug.graphs, aug.layers):
         assert h == Digraph(g.n, layer)
-    assert aug.union_arcs() == frozenset().union(*aug.layers)
 
 
 def _refuse_arc_view(*args, **kwargs):
@@ -424,7 +492,6 @@ def test_wcol_order_reads_no_arc_view(monkeypatch):
     g = random_digraph(200, 600, 1)
     expected = order_from_augmentation(g, tfa_augment(g, 3))
     monkeypatch.setattr(Augmentation, "layers", property(_refuse_arc_view))
-    monkeypatch.setattr(Augmentation, "union_arcs", _refuse_arc_view)
     assert compute_wcol_order(random_digraph(200, 600, 1), 3) == expected
 
 
@@ -485,27 +552,18 @@ _CLOSURE_GRAPHS = st.one_of(
 def test_partner_sets_are_the_layer_union(g, r):
     aug = tfa_augment(g, r)
     union = [set() for _ in range(g.n)]
-    for u, v in aug.union_arcs():
+    for u, v in frozenset().union(*aug.layers):
         union[u].add(v)
         union[v].add(u)
     assert list(aug.partners) == union
-    # without its partner sets, the union is derived from the layer graphs
-    bare = Augmentation(n=aug.n, depth=aug.depth, graphs=aug.graphs)
-    assert bare.partners is None and bare == aug and hash(bare) == hash(aug)
-    assert repr(bare) == repr(aug)
-    assert order_from_augmentation(g, aug) == order_from_augmentation(g, bare)
+    # the partner sets take no part in ``==``, ``hash`` or ``repr``
+    other = Augmentation(n=aug.n, depth=aug.depth, graphs=aug.graphs, partners=())
+    assert other == aug and hash(other) == hash(aug) and repr(other) == repr(aug)
 
 
-def _refuse_layer_union(*args, **kwargs):
-    raise AssertionError("the closure's partner sets already hold the union")
-
-
-def test_wcol_order_derives_no_union_from_the_layers(monkeypatch):
-    g = random_digraph(200, 600, 1)
-    aug = tfa_augment(g, 3)
-    expected = order_from_augmentation(g, Augmentation(n=aug.n, depth=aug.depth, graphs=aug.graphs))
-    monkeypatch.setattr(coloring, "_layer_union", _refuse_layer_union)
-    assert compute_wcol_order(random_digraph(200, 600, 1), 3) == expected
+def test_augmentation_requires_partner_sets():
+    with pytest.raises(TypeError):
+        Augmentation(n=1, depth=1, graphs=(Digraph(1),))
 
 
 _TINY_GRAPHS = [

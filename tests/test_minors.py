@@ -1,7 +1,10 @@
 """Depth-r minor search and density computations against brute checks."""
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsedigraph import Digraph, apex_crown, bidirected_clique, crown, directed_path, random_digraph
 from sparsedigraph.errors import SizeCapError
@@ -129,6 +132,65 @@ def test_top_grad_recovers_subdivided_triangle():
     g = Digraph(6, arcs)
     assert top_grad(g, 1) >= 1
     assert grad(g, 1) >= 1
+
+
+def _path_internals(g, a, b, limit, principals):
+    """Bitmask of the internal vertices of every simple directed a->b path
+    of 1..limit arcs whose internal vertices avoid ``principals``: all of
+    them, not only the inclusion-minimal ones."""
+    found = []
+    stack = [(a, 0, 0)]  # (tip, internal vertices, arcs)
+    while stack:
+        x, mask, steps = stack.pop()
+        for y in g.out_neighbors(x):
+            if y == b:
+                found.append(mask)
+            elif y not in principals and not mask >> y & 1 and steps + 1 < limit:
+                stack.append((y, mask | 1 << y, steps + 1))
+    return found
+
+
+def _max_packing(groups, i=0, used=0, memo=None):
+    """Most groups of ``groups[i:]`` that each give one bitmask member,
+    the chosen members pairwise disjoint and avoiding ``used``: an
+    exhaustive table over (group index, used vertices), no pruning."""
+    memo = {} if memo is None else memo
+    if i == len(groups):
+        return 0
+    if (i, used) not in memo:
+        memo[i, used] = max([_max_packing(groups, i + 1, used, memo)]
+                            + [1 + _max_packing(groups, i + 1, used | s, memo)
+                               for s in groups[i] if not used & s])
+    return memo[i, used]
+
+
+def _top_grad_reference(g, r):
+    """Each ordered principal pair gets nothing or any one short path, the
+    paths' internal vertices pairwise disjoint."""
+    best = Fraction(0)
+    for size in range(1, g.n + 1):
+        for principals in combinations(range(g.n), size):
+            groups = [_path_internals(g, a, b, 2 * r, principals)
+                      for a in principals for b in principals if a != b]
+            best = max(best, Fraction(_max_packing(groups), size))
+    return best
+
+
+@given(st.integers(1, 6), st.integers(0, 5), st.integers(0, 10**6), st.sampled_from([1, 2]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_top_grad_matches_path_packing_reference(n, k, seed, r):
+    g = random_digraph(n, min(k * n, n * (n - 1)), seed)
+    assert top_grad(g, r) == _top_grad_reference(g, r)
+
+
+def test_top_grad_picks_among_alternative_paths():
+    # principals 0..4 take every arc among them but 0->1 and 2->3; 0->1
+    # runs through 5 or 6 and 2->3 only through 5, so 0->1 must take 6:
+    # 20 paths on 5 principals, a density no other principal set reaches
+    g = Digraph(7, [(a, b) for a in range(5) for b in range(5)
+                    if a != b and (a, b) not in ((0, 1), (2, 3))]
+                + [(0, 5), (5, 1), (0, 6), (6, 1), (2, 5), (5, 3)])
+    assert top_grad(g, 1) == _top_grad_reference(g, 1) == 4
 
 
 def test_grad_cap():
