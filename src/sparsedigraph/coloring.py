@@ -82,37 +82,26 @@ def wcol_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
     best = wcol_of_order(g, heuristic, r)
     best_order: LinearOrder = heuristic
 
-    counts = [1] * n
-    seq: list[int] = []
-
-    def dfs(unplaced: int, max_placed: int):
-        nonlocal best, best_order
-        if unplaced == 0:
-            if max_placed < best:
-                best = max_placed
-                best_order = LinearOrder(seq)
-            return
-        for u in _bits(unplaced):
-            final_u = counts[u]
-            new_max = max(max_placed, final_u)
-            if new_max >= best:
-                continue
-            touched = reach(u, unplaced)
-            for w in _bits(touched):
-                counts[w] += 1
-            # every still-unplaced count is a lower bound on the final value
-            rest = unplaced & ~(1 << u)
-            if all(counts[w] < best for w in _bits(rest)):
-                seq.append(u)
-                dfs(rest, new_max)
-                seq.pop()
-            for w in _bits(touched):
-                counts[w] -= 1
-
-    try:
-        dfs((1 << n) - 1, 1)
-    finally:
-        del dfs  # dfs's cell holds dfs: free the search and its memo without the collector
+    # an entry is a step: place u next after ``seq``; counts[w] is w's
+    # weak-reachability count so far
+    start = (1 << n) - 1
+    stack = [(start, 1, [1] * n, (), u) for u in reversed(range(n))]
+    while stack:
+        unplaced, max_placed, counts, seq, u = stack.pop()
+        new_max = max(max_placed, counts[u])
+        if new_max >= best:
+            continue
+        counts = counts[:]
+        for w in _bits(reach(u, unplaced)):
+            counts[w] += 1
+        # every still-unplaced count is a lower bound on the final value
+        rest = unplaced & ~(1 << u)
+        if any(counts[w] >= best for w in _bits(rest)):
+            continue
+        seq += (u,)
+        if not rest:
+            best, best_order = new_max, LinearOrder(seq)
+        stack += [(rest, new_max, counts, seq, w) for w in reversed(list(_bits(rest)))]
     return best, best_order
 
 
@@ -156,20 +145,24 @@ def _inclusion_minimal(found: set[frozenset]) -> list[frozenset]:
     return minimal
 
 
-def _max_disjoint(groups: list[list[frozenset]], idx: int = 0, used: frozenset = frozenset(),
-                  cnt: int = 0, best: int = 0) -> int:
-    """Most groups of ``groups[idx:]`` that each give one member, the
-    chosen members pairwise disjoint and avoiding ``used``, plus ``cnt``;
-    or ``best`` if that is not larger.  Admissibility passes one-member
-    groups, ``minors.top_grad`` one group of paths per principal pair."""
-    if cnt + (len(groups) - idx) <= best:
-        return best
-    if idx == len(groups):
-        return cnt
-    for s in groups[idx]:
-        if not (s & used):
-            best = _max_disjoint(groups, idx + 1, used | s, cnt + 1, best)
-    return _max_disjoint(groups, idx + 1, used, cnt, best)
+def _max_disjoint(groups: list[list[frozenset]]) -> int:
+    """Most groups that each give one member, the chosen members pairwise
+    disjoint.  Admissibility passes one-member groups, ``minors.top_grad``
+    one group of paths per principal pair.  Depth-first over (next group,
+    vertices used, groups given) nodes: each of the group's members that
+    avoids the used vertices, then skipping the group."""
+    best = 0
+    stack = [(0, frozenset(), 0)]
+    while stack:
+        idx, used, cnt = stack.pop()
+        if cnt + (len(groups) - idx) <= best:
+            continue
+        if idx == len(groups):
+            best = cnt
+            continue
+        stack.append((idx + 1, used, cnt))
+        stack += [(idx + 1, used | s, cnt + 1) for s in reversed(groups[idx]) if not s & used]
+    return best
 
 
 def adm_of_order(g: Digraph, order: LinearOrder, v: int, r: int) -> int:
@@ -200,30 +193,17 @@ def adm_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
     identity = LinearOrder.identity(n)
     best = max(adm_of_order(g, identity, v, r) for v in range(n))
     best_order = identity
-    seq: list[int] = []
-
-    def dfs(placed_mask: int, cur_max: int):
-        nonlocal best, best_order
-        if placed_mask == (1 << n) - 1:
-            if cur_max < best:
-                best = cur_max
-                best_order = LinearOrder(seq)
-            return
-        for u in range(n):
-            if placed_mask >> u & 1:
-                continue
-            val = adm_val(u, placed_mask)
-            new_max = max(cur_max, val)
-            if new_max >= best:
-                continue
-            seq.append(u)
-            dfs(placed_mask | (1 << u), new_max)
-            seq.pop()
-
-    try:
-        dfs(0, 0)
-    finally:
-        del dfs  # dfs's cell holds dfs: free the search and its memo without the collector
+    full = (1 << n) - 1
+    stack = [(0, 0, ())]
+    while stack:
+        placed_mask, cur_max, seq = stack.pop()
+        if cur_max >= best:
+            continue
+        if placed_mask == full:
+            best, best_order = cur_max, LinearOrder(seq)
+            continue
+        stack += [(placed_mask | (1 << u), max(cur_max, adm_val(u, placed_mask)), seq + (u,))
+                  for u in reversed(range(n)) if not placed_mask >> u & 1]
     return best, best_order
 
 

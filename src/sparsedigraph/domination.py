@@ -169,8 +169,10 @@ def scds_approx(g: Digraph, r: int, stats_out: Optional[dict] = None) -> frozens
     ``k_guess`` and the center as ``center`` (both None on the empty
     graph).  A strongly connected graph whose distance table would have
     more than ``MAX_SCDS_TABLE_CELLS`` cells raises SizeCapError before
-    the table is built.
+    the table is built.  A radius below 1 raises ValueError first.
     """
+    if r < 1:
+        raise ValueError("radius must be at least 1")
     if g.n == 0:
         if stats_out is not None:
             stats_out.update(k_guess=None, center=None)

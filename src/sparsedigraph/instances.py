@@ -78,6 +78,8 @@ def random_digraph(n: int, m: int, seed: int) -> Digraph:
     """
     if n < 1:
         raise ValueError("need at least one vertex")
+    if m < 0:
+        raise ValueError(f"arc count m={m} is negative")
     if m > n * (n - 1):
         raise ValueError(f"m={m} exceeds the {n * (n - 1)} possible arcs")
     rng = random.Random(seed)

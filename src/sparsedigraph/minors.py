@@ -169,9 +169,8 @@ def is_depth_r_minor(h: Digraph, g: Digraph, r: int,
         range(h.n),
         key=lambda v: (-(len(h.out_neighbors(v)) + len(h.in_neighbors(v))), v),
     )
-    assign: dict[int, int] = {}
 
-    def try_images() -> Optional[DirectedModel]:
+    def try_images(assign: dict[int, int]) -> Optional[DirectedModel]:
         harcs = h.arcs()
         cands = []
         for (u, v) in harcs:
@@ -180,50 +179,32 @@ def is_depth_r_minor(h: Digraph, g: Digraph, r: int,
                 return None
             cands.append(c)
         order = sorted(range(len(harcs)), key=lambda i: len(cands[i]))
-        ins: dict[int, set] = {v: set() for v in range(h.n)}
-        outs: dict[int, set] = {v: set() for v in range(h.n)}
-        images: dict = {}
 
-        def feas(v) -> bool:
-            return (
-                info(assign[v]).feasible(frozenset(ins[v]), frozenset(outs[v]), r)
-                is not None
-            )
+        def feas(v, ins, outs) -> bool:
+            return info(assign[v]).feasible(ins[v], outs[v], r) is not None
 
-        def place_arc(idx: int) -> bool:
+        empty = {v: frozenset() for v in range(h.n)}
+        stack = [(0, empty, empty, {})]
+        while stack:
+            idx, ins, outs, images = stack.pop()
             if idx == len(order):
-                return True
+                break
             e = harcs[order[idx]]
             u, v = e
-            for (a, b) in cands[order[idx]]:
-                added_out = a not in outs[u]
-                added_in = b not in ins[v]
-                outs[u].add(a)
-                ins[v].add(b)
-                images[e] = (a, b)
-                if feas(u) and feas(v) and place_arc(idx + 1):
-                    return True
-                del images[e]
-                if added_out:
-                    outs[u].discard(a)
-                if added_in:
-                    ins[v].discard(b)
-            return False
-
-        try:
-            placed = place_arc(0)
-        finally:
-            del place_arc  # its cell holds it: break the cycle for reference counting
-        if not placed:
+            for (a, b) in reversed(cands[order[idx]]):
+                outs_ab = {**outs, u: outs[u] | {a}}
+                ins_ab = {**ins, v: ins[v] | {b}}
+                if feas(u, ins_ab, outs_ab) and feas(v, ins_ab, outs_ab):
+                    stack.append((idx + 1, ins_ab, outs_ab, {**images, e: (a, b)}))
+        else:
             return None
         sources, sinks = {}, {}
         for v in range(h.n):
-            st = info(assign[v]).feasible(frozenset(ins[v]), frozenset(outs[v]), r)
-            sources[v], sinks[v] = st
+            sources[v], sinks[v] = info(assign[v]).feasible(ins[v], outs[v], r)
         model = DirectedModel(
             depth=r,
             branch_sets={v: frozenset(_bits(assign[v])) for v in range(h.n)},
-            arc_images=dict(images),
+            arc_images=images,
             sources=sources,
             sinks=sinks,
         )
@@ -231,28 +212,27 @@ def is_depth_r_minor(h: Digraph, g: Digraph, r: int,
             raise AssertionError("search produced a model its own checker rejects")
         return model
 
-    def place(i: int, used: int) -> Optional[DirectedModel]:
-        if i == len(h_order):
-            return try_images()
-        v = h_order[i]
+    stack = [(0, ())]  # (host vertices used, branch sets of a prefix of h_order)
+    while stack:
+        used, masks = stack.pop()
+        assign = dict(zip(h_order, masks))
+        if len(masks) == len(h_order):
+            model = try_images(assign)
+            if model is not None:
+                return model
+            continue
+        v = h_order[len(masks)]
+        kids = []
         for mask in subsets:
             if mask & used:
                 continue
-            assign[v] = mask
             # every pattern arc to an already placed neighbour needs a host arc
             links = [(mask, assign[u]) for u in h.out_neighbors(v) if u in assign]
             links += [(assign[u], mask) for u in h.in_neighbors(v) if u in assign]
             if all(arcs_between(a, b) for a, b in links):
-                found = place(i + 1, used | mask)
-                if found is not None:
-                    return found
-            del assign[v]
-        return None
-
-    try:
-        return place(0, 0)
-    finally:
-        del place  # its cell holds it: break the cycle for reference counting
+                kids.append((used | mask, masks + (mask,)))
+        stack += reversed(kids)
+    return None
 
 
 def contains_crown(g: Digraph, q: int, r: int, max_n: int = 12) -> bool:
@@ -323,9 +303,7 @@ def grad(g: Digraph, r: int, max_n: int = 8) -> Fraction:
     info = cache(partial(_BlockInfo, g, r=r))
     arcs_between = cache(partial(_arcs_between, g))
 
-    best = Fraction(0)
-
-    def max_arcs(blocks: list[int]) -> int:
+    def max_arcs(blocks: tuple[int, ...]) -> int:
         """Largest realizable pattern arc count for this branch partition."""
         k = len(blocks)
         pairs = []
@@ -335,62 +313,45 @@ def grad(g: Digraph, r: int, max_n: int = 8) -> Fraction:
                     pairs.append((i, j))
         if all(bin(b).count("1") == 1 for b in blocks):
             return len(pairs)  # singleton blocks carry no path constraints
-        ins = [set() for _ in range(k)]
-        outs = [set() for _ in range(k)]
+
+        def feas(i, ins, outs) -> bool:
+            return info(blocks[i]).feasible(ins[i], outs[i], r) is not None
+
+        # children: each host arc for the pair that keeps both blocks
+        # feasible, then leaving the pair out
         best_cnt = 0
-
-        def feas(i) -> bool:
-            return info(blocks[i]).feasible(frozenset(ins[i]), frozenset(outs[i]), r) is not None
-
-        def rec(idx: int, cnt: int):
-            nonlocal best_cnt
+        empty = (frozenset(),) * k
+        stack = [(0, 0, empty, empty)]
+        while stack:
+            idx, cnt, ins, outs = stack.pop()
             if cnt + (len(pairs) - idx) <= best_cnt:
-                return
+                continue
             if idx == len(pairs):
-                best_cnt = max(best_cnt, cnt)
-                return
+                best_cnt = cnt
+                continue
+            stack.append((idx + 1, cnt, ins, outs))
             i, j = pairs[idx]
-            for (a, b) in arcs_between(blocks[i], blocks[j]):
-                new_out = a not in outs[i]
-                new_in = b not in ins[j]
-                outs[i].add(a)
-                ins[j].add(b)
-                if feas(i) and feas(j):
-                    rec(idx + 1, cnt + 1)
-                if new_out:
-                    outs[i].discard(a)
-                if new_in:
-                    ins[j].discard(b)
-            rec(idx + 1, cnt)
-
-        try:
-            rec(0, 0)
-        finally:
-            del rec  # its cell holds it: break the cycle for reference counting
+            for (a, b) in reversed(arcs_between(blocks[i], blocks[j])):
+                outs_ab, ins_ab = list(outs), list(ins)
+                outs_ab[i] = outs[i] | {a}
+                ins_ab[j] = ins[j] | {b}
+                if feas(i, ins_ab, outs_ab) and feas(j, ins_ab, outs_ab):
+                    stack.append((idx + 1, cnt + 1, ins_ab, outs_ab))
         return best_cnt
 
-    blocks: list[int] = []
-
-    def partitions(avail: int):
-        nonlocal best
+    best = Fraction(0)
+    stack = [((1 << g.n) - 1, ())]
+    while stack:
+        avail, blocks = stack.pop()
         if avail == 0:
             if blocks:
                 best = max(best, Fraction(max_arcs(blocks), len(blocks)))
-            return
+            continue
         leader = (avail & -avail).bit_length() - 1
-        # leader may also be left out of the pattern entirely
-        partitions(avail & ~(1 << leader))
-        for mask in by_leader[leader]:
-            if mask & ~avail:
-                continue
-            blocks.append(mask)
-            partitions(avail & ~mask)
-            blocks.pop()
-
-    try:
-        partitions((1 << g.n) - 1)
-    finally:
-        del partitions  # its cell holds it: break the cycle for reference counting
+        stack += [(avail & ~mask, blocks + (mask,))
+                  for mask in reversed(by_leader[leader]) if not mask & ~avail]
+        # leader may also be left out of the pattern entirely: tried first
+        stack.append((avail & ~(1 << leader), blocks))
     return best
 
 

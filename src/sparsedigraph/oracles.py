@@ -64,22 +64,19 @@ def gamma_r_exact(g: Digraph, r: int, targets: Optional[Iterable[int]] = None,
     if uncovered:
         # some target has an empty in-ball intersection with V, impossible
         raise ValueError("target set cannot be dominated at this radius")
-    best_set = best
-
-    chosen: list[int] = []
-
-    def rec(uncovered: int):
-        nonlocal best_set
+    stack = [(full, ())]
+    while stack:
+        uncovered, chosen = stack.pop()
         if uncovered == 0:
-            if len(chosen) < len(best_set):
-                best_set = list(chosen)
-            return
+            if len(chosen) < len(best):
+                best = list(chosen)
+            continue
         biggest = max(bin(masks[v] & uncovered).count("1") for v in order)
         if biggest == 0:
-            return
+            continue
         lb = len(chosen) + ceil(bin(uncovered).count("1") / biggest)
-        if lb >= len(best_set):
-            return
+        if lb >= len(best):
+            continue
         # branch on the hardest uncovered target
         pick, fewest = -1, None
         for i in range(len(tgt)):
@@ -89,16 +86,8 @@ def gamma_r_exact(g: Digraph, r: int, targets: Optional[Iterable[int]] = None,
                     pick, fewest = i, cnt
         coverers = [v for v in order if masks[v] >> pick & 1]
         coverers.sort(key=lambda v: (-bin(masks[v] & uncovered).count("1"), v))
-        for v in coverers:
-            chosen.append(v)
-            rec(uncovered & ~masks[v])
-            chosen.pop()
-
-    try:
-        rec(full)
-    finally:
-        del rec  # its cell holds it: break the cycle for reference counting
-    return len(best_set), frozenset(best_set)
+        stack += [(uncovered & ~masks[v], chosen + (v,)) for v in reversed(coverers)]
+    return len(best), frozenset(best)
 
 
 def alpha_r_exact(g: Digraph, r: int, max_n: int = 16) -> tuple[int, frozenset]:
@@ -117,27 +106,20 @@ def alpha_r_exact(g: Digraph, r: int, max_n: int = 16) -> tuple[int, frozenset]:
                 conflict[i] |= 1 << j
                 conflict[j] |= 1 << i
 
-    best_set: list[int] = []
-    chosen: list[int] = []
-
-    def rec(avail: int):
-        nonlocal best_set
-        if len(chosen) + bin(avail).count("1") <= len(best_set):
-            return
+    # children: take the lowest available vertex, then leave it out
+    best: tuple = ()
+    stack = [((1 << n) - 1, ())]
+    while stack:
+        avail, chosen = stack.pop()
+        if len(chosen) + bin(avail).count("1") <= len(best):
+            continue
         if avail == 0:
-            best_set = list(chosen)
-            return
+            best = chosen
+            continue
         i = (avail & -avail).bit_length() - 1
-        chosen.append(i)
-        rec(avail & ~(conflict[i] | (1 << i)))
-        chosen.pop()
-        rec(avail & ~(1 << i))
-
-    try:
-        rec((1 << n) - 1)
-    finally:
-        del rec  # its cell holds it: break the cycle for reference counting
-    return len(best_set), frozenset(best_set)
+        stack.append((avail & ~(1 << i), chosen))
+        stack.append((avail & ~(conflict[i] | (1 << i)), chosen + (i,)))
+    return len(best), frozenset(best)
 
 
 # ---------------------------------------------------------------------------

@@ -287,8 +287,8 @@ class DstFptResult:
     """Outcome of the branching solver.
 
     ``solution`` is a minimum-cardinality solution within the budget, or
-    None.  ``nodes_per_budget[i]`` counts recursion nodes of the run with
-    budget i; ``degree_threshold`` is the high-degree cutoff d and
+    None.  ``nodes_per_budget[i]`` counts search-tree nodes of the run
+    with budget i; ``degree_threshold`` is the high-degree cutoff d and
     ``scc_diameter`` the parameter s from preprocessing.
     """
 
@@ -302,9 +302,10 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
     """Solve DST, minimizing the solution size within the budget.
 
     Budgets are tried in increasing order, so a returned solution has
-    globally minimum cardinality.  Each run's recursion-node count is
-    checked against (d+1)^(budget*(d+1)) at every node, so a run past the
-    bound stops there.
+    globally minimum cardinality.  Each run is a depth-first search over
+    an explicit stack, so its depth costs no Python frames; its node
+    count is checked against (d+1)^(budget*(d+1)) at every node, so a run
+    past the bound stops there.
 
     The high-degree threshold d is twice the degeneracy of the contracted
     host's underlying graph, computable at any size.  ``_degeneracy``
@@ -341,16 +342,18 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
             return None
         return _lift(inner_map, inner.terminals, sol)
 
-    counter = [0]
-    limit = [0]
-
-    def rec(alive: frozenset, absorbed: frozenset, k_rem: int) -> Optional[frozenset]:
-        """Search one node and, in a loop, its chain of deletion branches:
-        each pass of the loop is one counted node, and the recursion goes
-        only through absorptions, so its depth is at most k_rem + 1."""
-        while True:
-            counter[0] += 1
-            if counter[0] > limit[0]:
+    nodes_per_budget = []
+    solution = None
+    for budget in range(inst.budget + 1):
+        limit = (d + 1) ** (budget * (d + 1))
+        nodes = 0
+        found = None
+        # children: the absorptions, then the deletion
+        stack = [(everything, frozenset(), budget)]
+        while stack:
+            alive, absorbed, k_rem = stack.pop()
+            nodes += 1
+            if nodes > limit:
                 raise InternalInvariantError(
                     f"recursion grew past (d+1)^(k(d+1)) at budget {budget}"
                 )
@@ -361,7 +364,7 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
                 dominated.update(w for w in g.out_neighbors(x) if w in alive)
             t_bar = frozenset(t for t in sources if t not in dominated)
             if k_rem == 0 and t_bar:
-                return None  # every undominated source needs a fresh non-terminal
+                continue  # every undominated source needs a fresh non-terminal
             # how many sources in t_bar each alive non-terminal dominates
             dominates = Counter(
                 u for t in t_bar for u in g.in_neighbors(t)
@@ -374,39 +377,27 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
             )
             t_low = t_bar - t_high
             if len(t_low) > d * k_rem:
-                return None
+                continue
             if not s_high:
                 extra = leaf_optimum(alive, absorbed)
-                if extra is None or len(extra) > k_rem:
-                    return None
-                return absorbed | extra
+                if extra is not None and len(extra) <= k_rem:
+                    found = absorbed | extra
+                    break
+                continue
             v = min(
                 t_high,
                 key=lambda t: (sum(1 for u in g.in_neighbors(t) if u in s_high), t),
             )
             dominators = sorted(u for u in g.in_neighbors(v) if u in s_high)
+            stack.append((alive - frozenset(dominators), absorbed, k_rem))
             if k_rem >= 1:
-                for cand in dominators:
-                    found = rec(alive, absorbed | {cand}, k_rem - 1)
-                    if found is not None:
-                        return found
-            alive = alive - frozenset(dominators)
-
-    nodes_per_budget = []
-    solution = None
-    try:
-        for budget in range(inst.budget + 1):
-            counter[0] = 0
-            limit[0] = (d + 1) ** (budget * (d + 1))
-            found = rec(frozenset(range(g.n)), frozenset(), budget)
-            nodes_per_budget.append(counter[0])
-            if found is not None:
-                solution = _lift(mapping, inst.terminals, found)
-                if not dst_valid(inst.graph, inst.root, inst.terminals, solution):
-                    raise InternalInvariantError("branching solver returned an invalid set")
-                break
-    finally:
-        del rec  # rec's cell holds rec: without this the memo and graphs wait for the collector
+                stack += [(alive, absorbed | {cand}, k_rem - 1) for cand in reversed(dominators)]
+        nodes_per_budget.append(nodes)
+        if found is not None:
+            solution = _lift(mapping, inst.terminals, found)
+            if not dst_valid(inst.graph, inst.root, inst.terminals, solution):
+                raise InternalInvariantError("branching solver returned an invalid set")
+            break
     return DstFptResult(
         solution=solution,
         degree_threshold=d,

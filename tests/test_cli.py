@@ -51,6 +51,11 @@ def test_gen_random_requires_seed(capsys):
     assert run(capsys, "gen", "random", "5", "--arcs", "4")[0] == 2
 
 
+def test_gen_random_rejects_a_negative_arc_count(capsys):
+    assert run(capsys, "gen", "random", "5", "--arcs", "-1", "--seed", "1") == (
+        2, "", "error: arc count m=-1 is negative\n")
+
+
 @pytest.mark.parametrize("extra, option", [
     (("--arcs", "99", "--seed", "1"), "--arcs"),
     (("--seed", "1"), "--seed"),
@@ -211,6 +216,14 @@ def test_domset_radius_zero_is_usage_error(tmp_path, capsys):
     assert err == "error: radius must be at least 1\n"
 
 
+@pytest.mark.parametrize("graph, radius", [(Digraph(0), "-2"), (directed_path(3), "0")])
+def test_domset_scds_checks_the_radius_first(tmp_path, capsys, graph, radius):
+    # the empty graph would be answered, and the path is not strongly connected
+    path = write_graph(tmp_path, graph)
+    code, out, err = run(capsys, "domset", path, "--scds", "--radius", radius)
+    assert (code, out, err) == (2, "", "error: radius must be at least 1\n")
+
+
 def test_domset_seed_flag_is_gone(tmp_path, capsys):
     path = write_graph(tmp_path, directed_path(3))
     assert run(capsys, "domset", path, "--radius", "1", "--seed", "3")[0] == 2
@@ -325,6 +338,15 @@ def test_oracle_gamma(tmp_path, capsys):
     code, out, _ = run(capsys, "oracle", path, "gamma", "--radius", "1")
     assert code == 0
     assert json_out(out)["gamma"] == 3
+
+
+def test_oracle_alpha_on_two_thousand_vertices_does_not_recurse(tmp_path, capsys):
+    path = str(tmp_path / "g.dg")
+    assert run(capsys, "gen", "random", "2000", "--arcs", "0", "--seed", "1",
+               "--output", path)[0] == 0
+    code, out, err = run(capsys, "oracle", path, "alpha", "--radius", "1", "--max-n", "5000")
+    assert (code, err) == (0, "")
+    assert json_out(out)["alpha"] == 2000
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,9 @@
 """Every module-level import in the package is used by its module, every
 module-level private function is used somewhere in the package, every
 module-level ``MAX_*`` size cap is named in the README, every defaulted
-parameter of a module-level function is passed by some call, and the
-command line loads the acceptance suite only for ``selftest``."""
+parameter of a module-level function is passed by some call, no function
+calls itself but ``cli._flatten``, and the command line loads the
+acceptance suite only for ``selftest``."""
 import ast
 import os
 import subprocess
@@ -154,3 +155,48 @@ def test_unset_keyword_is_caught():
                "h(**kw)\nobj.m()\n"]
     assert unset_keywords(sources, callers) == ["a.f.z"]
     assert unset_keywords(sources, callers + ["f(0, z=3, w=1)"]) == []
+
+
+def self_referring_functions(sources: dict[str, str]) -> list[str]:
+    """Dotted names (``module.outer.inner``, ``module.Class.method``) of
+    the functions whose bodies refer to their own names: as a Name, or
+    for a method as an attribute of ``self`` or ``cls``."""
+    found = []
+    todo = [(mod, ast.parse(src)) for mod, src in sources.items()]
+    while todo:
+        prefix, node = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                todo.append((prefix, child))
+                continue
+            name = f"{prefix}.{child.name}"
+            todo.append((name, child))
+            if isinstance(child, ast.ClassDef):
+                continue
+            method = isinstance(node, ast.ClassDef)
+            for n in (n for stmt in child.body for n in ast.walk(stmt)):
+                if (isinstance(n, ast.Name) and n.id == child.name) or (
+                        method and isinstance(n, ast.Attribute) and n.attr == child.name
+                        and isinstance(n.value, ast.Name) and n.value.id in ("self", "cls")):
+                    found.append(name)
+                    break
+    return sorted(found)
+
+
+def test_no_function_calls_itself():
+    # a search keeps its stack in a list: its depth costs no frames, and a
+    # closure that calls itself would hold its own cell, a reference cycle.
+    # _flatten recurses once per level of a report's nesting, at most 2
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert self_referring_functions(sources) == ["cli._flatten"]
+
+
+def test_self_reference_is_caught():
+    sources = {"a": "def f(n):\n    return f(n - 1) if n else 0\n\n"
+                    "def g():\n    def rec(k):\n        return rec(k)\n    return rec\n\n"
+                    "class C:\n    def m(self):\n        return self.m()\n\n"
+                    "    def size(self, other):\n        return other.size\n",
+               "b": "def loop(xs):\n    stack = list(xs)\n    while stack:\n"
+                    "        stack.pop()\n    return g\n\n"
+                    "def get():\n    return get\n"}
+    assert self_referring_functions(sources) == ["a.C.m", "a.f", "a.g.rec", "b.get"]

@@ -87,6 +87,8 @@ def test_random_digraph_edge_cases():
     assert set(g.arcs()) == {(u, v) for u in range(3) for v in range(3) if u != v}
     with pytest.raises(ValueError):
         random_digraph(3, 7, seed=0)
+    with pytest.raises(ValueError, match="arc count m=-1 is negative"):
+        random_digraph(3, -1, seed=0)
 
 
 def test_random_digraph_deterministic():
