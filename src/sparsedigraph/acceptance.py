@@ -28,7 +28,7 @@ from .domination import (
     vc_dimension_distance_r,
 )
 from .duality import dominator_or_scattered, kernelize
-from .errors import InfeasibleError
+from .errors import InfeasibleError, InternalInvariantError
 from .instances import apex_crown, directed_path, random_digraph
 from .oracles import (
     alpha_r_exact,
@@ -297,7 +297,7 @@ def _dst_instances() -> list[DstInstance]:
         if preprocess_contract(inst)[2] >= 1:
             cyclic += 1
     if cyclic < 10:
-        raise AssertionError(f"only {cyclic} instances with terminal cycles")
+        raise InternalInvariantError(f"only {cyclic} instances with terminal cycles")
     return instances
 
 

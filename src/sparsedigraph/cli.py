@@ -30,7 +30,7 @@ from .coloring import compute_wcol_order, low_treedepth_coloring, wcol_exact, wr
 from .digraph import Digraph, format_digraph, parse_digraph
 from .domination import redblue_dominate_approx, scds_approx, vc_dimension_distance_r
 from .duality import kernelize
-from .errors import InfeasibleError, InternalInvariantError, SizeCapError
+from .errors import InfeasibleError, InternalInvariantError, SizeCapError, _check_radius
 from .instances import FAMILIES, InstanceRecipe, crown
 from .minors import contains_crown, is_depth_r_minor
 from .oracles import (
@@ -222,6 +222,7 @@ def _cmd_kernel(args) -> tuple[int, dict]:
 
 
 def _cmd_oracle(args) -> tuple[int, dict]:
+    _check_radius(args.radius)  # verify-strong, which ignores it, too
     g = _read_graph(args.graph)
     report: dict = {"n": g.n, "radius": args.radius}
     if args.kind == "gamma":

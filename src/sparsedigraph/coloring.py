@@ -21,7 +21,7 @@ from itertools import combinations
 
 from .digraph import (Digraph, LinearOrder, _adjacency_masks, _bfs, _bits, _mask_reach,
                       _peel_lists, _smallest_last, out_distances)
-from .errors import InternalInvariantError, SizeCapError, _check_cap
+from .errors import InternalInvariantError, SizeCapError, _check_cap, _check_radius
 
 
 # ---------------------------------------------------------------------------
@@ -38,8 +38,7 @@ def wreach_all(g: Digraph, order: LinearOrder, r: int) -> tuple[frozenset, ...]:
     """
     if len(order) != g.n:
         raise ValueError("order size does not match the graph")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    _check_radius(r)
     result = [{v} for v in range(g.n)]
     blocked: set = set()
     for u in order:
@@ -64,6 +63,7 @@ def wcol_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
     weak-reachability count is final, which gives the lower bound used
     for pruning.
     """
+    _check_radius(r)
     _check_cap("wcol_exact", g.n, max_n)
     n = g.n
     if n == 0:
@@ -113,6 +113,23 @@ def wcol_infty_exact(g: Digraph, max_n: int = 9) -> tuple[int, LinearOrder]:
 # admissibility
 
 
+def _bounded_paths(adj, start: int, stop, limit: int):
+    """Yield (inner vertices, end) for each simple path of at most ``limit``
+    arcs that leaves ``start`` along ``adj`` and ends at its first vertex in
+    ``stop``: the inner vertices, a tuple in path order, avoid ``stop``, and
+    no path returns to ``start``."""
+    stack = [(start, ())] if limit >= 1 else []
+    while stack:
+        x, inner = stack.pop()
+        for y in adj(x):
+            if y == start or y in inner:
+                continue
+            if y in stop:
+                yield inner, y
+            elif len(inner) + 1 < limit:
+                stack.append((y, inner + (y,)))
+
+
 def _adm_candidates(g: Digraph, v: int, smaller: frozenset, r: int) -> list[frozenset]:
     """Inclusion-minimal non-v vertex sets of admissibility paths at v.
 
@@ -120,28 +137,26 @@ def _adm_candidates(g: Digraph, v: int, smaller: frozenset, r: int) -> list[froz
     ``smaller`` and stop at the first vertex inside it; truncating at the
     first smaller vertex loses no packing.
     """
-    found: set[frozenset] = set()
-    for adj in (g.out_neighbors, g.in_neighbors):
-        stack = [(v, frozenset())] if r >= 1 else []
-        while stack:
-            x, trail = stack.pop()
-            for y in adj(x):
-                if y == v or y in trail:
-                    continue
-                if y in smaller:
-                    found.add(frozenset(trail | {y}))
-                elif len(trail) + 1 < r:
-                    stack.append((y, trail | {y}))
-    return _inclusion_minimal(found)
+    return _inclusion_minimal({frozenset(inner + (end,))
+                               for adj in (g.out_neighbors, g.in_neighbors)
+                               for inner, end in _bounded_paths(adj, v, smaller, r)})
 
 
 def _inclusion_minimal(found: set[frozenset]) -> list[frozenset]:
     """The members of ``found`` that contain no other member, smallest
-    first, equal sizes ordered by their sorted elements."""
+    first, equal sizes ordered by their sorted elements.  A member is
+    tested only against the kept ones that share a vertex with it, so
+    pairwise disjoint members cost linear time."""
+    if frozenset() in found:
+        return [frozenset()]  # it lies inside every other member
     minimal: list[frozenset] = []
+    holders: dict[int, list[frozenset]] = {}  # vertex -> the kept members holding it
     for s in sorted(found, key=lambda s: (len(s), sorted(s))):
-        if not any(t <= s for t in minimal):
+        if holders.keys().isdisjoint(s) or not any(
+                t <= s for x in s for t in holders.get(x, ())):
             minimal.append(s)
+            for x in s:
+                holders.setdefault(x, []).append(s)
     return minimal
 
 
@@ -168,6 +183,7 @@ def _max_disjoint(groups: list[list[frozenset]]) -> int:
 def adm_of_order(g: Digraph, order: LinearOrder, v: int, r: int) -> int:
     """Largest family of length-<=r paths leaving v towards L-smaller
     endpoints, pairwise meeting only in v."""
+    _check_radius(r)
     smaller = frozenset(
         w for w in range(g.n) if order.position(w) < order.position(v)
     )
@@ -180,6 +196,7 @@ def adm_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
     The admissibility of a vertex depends only on the set of smaller
     vertices, so the search over orders memoizes on that set.
     """
+    _check_radius(r)
     _check_cap("adm_exact", g.n, max_n)
     n = g.n
     if n == 0:
@@ -273,12 +290,7 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     one shared empty ``Digraph``, so large radii cost no more than the
     depth the closure actually reaches.  A closure that never empties
     still scans every split of every layer, O(r^2 * n) before any candidate
-    pair: on ``directed_path(n)`` at r = n single calls take 0.014, 0.09
-    and 0.53 s at n = 50, 100 and 200 (median of three, 2-core VM, Python
-    3.11), against 0.021, 0.13 and 0.96 s interleaved on the same host for
-    the closure that called the layers' adjacency methods, oriented each
-    layer in a second pass over a ``LinearOrder`` and froze its partner
-    sets.
+    pair.
     """
     if r < 1:
         raise ValueError("augmentation depth must be at least 1")

@@ -23,7 +23,7 @@ from functools import cache
 from typing import Iterable, Optional, Sequence
 
 from .digraph import Digraph, _walk_back, in_ball, in_distances, out_distances
-from .errors import InfeasibleError, InternalInvariantError, SizeCapError, _check_cap
+from .errors import InfeasibleError, InternalInvariantError, SizeCapError, _check_cap, _check_radius
 from .oracles import verify_dominating, verify_strongly_connected
 
 UNREACHED = None  # distance-vector entry for "further than r"
@@ -37,6 +37,7 @@ def distance_vector(g: Digraph, v: int, anchors: Sequence[int], r: int) -> tuple
 
 def neighborhood_complexity(g: Digraph, subset: Iterable[int], r: int) -> int:
     """Number of distinct traces N_r^-(v) & subset over all vertices."""
+    _check_radius(r)
     s = frozenset(subset)
     return len({frozenset(in_ball(g, v, r) & s) for v in range(g.n)})
 
@@ -48,6 +49,7 @@ def vc_dimension_distance_r(g: Digraph, r: int,
     Level-wise search: a set can only be shattered if all its subsets
     are, so candidates grow one element at a time.
     """
+    _check_radius(r)
     _check_cap("vc_dimension_distance_r", g.n, max_n)
     family = {frozenset(in_ball(g, v, r)) for v in range(g.n)}
 

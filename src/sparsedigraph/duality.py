@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from .coloring import compute_wcol_order, wreach_all
 from .digraph import Digraph, LinearOrder, _bfs, induced_subgraph, out_ball, remove_vertices
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, _check_radius
 from .minors import grad_lower_bound
 from .domination import distance_vector
 from .oracles import verify_dominating, verify_scattered
@@ -154,8 +154,7 @@ class IndependenceTree:
     """
 
     def __init__(self, g: Digraph, radius: int):
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
+        _check_radius(radius)
         self.graph = g
         self.radius = radius
         self.nodes: list[_Node] = []

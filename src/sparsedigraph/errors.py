@@ -20,6 +20,12 @@ def _check_cap(name: str, value: int, cap: int):
         raise SizeCapError(f"{name}: size {value} exceeds cap {cap}; pass max_n to override (slow)")
 
 
+def _check_radius(r: int):
+    """Raise ValueError when the radius ``r`` is negative."""
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+
+
 class InfeasibleError(Exception):
     """The requested object cannot exist for this instance.
 

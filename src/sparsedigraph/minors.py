@@ -25,9 +25,9 @@ from functools import cache, partial
 from itertools import combinations
 from typing import Optional
 
-from .coloring import _inclusion_minimal, _max_disjoint
+from .coloring import _bounded_paths, _inclusion_minimal, _max_disjoint
 from .digraph import Digraph, _adjacency_masks, _bits, _mask_reach, _peel_lists, out_distances
-from .errors import _check_cap
+from .errors import InternalInvariantError, _check_cap
 from .instances import crown
 
 
@@ -103,6 +103,45 @@ class _BlockInfo:
         return source, sink
 
 
+def _arc_images(blocks: list[_BlockInfo], pairs: list[tuple[int, int]],
+                cands: list[list[tuple[int, int]]], r: int, floor: int):
+    """Most block ``pairs`` (i, j) that get a host arc from ``cands`` with
+    blocks i and j still feasible, when more than ``floor``: (count, the
+    chosen arcs in pair order); (floor, []) when no choice beats it.
+
+    Depth-first over (next pair, pairs given, in- and out-attachments per
+    block, chosen arcs) nodes: each candidate arc of the pair that keeps
+    both blocks feasible, then leaving the pair out.  A node that cannot
+    beat the best count so far is cut when popped, so ``floor`` =
+    ``len(pairs) - 1`` cuts every skip and stops at the first full choice.
+    """
+    best, chosen = floor, None
+    empty = (frozenset(),) * len(blocks)
+    stack = [(0, 0, empty, empty, None)]
+    while stack:
+        idx, cnt, ins, outs, arcs = stack.pop()
+        if cnt + (len(pairs) - idx) <= best:
+            continue
+        if idx == len(pairs):
+            best, chosen = cnt, arcs
+            continue
+        stack.append((idx + 1, cnt, ins, outs, arcs))
+        i, j = pairs[idx]
+        for arc in reversed(cands[idx]):
+            a, b = arc
+            outs_ab, ins_ab = list(outs), list(ins)
+            outs_ab[i] = outs[i] | {a}
+            ins_ab[j] = ins[j] | {b}
+            if (blocks[i].feasible(ins_ab[i], outs_ab[i], r) is not None
+                    and blocks[j].feasible(ins_ab[j], outs_ab[j], r) is not None):
+                stack.append((idx + 1, cnt + 1, ins_ab, outs_ab, (arc, arcs)))
+    seq = []
+    while chosen:  # linked (arc, rest) cells, last choice first
+        arc, chosen = chosen
+        seq.append(arc)
+    return best, seq[::-1]
+
+
 def validate_model(h: Digraph, g: Digraph, r: int, model: DirectedModel) -> bool:
     """Re-check every model condition directly from the definition."""
     if set(model.branch_sets) != set(range(h.n)):
@@ -170,68 +209,44 @@ def is_depth_r_minor(h: Digraph, g: Digraph, r: int,
         key=lambda v: (-(len(h.out_neighbors(v)) + len(h.in_neighbors(v))), v),
     )
 
-    def try_images(assign: dict[int, int]) -> Optional[DirectedModel]:
-        harcs = h.arcs()
-        cands = []
-        for (u, v) in harcs:
-            c = arcs_between(assign[u], assign[v])
-            if not c:
-                return None
-            cands.append(c)
-        order = sorted(range(len(harcs)), key=lambda i: len(cands[i]))
-
-        def feas(v, ins, outs) -> bool:
-            return info(assign[v]).feasible(ins[v], outs[v], r) is not None
-
-        empty = {v: frozenset() for v in range(h.n)}
-        stack = [(0, empty, empty, {})]
-        while stack:
-            idx, ins, outs, images = stack.pop()
-            if idx == len(order):
-                break
-            e = harcs[order[idx]]
-            u, v = e
-            for (a, b) in reversed(cands[order[idx]]):
-                outs_ab = {**outs, u: outs[u] | {a}}
-                ins_ab = {**ins, v: ins[v] | {b}}
-                if feas(u, ins_ab, outs_ab) and feas(v, ins_ab, outs_ab):
-                    stack.append((idx + 1, ins_ab, outs_ab, {**images, e: (a, b)}))
-        else:
-            return None
-        sources, sinks = {}, {}
-        for v in range(h.n):
-            sources[v], sinks[v] = info(assign[v]).feasible(ins[v], outs[v], r)
-        model = DirectedModel(
-            depth=r,
-            branch_sets={v: frozenset(_bits(assign[v])) for v in range(h.n)},
-            arc_images=images,
-            sources=sources,
-            sinks=sinks,
-        )
-        if not validate_model(h, g, r, model):
-            raise AssertionError("search produced a model its own checker rejects")
-        return model
-
     stack = [(0, ())]  # (host vertices used, branch sets of a prefix of h_order)
     while stack:
         used, masks = stack.pop()
         assign = dict(zip(h_order, masks))
-        if len(masks) == len(h_order):
-            model = try_images(assign)
-            if model is not None:
-                return model
+        if len(masks) < len(h_order):
+            v = h_order[len(masks)]
+            kids = []
+            for mask in subsets:
+                if mask & used:
+                    continue
+                # every pattern arc to an already placed neighbour needs a host arc
+                links = [(mask, assign[u]) for u in h.out_neighbors(v) if u in assign]
+                links += [(assign[u], mask) for u in h.in_neighbors(v) if u in assign]
+                if all(arcs_between(a, b) for a, b in links):
+                    kids.append((used | mask, masks + (mask,)))
+            stack += reversed(kids)
             continue
-        v = h_order[len(masks)]
-        kids = []
-        for mask in subsets:
-            if mask & used:
-                continue
-            # every pattern arc to an already placed neighbour needs a host arc
-            links = [(mask, assign[u]) for u in h.out_neighbors(v) if u in assign]
-            links += [(assign[u], mask) for u in h.in_neighbors(v) if u in assign]
-            if all(arcs_between(a, b) for a, b in links):
-                kids.append((used | mask, masks + (mask,)))
-        stack += reversed(kids)
+        # arc images: the fewest candidates first, all of them or none
+        harcs = sorted(h.arcs(), key=lambda e: len(arcs_between(assign[e[0]], assign[e[1]])))
+        blocks = [info(assign[v]) for v in range(h.n)]
+        cands = [arcs_between(assign[u], assign[v]) for u, v in harcs]
+        count, arcs = _arc_images(blocks, harcs, cands, r, len(harcs) - 1)
+        if count < len(harcs):
+            continue
+        images = dict(zip(harcs, arcs))
+        ends = [blocks[v].feasible(frozenset(b for (_, w), (_, b) in images.items() if w == v),
+                                   frozenset(a for (u, _), (a, _) in images.items() if u == v), r)
+                for v in range(h.n)]
+        model = DirectedModel(
+            depth=r,
+            branch_sets={v: frozenset(_bits(assign[v])) for v in range(h.n)},
+            arc_images=images,
+            sources={v: s for v, (s, _) in enumerate(ends)},
+            sinks={v: t for v, (_, t) in enumerate(ends)},
+        )
+        if not validate_model(h, g, r, model):
+            raise InternalInvariantError("search produced a model its own checker rejects")
+        return model
     return None
 
 
@@ -313,31 +328,8 @@ def grad(g: Digraph, r: int, max_n: int = 8) -> Fraction:
                     pairs.append((i, j))
         if all(bin(b).count("1") == 1 for b in blocks):
             return len(pairs)  # singleton blocks carry no path constraints
-
-        def feas(i, ins, outs) -> bool:
-            return info(blocks[i]).feasible(ins[i], outs[i], r) is not None
-
-        # children: each host arc for the pair that keeps both blocks
-        # feasible, then leaving the pair out
-        best_cnt = 0
-        empty = (frozenset(),) * k
-        stack = [(0, 0, empty, empty)]
-        while stack:
-            idx, cnt, ins, outs = stack.pop()
-            if cnt + (len(pairs) - idx) <= best_cnt:
-                continue
-            if idx == len(pairs):
-                best_cnt = cnt
-                continue
-            stack.append((idx + 1, cnt, ins, outs))
-            i, j = pairs[idx]
-            for (a, b) in reversed(arcs_between(blocks[i], blocks[j])):
-                outs_ab, ins_ab = list(outs), list(ins)
-                outs_ab[i] = outs[i] | {a}
-                ins_ab[j] = ins[j] | {b}
-                if feas(i, ins_ab, outs_ab) and feas(j, ins_ab, outs_ab):
-                    stack.append((idx + 1, cnt + 1, ins_ab, outs_ab))
-        return best_cnt
+        cands = [arcs_between(blocks[i], blocks[j]) for i, j in pairs]
+        return _arc_images([info(b) for b in blocks], pairs, cands, r, 0)[0]
 
     best = Fraction(0)
     stack = [((1 << g.n) - 1, ())]
@@ -368,30 +360,14 @@ def top_grad(g: Digraph, r: int, max_n: int = 8) -> Fraction:
     if g.n == 0:
         return Fraction(0)
     best = Fraction(0)
-
-    def paths(a: int, b: int, principals: frozenset) -> list[frozenset]:
-        """Inclusion-minimal internal vertex sets of a->b paths, length <= 2r."""
-        found: set[frozenset] = set()
-        limit = 2 * r
-        stack = [(a, ())] if limit >= 1 else []
-        while stack:
-            v, internal = stack.pop()
-            for w in g.out_neighbors(v):
-                if w == b:
-                    found.add(frozenset(internal))
-                elif w not in principals and w not in internal and len(internal) + 1 < limit:
-                    stack.append((w, internal + (w,)))
-        return _inclusion_minimal(found)
-
     for size in range(1, g.n + 1):
         for principals in combinations(range(g.n), size):
             pset = frozenset(principals)
-            cand = []
+            cand = []  # per principal pair a != b: minimal inner sets of a->b paths
             for a in principals:
-                for b in principals:
-                    if a != b:
-                        ps = paths(a, b, pset)
-                        if ps:
-                            cand.append(ps)
+                inner_sets: dict[int, set] = {}
+                for inner, b in _bounded_paths(g.out_neighbors, a, pset, 2 * r):
+                    inner_sets.setdefault(b, set()).add(frozenset(inner))
+                cand += [_inclusion_minimal(inner_sets[b]) for b in principals if b in inner_sets]
             best = max(best, Fraction(_max_disjoint(cand), size))
     return best

@@ -18,8 +18,8 @@ from __future__ import annotations
 from math import ceil
 from typing import Iterable, Optional
 
-from .digraph import Digraph, in_ball, out_ball
-from .errors import SizeCapError, _check_cap
+from .digraph import Digraph, _bits, in_ball, out_ball
+from .errors import SizeCapError, _check_cap, _check_radius
 from .steiner_types import DstInstance
 
 
@@ -43,27 +43,24 @@ def gamma_r_exact(g: Digraph, r: int, targets: Optional[Iterable[int]] = None,
     ``targets`` defaults to the whole vertex set (the classic distance-r
     dominating set).  Returns (size, witness).
     """
+    _check_radius(r)
     _check_cap("gamma_r_exact", g.n, max_n)
     tgt = sorted(set(range(g.n) if targets is None else targets))
     if not tgt:
         return 0, frozenset()
+    if not 0 <= tgt[0] <= tgt[-1] < g.n:
+        raise ValueError(f"vertex {tgt[0] if tgt[0] < 0 else tgt[-1]} out of range")
     masks = _cover_masks(g, r, tgt)
     full = (1 << len(tgt)) - 1
     order = sorted(range(g.n), key=lambda v: (-bin(masks[v]).count("1"), v))
 
-    # greedy upper bound
+    # greedy upper bound; each target covers itself, so every step covers one
     best: list[int] = []
     uncovered = full
     while uncovered:
         v = max(range(g.n), key=lambda x: (bin(masks[x] & uncovered).count("1"), -x))
-        if masks[v] & uncovered == 0:
-            best = list(range(g.n))  # unreachable targets: only D = V can fail too
-            break
         best.append(v)
         uncovered &= ~masks[v]
-    if uncovered:
-        # some target has an empty in-ball intersection with V, impossible
-        raise ValueError("target set cannot be dominated at this radius")
     stack = [(full, ())]
     while stack:
         uncovered, chosen = stack.pop()
@@ -72,8 +69,6 @@ def gamma_r_exact(g: Digraph, r: int, targets: Optional[Iterable[int]] = None,
                 best = list(chosen)
             continue
         biggest = max(bin(masks[v] & uncovered).count("1") for v in order)
-        if biggest == 0:
-            continue
         lb = len(chosen) + ceil(bin(uncovered).count("1") / biggest)
         if lb >= len(best):
             continue
@@ -96,15 +91,13 @@ def alpha_r_exact(g: Digraph, r: int, max_n: int = 16) -> tuple[int, frozenset]:
     A set is r-scattered when no single vertex has two of its members in
     its r-out-ball, i.e. members have pairwise disjoint r-in-balls.
     """
+    _check_radius(r)
     _check_cap("alpha_r_exact", g.n, max_n)
     n = g.n
-    balls = [in_ball(g, v, r) for v in range(n)]
-    conflict = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if balls[i] & balls[j]:
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
+    conflict = [0] * n  # conflict[i] has i and every j that shares an r-out-ball with it
+    for mask in _cover_masks(g, r, list(range(n))):
+        for i in _bits(mask):
+            conflict[i] |= mask
 
     # children: take the lowest available vertex, then leave it out
     best: tuple = ()
@@ -129,6 +122,7 @@ def alpha_r_exact(g: Digraph, r: int, max_n: int = 16) -> tuple[int, frozenset]:
 def verify_dominating(g: Digraph, dominators: Iterable[int], r: int,
                       targets: Optional[Iterable[int]] = None) -> bool:
     """True when every target lies in some dominator's r-out-ball."""
+    _check_radius(r)
     tgt = set(range(g.n) if targets is None else targets)
     for v in set(dominators):
         tgt -= out_ball(g, v, r)
@@ -143,6 +137,7 @@ def verify_scattered(g: Digraph, vertices: Iterable[int], r: int) -> bool:
     Keeps the union of the balls seen so far, so it costs O(sum of the
     ball sizes) instead of one intersection per pair.
     """
+    _check_radius(r)
     union: set = set()
     for v in set(vertices):
         ball = in_ball(g, v, r)

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from sparsedigraph import cli
+from sparsedigraph import cli, minors
 
 from sparsedigraph.cli import main
 from sparsedigraph import format_digraph, parse_digraph, random_digraph
-from sparsedigraph.instances import apex_crown, directed_path
+from sparsedigraph.instances import apex_crown, crown, directed_path
 from sparsedigraph.steiner import format_dst_instance
 from sparsedigraph.steiner_types import DstInstance
 from sparsedigraph import Digraph
@@ -331,6 +331,32 @@ def test_error_while_emitting_exits_internal(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "wcol", path, "--radius", "2")
     assert code == 4
     assert err == "internal error: ValueError: cannot print\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["wcol", "{graph}", "--exact", "--radius", "-3"],
+    ["oracle", "{graph}", "gamma", "--radius", "-1"],
+    ["oracle", "{graph}", "alpha", "--radius", "-1"],
+    ["oracle", "{graph}", "vc", "--radius", "-1"],
+    ["oracle", "{graph}", "verify-dominating", "--radius", "-1", "--set", "{list}"],
+    ["oracle", "{graph}", "verify-scattered", "--radius", "-1", "--set", "{list}"],
+    ["oracle", "{graph}", "verify-strong", "--radius", "-1", "--set", "{list}"],
+], ids=["wcol-exact", "gamma", "alpha", "vc", "verify-dominating", "verify-scattered",
+        "verify-strong"])
+@pytest.mark.parametrize("graph", [Digraph(0), directed_path(3)], ids=["empty", "path"])
+def test_negative_radius_is_a_usage_error_on_any_graph(tmp_path, capsys, argv, graph):
+    # on the empty graph, or with an empty --set, these once exited 0
+    files = {"graph": write_graph(tmp_path, graph), "list": str(tmp_path / "s.txt")}
+    Path(files["list"]).write_text("")
+    assert run(capsys, *(a.format(**files) for a in argv)) == (
+        2, "", "error: radius must be nonnegative\n")
+
+
+def test_minor_model_its_checker_rejects_exits_internal(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(minors, "validate_model", lambda h, g, r, model: False)
+    path = write_graph(tmp_path, crown(3))
+    assert run(capsys, "minor", path, "--crown", "3", "--depth", "0") == (
+        4, "", "internal invariant failure: search produced a model its own checker rejects\n")
 
 
 def test_oracle_gamma(tmp_path, capsys):

@@ -11,6 +11,7 @@ from sparsedigraph import coloring
 from sparsedigraph.acceptance import check_augmentation
 from sparsedigraph.coloring import (
     Augmentation,
+    _inclusion_minimal,
     adm_exact,
     adm_of_order,
     compute_wcol_order,
@@ -222,6 +223,23 @@ def test_adm_truncation_is_harmless():
     order = LinearOrder([1, 3, 0, 2])
     # at v=2 with smaller {1, 3}: the out-path 2->3 and in-path 1->2
     assert adm_of_order(g, order, 2, 2) == 2
+
+
+def quadratic_inclusion_minimal(found):
+    """The O(k^2) filter: each member against every member kept so far."""
+    minimal = []
+    for s in sorted(found, key=lambda s: (len(s), sorted(s))):
+        if not any(t <= s for t in minimal):
+            minimal.append(s)
+    return minimal
+
+
+@given(st.sets(st.frozensets(st.integers(0, 9), max_size=4), max_size=12)
+       | st.sets(st.frozensets(st.integers(0, 30), max_size=2), max_size=20)
+       .map(lambda found: found | {frozenset()}))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_inclusion_minimal_matches_the_quadratic_filter(found):
+    assert _inclusion_minimal(found) == quadratic_inclusion_minimal(found)
 
 
 def _adm_paths(adj, v, r, smaller):

@@ -2,8 +2,9 @@
 module-level private function is used somewhere in the package, every
 module-level ``MAX_*`` size cap is named in the README, every defaulted
 parameter of a module-level function is passed by some call, no function
-calls itself but ``cli._flatten``, and the command line loads the
-acceptance suite only for ``selftest``."""
+calls itself but ``cli._flatten``, no ``assert`` statement or ``raise
+AssertionError`` stands in for ``InternalInvariantError``, and the
+command line loads the acceptance suite only for ``selftest``."""
 import ast
 import os
 import subprocess
@@ -200,3 +201,32 @@ def test_self_reference_is_caught():
                     "        stack.pop()\n    return g\n\n"
                     "def get():\n    return get\n"}
     assert self_referring_functions(sources) == ["a.C.m", "a.f", "a.g.rec", "b.get"]
+
+
+def assertions(sources: dict[str, str]) -> list[str]:
+    """``module:line`` of each ``assert`` statement and each ``raise`` of
+    ``AssertionError``, called or bare."""
+    found = []
+    for mod, src in sources.items():
+        for node in ast.walk(ast.parse(src)):
+            exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(node, ast.Assert) or (
+                    isinstance(exc, ast.Name) and exc.id == "AssertionError"):
+                found.append(f"{mod}:{node.lineno}")
+    return sorted(found)
+
+
+def test_postconditions_raise_internal_invariant_error():
+    # ``python -O`` drops asserts, and the CLI reports an AssertionError as
+    # an unexpected error, not as a failed invariant
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert assertions(sources) == []
+
+
+def test_assertion_is_caught():
+    sources = {"a": "def f(x):\n    assert x\n    if x:\n        raise AssertionError('no')\n",
+               "b": "def g():\n    raise AssertionError\n\n"
+                    "def h():\n    raise InternalInvariantError('ok')\n"}
+    assert assertions(sources) == ["a:2", "a:4", "b:2"]

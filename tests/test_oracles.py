@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsedigraph import Digraph, DstInstance, apex_crown, directed_path, random_digraph
+from sparsedigraph import (Digraph, DstInstance, LinearOrder, apex_crown, directed_path,
+                           random_digraph)
+from sparsedigraph.coloring import adm_exact, adm_of_order, wcol_exact
+from sparsedigraph.domination import neighborhood_complexity, vc_dimension_distance_r
 from sparsedigraph.errors import SizeCapError
 from sparsedigraph.digraph import in_ball, out_ball
 from sparsedigraph.oracles import (
@@ -100,6 +103,31 @@ def test_caps_raise():
     with pytest.raises(SizeCapError):
         alpha_r_exact(g, 1)
     assert gamma_r_exact(g, 1, max_n=25)[0] >= 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: wcol_exact(g, -1),
+    lambda g: adm_of_order(g, LinearOrder([]), 0, -1),
+    lambda g: adm_exact(g, -1),
+    lambda g: gamma_r_exact(g, -1),
+    lambda g: alpha_r_exact(g, -1),
+    lambda g: vc_dimension_distance_r(g, -1),
+    lambda g: neighborhood_complexity(g, [], -1),
+    lambda g: verify_dominating(g, [], -1),
+    lambda g: verify_scattered(g, [], -1),
+], ids=["wcol_exact", "adm_of_order", "adm_exact", "gamma_r_exact", "alpha_r_exact",
+        "vc_dimension_distance_r", "neighborhood_complexity", "verify_dominating",
+        "verify_scattered"])
+def test_negative_radius_is_rejected_on_the_empty_graph(call):
+    # the empty graph needs no search, so the check must come first
+    with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+        call(Digraph(0))
+
+
+@pytest.mark.parametrize("targets, bad", [([0, 99], 99), ([-2, 1, 5], -2)])
+def test_gamma_names_an_out_of_range_target(targets, bad):
+    with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+        gamma_r_exact(directed_path(3), 1, targets)
 
 
 def test_validators_trivial_cases():
