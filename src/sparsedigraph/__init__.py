@@ -17,179 +17,85 @@ Submodules:
 - ``oracles``: independent brute-force references and validators.
 - ``acceptance``: the runnable acceptance suite (also ``selftest`` on
   the command line).
-"""
-from .coloring import (
-    Augmentation,
-    WcolOrder,
-    adm_exact,
-    adm_of_order,
-    compute_wcol_order,
-    low_treedepth_coloring,
-    order_from_augmentation,
-    tfa_augment,
-    wcol_exact,
-    wcol_infty_exact,
-    wcol_of_order,
-    wreach_all,
-)
-from .digraph import (
-    Digraph,
-    LinearOrder,
-    SccDecomposition,
-    contract,
-    degeneracy,
-    format_digraph,
-    in_ball,
-    induced_subgraph,
-    out_ball,
-    parse_digraph,
-    remove_vertices,
-    scc,
-)
-from .domination import (
-    distance_vector,
-    neighborhood_complexity,
-    redblue_dominate_approx,
-    scds_approx,
-    vc_dimension_distance_r,
-)
-from .duality import (
-    ClosureResult,
-    CoreResult,
-    DualityResult,
-    IndependenceTree,
-    KernelResult,
-    ReduceOutcome,
-    closure,
-    dominator_or_scattered,
-    domination_core,
-    independence_tree,
-    kernelize,
-    max_left_chain,
-    projection,
-    reduce_core,
-)
-from .errors import InfeasibleError, InternalInvariantError, SizeCapError
-from .instances import (
-    InstanceRecipe,
-    apex_crown,
-    bidirected_clique,
-    crown,
-    crown_subdivision_vertex,
-    directed_path,
-    random_digraph,
-)
-from .minors import (
-    DirectedModel,
-    contains_crown,
-    grad,
-    grad_lower_bound,
-    is_depth_r_minor,
-    top_grad,
-    validate_model,
-)
-from .oracles import (
-    alpha_r_exact,
-    dst_exact_enum,
-    dst_valid,
-    gamma_r_exact,
-    redblue_exact_enum,
-    scss_exact_enum,
-    verify_dominating,
-    verify_scattered,
-    verify_strongly_connected,
-)
-from .steiner import (
-    DstFptResult,
-    dst_exact_subset,
-    dst_fpt,
-    format_dst_instance,
-    parse_dst_instance,
-    preprocess_contract,
-    scss_2approx,
-    source_terminals,
-)
-from .steiner_types import DstInstance
 
-__all__ = [
-    "Augmentation",
-    "ClosureResult",
-    "CoreResult",
-    "Digraph",
-    "DirectedModel",
-    "DstFptResult",
-    "DstInstance",
-    "DualityResult",
-    "IndependenceTree",
-    "InfeasibleError",
-    "InstanceRecipe",
-    "InternalInvariantError",
-    "KernelResult",
-    "LinearOrder",
-    "ReduceOutcome",
-    "SccDecomposition",
-    "SizeCapError",
-    "WcolOrder",
-    "adm_exact",
-    "adm_of_order",
-    "alpha_r_exact",
-    "apex_crown",
-    "bidirected_clique",
-    "closure",
-    "compute_wcol_order",
-    "contains_crown",
-    "contract",
-    "crown",
-    "crown_subdivision_vertex",
-    "degeneracy",
-    "directed_path",
-    "distance_vector",
-    "dominator_or_scattered",
-    "domination_core",
-    "dst_exact_enum",
-    "dst_exact_subset",
-    "dst_fpt",
-    "dst_valid",
-    "format_digraph",
-    "format_dst_instance",
-    "gamma_r_exact",
-    "grad",
-    "grad_lower_bound",
-    "in_ball",
-    "independence_tree",
-    "induced_subgraph",
-    "is_depth_r_minor",
-    "kernelize",
-    "low_treedepth_coloring",
-    "max_left_chain",
-    "neighborhood_complexity",
-    "order_from_augmentation",
-    "out_ball",
-    "parse_digraph",
-    "parse_dst_instance",
-    "preprocess_contract",
-    "projection",
-    "random_digraph",
-    "redblue_dominate_approx",
-    "redblue_exact_enum",
-    "reduce_core",
-    "remove_vertices",
-    "scc",
-    "scds_approx",
-    "scss_2approx",
-    "scss_exact_enum",
-    "source_terminals",
-    "tfa_augment",
-    "top_grad",
-    "validate_model",
-    "vc_dimension_distance_r",
-    "verify_dominating",
-    "verify_scattered",
-    "verify_strongly_connected",
-    "wcol_exact",
-    "wcol_infty_exact",
-    "wcol_of_order",
-    "wreach_all",
-]
+Importing the package runs none of them.  Every submodule in ``_EXPORTS``
+is registered in ``sys.modules``, and on the package, as a lazy module
+whose code runs at its first attribute access.  The package's own names
+resolve through a module ``__getattr__`` (PEP 562), so ``from sparsedigraph
+import Digraph`` runs ``digraph`` and what it imports, nothing more.
+"""
+import importlib.util
+import sys
+
+# submodule -> the names the package re-exports from it
+_EXPORTS = {
+    "coloring": (
+        "Augmentation", "WcolOrder", "adm_exact", "adm_of_order", "compute_wcol_order",
+        "low_treedepth_coloring", "order_from_augmentation", "tfa_augment", "wcol_exact",
+        "wcol_infty_exact", "wcol_of_order", "wreach_all",
+    ),
+    "digraph": (
+        "Digraph", "LinearOrder", "SccDecomposition", "contract", "degeneracy",
+        "format_digraph", "in_ball", "induced_subgraph", "out_ball", "parse_digraph",
+        "remove_vertices", "scc",
+    ),
+    "domination": (
+        "distance_vector", "neighborhood_complexity", "redblue_dominate_approx",
+        "scds_approx", "vc_dimension_distance_r",
+    ),
+    "duality": (
+        "ClosureResult", "CoreResult", "DualityResult", "IndependenceTree", "KernelResult",
+        "ReduceOutcome", "closure", "dominator_or_scattered", "domination_core",
+        "independence_tree", "kernelize", "max_left_chain", "projection", "reduce_core",
+    ),
+    "errors": ("InfeasibleError", "InternalInvariantError", "SizeCapError"),
+    "instances": (
+        "InstanceRecipe", "apex_crown", "bidirected_clique", "crown", "directed_path",
+        "random_digraph",
+    ),
+    "minors": (
+        "DirectedModel", "contains_crown", "grad", "grad_lower_bound", "is_depth_r_minor",
+        "top_grad", "validate_model",
+    ),
+    "oracles": (
+        "alpha_r_exact", "dst_exact_enum", "dst_valid", "gamma_r_exact",
+        "redblue_exact_enum", "scss_exact_enum", "verify_dominating", "verify_scattered",
+        "verify_strongly_connected",
+    ),
+    "steiner": (
+        "DstFptResult", "dst_exact_subset", "dst_fpt", "parse_dst_instance",
+        "preprocess_contract", "scss_2approx", "source_terminals",
+    ),
+    "steiner_types": ("DstInstance",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def _register_lazy(module: str):
+    """Put ``sparsedigraph.<module>`` in ``sys.modules`` and on the package
+    unexecuted.  Called once per module: ``find_spec`` on a name already in
+    ``sys.modules`` would read its ``__spec__`` and so run it."""
+    spec = importlib.util.find_spec(f"{__name__}.{module}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    lazy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lazy)
+    sys.modules[spec.name] = globals()[module] = lazy
+
+
+for _module in _EXPORTS:
+    _register_lazy(_module)
+del _module
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_HOME[name]], name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

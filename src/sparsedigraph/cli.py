@@ -14,6 +14,11 @@ use (``build_parser`` is cached).  ``main`` pauses the cyclic garbage
 collector for the call and restores the caller's setting afterwards.
 Package code builds no reference cycles, so reference counting frees
 memory while a command runs.
+
+The algorithm modules are bound here unexecuted (the package registers
+them lazily) and called through their module names, so importing this
+module runs only it, the package and ``errors``, and each command runs
+only the modules it calls.
 """
 from __future__ import annotations
 
@@ -26,23 +31,8 @@ import time
 from functools import cache
 from typing import Optional
 
-from .coloring import compute_wcol_order, low_treedepth_coloring, wcol_exact, wreach_all
-from .digraph import Digraph, format_digraph, parse_digraph
-from .domination import redblue_dominate_approx, scds_approx, vc_dimension_distance_r
-from .duality import kernelize
+from . import coloring, digraph, domination, duality, instances, minors, oracles, steiner
 from .errors import InfeasibleError, InternalInvariantError, SizeCapError, _check_radius
-from .instances import FAMILIES, InstanceRecipe, crown
-from .minors import contains_crown, is_depth_r_minor
-from .oracles import (
-    alpha_r_exact,
-    dst_exact_enum,
-    gamma_r_exact,
-    redblue_exact_enum,
-    verify_dominating,
-    verify_scattered,
-    verify_strongly_connected,
-)
-from .steiner import dst_fpt, parse_dst_instance, scss_2approx
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -51,9 +41,9 @@ EXIT_SIZE = 3
 EXIT_INTERNAL = 4
 
 
-def _read_graph(path: str) -> Digraph:
+def _read_graph(path: str) -> digraph.Digraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_digraph(fh.read())
+        return digraph.parse_digraph(fh.read())
 
 
 def _read_vertex_list(path: str, n: int) -> list[int]:
@@ -96,9 +86,9 @@ def _cmd_gen(args) -> tuple[int, dict]:
         for option, value in (("--arcs", args.arcs), ("--seed", args.seed)):
             if value is not None:
                 raise ValueError(f"{option} applies only to the random family")
-    recipe = InstanceRecipe(args.family, args.size, arcs=args.arcs, seed=args.seed)
+    recipe = instances.InstanceRecipe(args.family, args.size, arcs=args.arcs, seed=args.seed)
     g = recipe.build()
-    text = format_digraph(g, comments=[recipe.describe()])
+    text = digraph.format_digraph(g, comments=[recipe.describe()])
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -111,12 +101,12 @@ def _cmd_wcol(args) -> tuple[int, dict]:
     g = _read_graph(args.graph)
     report: dict = {"n": g.n, "m": g.m, "radius": args.radius}
     if args.exact:
-        value, order = wcol_exact(g, args.radius, max_n=args.max_n)
+        value, order = coloring.wcol_exact(g, args.radius, max_n=args.max_n)
         report["exact"] = value
         report["exact_order"] = list(order.seq)
     if args.tfa or not args.exact:
-        res = compute_wcol_order(g, args.radius)
-        sizes = [len(s) for s in wreach_all(g, res.order, args.radius)]
+        res = coloring.compute_wcol_order(g, args.radius)
+        sizes = [len(s) for s in coloring.wreach_all(g, res.order, args.radius)]
         actual = max(sizes, default=0)
         report.update(
             {
@@ -128,7 +118,7 @@ def _cmd_wcol(args) -> tuple[int, dict]:
             }
         )
     if args.coloring is not None:
-        colors = low_treedepth_coloring(g, args.coloring)
+        colors = coloring.low_treedepth_coloring(g, args.coloring)
         report["coloring"] = colors
         report["colors_used"] = len(set(colors))
     return EXIT_OK, report
@@ -136,8 +126,8 @@ def _cmd_wcol(args) -> tuple[int, dict]:
 
 def _cmd_minor(args) -> tuple[int, dict]:
     g = _read_graph(args.graph)
-    pattern = crown(args.crown)
-    model = is_depth_r_minor(pattern, g, args.depth, max_n=args.max_n)
+    pattern = instances.crown(args.crown)
+    model = minors.is_depth_r_minor(pattern, g, args.depth, max_n=args.max_n)
     found = model is not None
     report = {"crown": args.crown, "depth": args.depth, "found": found}
     if found:
@@ -149,7 +139,7 @@ def _cmd_minor(args) -> tuple[int, dict]:
 
 def _cmd_dst(args) -> tuple[int, dict]:
     with open(args.instance, "r", encoding="utf-8") as fh:
-        inst = parse_dst_instance(fh.read())
+        inst = steiner.parse_dst_instance(fh.read())
     report: dict = {
         "n": inst.graph.n,
         "root": inst.root,
@@ -158,11 +148,11 @@ def _cmd_dst(args) -> tuple[int, dict]:
     }
     if args.scss:
         terminals = frozenset(inst.terminals) | {inst.root}
-        sol = scss_2approx(inst.graph, terminals, inst.budget)
+        sol = steiner.scss_2approx(inst.graph, terminals, inst.budget)
     elif args.exact:
-        sol = dst_exact_enum(inst, max_n=args.max_n, max_k=max(4, inst.budget))
+        sol = oracles.dst_exact_enum(inst, max_n=args.max_n, max_k=max(4, inst.budget))
     else:
-        res = dst_fpt(inst)
+        res = steiner.dst_fpt(inst)
         sol = res.solution
         report.update({"d": res.degree_threshold, "s": res.scc_diameter,
                        "nodes_expanded": list(res.nodes_per_budget)})
@@ -177,15 +167,15 @@ def _cmd_domset(args) -> tuple[int, dict]:
     report: dict = {"n": g.n, "radius": args.radius}
     if args.scds:
         stats: dict = {}
-        sol = scds_approx(g, args.radius, stats_out=stats)
+        sol = domination.scds_approx(g, args.radius, stats_out=stats)
         report.update({"solution": sorted(sol), "valid": True, **stats})
         return EXIT_OK, report
     red = _read_vertex_list(args.red, g.n) if args.red else list(range(g.n))
     blue = _read_vertex_list(args.blue, g.n) if args.blue else list(range(g.n))
-    sol = redblue_dominate_approx(g, red, blue, args.radius)
+    sol = domination.redblue_dominate_approx(g, red, blue, args.radius)
     report.update({"solution": sorted(sol), "valid": True})
     if args.oracle_ratio:
-        opt = redblue_exact_enum(g, red, blue, args.radius, max_k=4)
+        opt = oracles.redblue_exact_enum(g, red, blue, args.radius, max_k=4)
         if opt is not None:
             report["ratio_vs_oracle"] = round(len(sol) / max(1, len(opt)), 3)
     return EXIT_OK, report
@@ -193,7 +183,7 @@ def _cmd_domset(args) -> tuple[int, dict]:
 
 def _cmd_kernel(args) -> tuple[int, dict]:
     g = _read_graph(args.graph)
-    res = kernelize(g, args.radius, args.budget)
+    res = duality.kernelize(g, args.radius, args.budget)
     report = {
         "radius": args.radius,
         "budget": args.budget,
@@ -216,7 +206,7 @@ def _cmd_kernel(args) -> tuple[int, dict]:
         report["core"] = sorted(res.core)
     if args.emit_kernel:
         with open(args.emit_kernel, "w", encoding="utf-8") as fh:
-            fh.write(format_digraph(res.graph, comments=["standard-form kernel"]))
+            fh.write(digraph.format_digraph(res.graph, comments=["standard-form kernel"]))
         report["written"] = args.emit_kernel
     return (EXIT_NEGATIVE if res.infeasible else EXIT_OK), report
 
@@ -226,16 +216,16 @@ def _cmd_oracle(args) -> tuple[int, dict]:
     g = _read_graph(args.graph)
     report: dict = {"n": g.n, "radius": args.radius}
     if args.kind == "gamma":
-        size, witness = gamma_r_exact(g, args.radius, max_n=args.max_n)
+        size, witness = oracles.gamma_r_exact(g, args.radius, max_n=args.max_n)
         report.update({"gamma": size, "witness": sorted(witness)})
     elif args.kind == "alpha":
-        size, witness = alpha_r_exact(g, args.radius, max_n=args.max_n)
+        size, witness = oracles.alpha_r_exact(g, args.radius, max_n=args.max_n)
         report.update({"alpha": size, "witness": sorted(witness)})
     elif args.kind == "vc":
-        dim, witness = vc_dimension_distance_r(g, args.radius, max_n=args.max_n)
+        dim, witness = domination.vc_dimension_distance_r(g, args.radius, max_n=args.max_n)
         report.update({"vc_dimension": dim, "witness": sorted(witness)})
     elif args.kind == "crown":
-        found = contains_crown(g, args.crown, args.radius, max_n=args.max_n)
+        found = minors.contains_crown(g, args.crown, args.radius, max_n=args.max_n)
         report.update({"crown": args.crown, "found": found})
         return (EXIT_OK if found else EXIT_NEGATIVE), report
     else:
@@ -243,11 +233,11 @@ def _cmd_oracle(args) -> tuple[int, dict]:
             raise ValueError(f"oracle {args.kind} needs --set FILE")
         vertices = _read_vertex_list(args.set, g.n)
         if args.kind == "verify-dominating":
-            ok = verify_dominating(g, vertices, args.radius)
+            ok = oracles.verify_dominating(g, vertices, args.radius)
         elif args.kind == "verify-scattered":
-            ok = verify_scattered(g, vertices, args.radius)
+            ok = oracles.verify_scattered(g, vertices, args.radius)
         else:
-            ok = verify_strongly_connected(g, vertices)
+            ok = oracles.verify_strongly_connected(g, vertices)
         report.update({"set": sorted(vertices), "valid": ok})
         return (EXIT_OK if ok else EXIT_NEGATIVE), report
     return EXIT_OK, report
@@ -277,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance")
-    p.add_argument("family", choices=tuple(FAMILIES))
+    p.add_argument("family", choices=tuple(instances.FAMILIES))
     p.add_argument("size", type=int)
     p.add_argument("--arcs", type=int)
     p.add_argument("--seed", type=int)

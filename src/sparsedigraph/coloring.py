@@ -391,10 +391,19 @@ def compute_wcol_order(g: Digraph, r: int) -> WcolOrder:
     peel of the union the augmentation's partner sets already hold,
     O(n + m' log n) for m' union arcs, with no rebuild of the union.  The
     computation is deterministic, so the memo changes no output.
+
+    At r = 0 the augmentation has no layers: the order is the peel of the
+    edgeless union, with guarantee 1, since every vertex weakly 0-reaches
+    only itself.
     """
+    _check_radius(r)
     key = ("wcol_order", r)
     if key not in g._derived:
-        g._derived[key] = order_from_augmentation(g, tfa_augment(g, r))
+        if r:
+            aug = tfa_augment(g, r)
+        else:
+            aug = Augmentation(g.n, 0, (), tuple(set() for _ in range(g.n)))
+        g._derived[key] = order_from_augmentation(g, aug)
     return g._derived[key]
 
 

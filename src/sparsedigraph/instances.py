@@ -40,14 +40,6 @@ def crown(q: int) -> Digraph:
     return Digraph(idx, arcs)
 
 
-def crown_subdivision_vertex(q: int, i: int, j: int) -> int:
-    """Index of the subdivision vertex for the principal pair (i, j)."""
-    if not 0 <= i < j < q:
-        raise ValueError("need 0 <= i < j < q")
-    # pairs before row i, plus offset inside row i
-    return q + i * q - i * (i + 1) // 2 + (j - i - 1)
-
-
 def apex_crown(n: int) -> Digraph:
     """crown(n) plus an apex vertex with an arc to every subdivision vertex.
 

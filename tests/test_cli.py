@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sparsedigraph import cli, minors
+from sparsedigraph import cli, duality, minors
 
 from sparsedigraph.cli import main
 from sparsedigraph import format_digraph, parse_digraph, random_digraph
@@ -103,6 +103,18 @@ def test_wcol_and_kernel_at_huge_radius_on_a_path(tmp_path, capsys):
     code, out, _ = run(capsys, "kernel", path, "--radius", "3000", "--budget", "1")
     assert code == 0
     json_out(out)
+
+
+@pytest.mark.parametrize("graph", [directed_path(3), Digraph(0)], ids=["path", "empty"])
+def test_wcol_radius_zero_is_answered(tmp_path, capsys, graph):
+    # every vertex weakly 0-reaches only itself; this once exited 2
+    path = write_graph(tmp_path, graph)
+    code, out, err = run(capsys, "wcol", path, "--radius", "0")
+    assert (code, err) == (0, "")
+    rep = json_out(out)
+    assert rep["wreach_sizes"] == [1] * graph.n
+    assert rep["guarantee"] == 1 and rep["valid"] is True
+    assert sorted(rep["order"]) == list(range(graph.n))
 
 
 def test_wcol_exact_flag(tmp_path, capsys):
@@ -284,9 +296,9 @@ def test_kernel_path_6000_reports(tmp_path, capsys):
 
 def test_kernel_threshold_too_long_to_print(tmp_path, capsys, monkeypatch):
     huge = 10 ** (sys.get_int_max_str_digits() + 5) * 3
-    real = cli.kernelize
+    real = duality.kernelize
     monkeypatch.setattr(
-        cli, "kernelize",
+        duality, "kernelize",
         lambda g, r, k: dataclasses.replace(real(g, r, k), threshold=huge),
     )
     path = write_graph(tmp_path, random_digraph(9, 20, 2))

@@ -3,9 +3,12 @@ module-level private function is used somewhere in the package, every
 module-level ``MAX_*`` size cap is named in the README, every defaulted
 parameter of a module-level function is passed by some call, no function
 calls itself but ``cli._flatten``, no ``assert`` statement or ``raise
-AssertionError`` stands in for ``InternalInvariantError``, and the
-command line loads the acceptance suite only for ``selftest``."""
+AssertionError`` stands in for ``InternalInvariantError``, the command
+line loads the acceptance suite only for ``selftest``, importing it runs
+no algorithm module, each command runs only the modules it calls, and
+the package re-exports its names lazily."""
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -13,10 +16,34 @@ from pathlib import Path
 
 import pytest
 
+import sparsedigraph
+from test_traced_names import traced_targets
+
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "sparsedigraph"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+
+# the package's public names in ``__all__``'s sorted order, pinned here
+# because ``__all__`` is derived from the export table in ``__init__``
+EXPORTED = """
+    Augmentation ClosureResult CoreResult Digraph DirectedModel DstFptResult DstInstance
+    DualityResult IndependenceTree InfeasibleError InstanceRecipe InternalInvariantError
+    KernelResult LinearOrder ReduceOutcome SccDecomposition SizeCapError WcolOrder
+    adm_exact adm_of_order alpha_r_exact apex_crown bidirected_clique closure
+    compute_wcol_order contains_crown contract crown degeneracy directed_path
+    distance_vector domination_core dominator_or_scattered dst_exact_enum dst_exact_subset
+    dst_fpt dst_valid format_digraph gamma_r_exact grad grad_lower_bound in_ball
+    independence_tree induced_subgraph is_depth_r_minor kernelize low_treedepth_coloring
+    max_left_chain neighborhood_complexity order_from_augmentation out_ball parse_digraph
+    parse_dst_instance preprocess_contract projection random_digraph
+    redblue_dominate_approx redblue_exact_enum reduce_core remove_vertices scc scds_approx
+    scss_2approx scss_exact_enum source_terminals tfa_augment top_grad validate_model
+    vc_dimension_distance_r verify_dominating verify_scattered verify_strongly_connected
+    wcol_exact wcol_infty_exact wcol_of_order wreach_all
+""".split()
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,9 +62,64 @@ def unused_imports(source: str) -> list[str]:
 def test_cli_loads_the_acceptance_suite_only_for_selftest():
     code = ("import sys, sparsedigraph.cli\n"
             "assert 'sparsedigraph.acceptance' not in sys.modules\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+    subprocess.run([sys.executable, "-c", code], check=True, env=ENV, timeout=60)
+
+
+def package_modules(code: str) -> dict[str, bool]:
+    """Each ``sparsedigraph`` module in ``sys.modules`` after ``code`` runs
+    in a fresh interpreter, mapped to whether its own code has run.  The
+    probe reads each namespace with ``object.__getattribute__``, which
+    loads no lazy module, and looks for the ``__builtins__`` that ``exec``
+    puts in a namespace when it runs code there."""
+    probe = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps({key: '__builtins__' in object.__getattribute__(mod, '__dict__')\n"
+        "                  for key, mod in list(sys.modules.items())\n"
+        "                  if key.split('.')[0] == 'sparsedigraph'}))\n")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, env=ENV, timeout=60,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_importing_the_cli_runs_no_algorithm_module():
+    ran = package_modules("import sparsedigraph.cli")
+    assert sorted(key for key, done in ran.items() if done) == [
+        "sparsedigraph", "sparsedigraph.cli", "sparsedigraph.errors"]
+
+
+def test_importing_the_cli_registers_every_traced_module():
+    # the traced bench run imports the cli, then looks its targets' modules up
+    # in sys.modules; looking attributes up there runs them
+    registered = package_modules("import sparsedigraph.cli")
+    assert {f"sparsedigraph.{module}" for module, _, _ in traced_targets()} <= set(registered)
+
+
+@pytest.mark.parametrize("argv, idle", [
+    (["wcol", "{path}", "--radius", "2"],
+     ["steiner", "duality", "minors", "domination", "oracles"]),
+    (["dst", "{instance}", "--fpt"], ["coloring", "duality", "minors", "domination"]),
+], ids=["wcol", "dst"])
+def test_a_command_runs_only_the_modules_it_calls(tmp_path, argv, idle):
+    files = {"path": tmp_path / "path.dg", "instance": tmp_path / "path.dst"}
+    files["path"].write_text("digraph 3 2\n0 1\n1 2\n")
+    files["instance"].write_text("digraph 3 2\n0 1\n1 2\nroot 0\nterminal 2\nbudget 2\n")
+    argv = [a.format(**{k: str(v) for k, v in files.items()}) for a in argv]
+    ran = package_modules(f"import sparsedigraph.cli\nassert sparsedigraph.cli.main({argv!r}) == 0")
+    assert [m for m in idle if ran[f"sparsedigraph.{m}"]] == []
+
+
+def test_package_exports_resolve_to_their_home_modules():
+    assert sparsedigraph.__all__ == EXPORTED
+    assert set(EXPORTED) <= set(dir(sparsedigraph))
+    for name in EXPORTED:
+        obj = getattr(sparsedigraph, name)
+        assert obj is getattr(sys.modules[obj.__module__], name), name
+    namespace: dict = {}
+    exec("from sparsedigraph import *", namespace)
+    assert set(EXPORTED) <= set(namespace)
+    for name in ("no_such_name", "crown_subdivision_vertex", "format_dst_instance"):
+        with pytest.raises(AttributeError):
+            getattr(sparsedigraph, name)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

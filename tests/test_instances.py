@@ -6,10 +6,17 @@ from sparsedigraph import (
     apex_crown,
     bidirected_clique,
     crown,
-    crown_subdivision_vertex,
     directed_path,
     random_digraph,
 )
+
+
+def crown_subdivision_vertex(q: int, i: int, j: int) -> int:
+    """Index of the subdivision vertex of ``crown(q)`` for the principal pair (i, j)."""
+    if not 0 <= i < j < q:
+        raise ValueError("need 0 <= i < j < q")
+    # pairs before row i, plus offset inside row i
+    return q + i * q - i * (i + 1) // 2 + (j - i - 1)
 
 
 def longest_directed_path_order(g):
