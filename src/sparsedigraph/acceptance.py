@@ -1,14 +1,16 @@
 """Runnable acceptance suite and the independent definition checkers.
 
 Each criterion function returns a CriterionResult; ``run_all`` prints one
-pass/fail line per criterion.  The checks here are deliberately written
-against the definitions (path enumeration, direct inequality checks,
-enumeration oracles) rather than against the code paths they exercise.
+pass/fail line per criterion on stderr, so that ``selftest``'s stdout holds
+only its report.  The checks here are deliberately written against the
+definitions (path enumeration, direct inequality checks, enumeration
+oracles) rather than against the code paths they exercise.
 """
 from __future__ import annotations
 
 import math
 import random as _random
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -174,7 +176,7 @@ def run_all(verbose: bool = True) -> list[CriterionResult]:
             line = f"[{status}] {name}"
             if res.detail:
                 line += f" ({res.detail})"
-            print(line)
+            print(line, file=sys.stderr)
     return results
 
 

@@ -32,7 +32,8 @@ from functools import cache
 from typing import Optional
 
 from . import coloring, digraph, domination, duality, instances, minors, oracles, steiner
-from .errors import InfeasibleError, InternalInvariantError, SizeCapError, _check_radius
+from .errors import (InfeasibleError, InternalInvariantError, SizeCapError, _check_radius,
+                     _check_vertices)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -55,9 +56,7 @@ def _read_vertex_list(path: str, n: int) -> list[int]:
             line = line.strip()
             if line and not line.startswith("#"):
                 out.append(int(line))
-    bad = [v for v in out if not 0 <= v < n]
-    if bad:
-        raise ValueError(f"vertex {min(bad)} out of range")
+    _check_vertices(n, out)
     return out
 
 

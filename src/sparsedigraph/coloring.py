@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 
-from .digraph import (Digraph, LinearOrder, _adjacency_masks, _bfs, _bits, _mask_reach,
-                      _peel_lists, _smallest_last, out_distances)
+from .digraph import (Digraph, LinearOrder, _adjacency_masks, _bfs_each, _bits, _mask_reach,
+                      _peel_lists, _smallest_last)
 from .errors import InternalInvariantError, SizeCapError, _check_cap, _check_radius
 
 
@@ -31,21 +31,24 @@ from .errors import InternalInvariantError, SizeCapError, _check_cap, _check_rad
 def wreach_all(g: Digraph, order: LinearOrder, r: int) -> tuple[frozenset, ...]:
     """Weak-r-reachability sets for every vertex at once.
 
-    Walking the order, each u is added to a growing blocked set before two
-    bounded searches from it, so they pass only through L-larger vertices
-    and find everything u weakly reaches; u is then recorded in those
-    sets.  The cost is O(sum of the r-balls searched), not O(n) per vertex.
+    Walking the order, two bounded searches run from each u, one along
+    the arcs and one against them (``_bfs_each`` with the order's
+    positions as ranks).  They enter only L-larger vertices, so they find
+    everything u weakly reaches; u is then recorded in those sets.  The
+    cost is O(sum of the r-balls searched), not O(n) per vertex, with one
+    position test and one table test per arc scanned.
     """
     if len(order) != g.n:
         raise ValueError("order size does not match the graph")
     _check_radius(r)
     result = [{v} for v in range(g.n)]
-    blocked: set = set()
-    for u in order:
-        blocked.add(u)
-        for adj in (g.out_neighbors, g.in_neighbors):
-            for w in _bfs(adj, (u,), r, blocked=blocked):
-                result[w].add(u)
+    seq, pos = order.seq, order._pos
+    for u, along, against in zip(seq, _bfs_each(g._out, seq, r, pos),
+                                 _bfs_each(g._in, seq, r, pos)):
+        for w in along:
+            result[w].add(u)
+        for w in against:
+            result[w].add(u)
     return tuple(frozenset(s) for s in result)
 
 
@@ -295,7 +298,7 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     if r < 1:
         raise ValueError("augmentation depth must be at least 1")
     n = g.n
-    dist = [out_distances(g, v, cap=r) for v in range(n)]
+    dist = list(_bfs_each(g._out, range(n), r))
     far = r + 1
 
     # ascending neighbor lists peel into ascending out-lists, as ``_fill`` needs

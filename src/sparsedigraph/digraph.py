@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
-from .errors import SizeCapError
+from .errors import SizeCapError, _check_vertices
 
 
 class Digraph:
@@ -195,7 +195,8 @@ def _bfs(adj, sources: Iterable[int], cap: Optional[int] = None,
     graph.  Vertices farther than ``cap`` are left out.  The dict lists
     the vertices in discovery order.  Costs O(sum of out-degrees under
     ``adj`` of the vertices closer than ``cap``), one dict and at most two
-    set lookups per arc scanned.
+    set lookups per arc scanned.  Callers that search once per source
+    take their tables from ``_bfs_each`` instead.
     """
     dist = dict.fromkeys(sources, 0)
     frontier = list(dist)
@@ -211,6 +212,51 @@ def _bfs(adj, sources: Iterable[int], cap: Optional[int] = None,
                     nxt.append(y)
         frontier = nxt
     return dist
+
+
+def _bfs_each(adj: Sequence[Sequence[int]], sources: Iterable[int],
+              cap: Optional[int] = None,
+              rank: Optional[Sequence[int]] = None) -> Iterator[dict[int, int]]:
+    """For each source s in turn, the table ``_bfs`` gives for ``(s,)``:
+    every vertex within ``cap`` steps of s with its distance, in discovery
+    order.
+
+    ``adj`` is an adjacency tuple, ``g._out`` to search along the arcs and
+    ``g._in`` against them; sources must lie in ``0..n-1``, since a
+    negative index would read another vertex's list.  With ``rank``, the
+    search from s enters only vertices y with ``rank[y] > rank[s]``: walking
+    the sources in rank order, that is ``_bfs`` with every source so far
+    blocked.  Each table costs what ``_bfs`` costs for it, without the
+    call, a method call per vertex or any membership test but the one
+    against the table (and the rank test) per arc.
+    """
+    last = len(adj) if cap is None else cap  # no path is longer than n - 1
+    for s in sources:
+        dist = {s: 0}
+        frontier = [s]
+        d = 0
+        if rank is None:
+            while frontier and d < last:
+                d += 1
+                nxt = []
+                for x in frontier:
+                    for y in adj[x]:
+                        if y not in dist:
+                            dist[y] = d
+                            nxt.append(y)
+                frontier = nxt
+        else:
+            low = rank[s]
+            while frontier and d < last:
+                d += 1
+                nxt = []
+                for x in frontier:
+                    for y in adj[x]:
+                        if rank[y] > low and y not in dist:
+                            dist[y] = d
+                            nxt.append(y)
+                frontier = nxt
+        yield dist
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -427,9 +473,7 @@ def induced_subgraph(g: Digraph, vertices: Iterable[int]) -> tuple[Digraph, list
     """Induced subgraph on ``vertices``; returns (subgraph, new-to-old map).
     If every vertex is kept, ``g`` itself comes back with the identity map."""
     old = sorted(set(vertices))
-    for v in old:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
+    _check_vertices(g.n, old)
     if len(old) == g.n:
         return g, old
     new_of = {v: i for i, v in enumerate(old)}

@@ -22,8 +22,9 @@ import heapq
 from functools import cache
 from typing import Iterable, Optional, Sequence
 
-from .digraph import Digraph, _walk_back, in_ball, in_distances, out_distances
-from .errors import InfeasibleError, InternalInvariantError, SizeCapError, _check_cap, _check_radius
+from .digraph import Digraph, _bfs_each, _walk_back, in_distances
+from .errors import (InfeasibleError, InternalInvariantError, SizeCapError, _check_cap,
+                     _check_radius, _check_vertices)
 from .oracles import verify_dominating, verify_strongly_connected
 
 UNREACHED = None  # distance-vector entry for "further than r"
@@ -39,7 +40,7 @@ def neighborhood_complexity(g: Digraph, subset: Iterable[int], r: int) -> int:
     """Number of distinct traces N_r^-(v) & subset over all vertices."""
     _check_radius(r)
     s = frozenset(subset)
-    return len({frozenset(in_ball(g, v, r) & s) for v in range(g.n)})
+    return len({s.intersection(ball) for ball in _bfs_each(g._in, range(g.n), r)})
 
 
 def vc_dimension_distance_r(g: Digraph, r: int,
@@ -51,7 +52,7 @@ def vc_dimension_distance_r(g: Digraph, r: int,
     """
     _check_radius(r)
     _check_cap("vc_dimension_distance_r", g.n, max_n)
-    family = {frozenset(in_ball(g, v, r)) for v in range(g.n)}
+    family = set(map(frozenset, _bfs_each(g._in, range(g.n), r)))
 
     def shattered(x: frozenset) -> bool:
         traces = {f & x for f in family}
@@ -135,15 +136,13 @@ def redblue_dominate_approx(g: Digraph, red: Iterable[int], blue: Iterable[int],
         raise ValueError("radius must be at least 1")
     reds = sorted(set(red))
     blues = sorted(set(blue))
-    for v in reds + blues:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
+    _check_vertices(g.n, reds + blues)
     if not reds:
         return frozenset()
     blue_set = frozenset(blues)
     members = []
-    for v in reds:
-        trace = frozenset(in_ball(g, v, r) & blue_set)
+    for v, ball in zip(reds, _bfs_each(g._in, reds, r)):
+        trace = blue_set.intersection(ball)
         if not trace:
             raise InfeasibleError(f"red vertex {v} is not blue-dominated at radius {r}")
         members.append(trace)
@@ -185,7 +184,7 @@ def scds_approx(g: Digraph, r: int, stats_out: Optional[dict] = None) -> frozens
         raise SizeCapError(f"scds_approx: {g.n}^2 = {g.n * g.n} distance table cells"
                            f" exceed cap {MAX_SCDS_TABLE_CELLS}")
 
-    dist_from = [out_distances(g, v) for v in range(g.n)]
+    dist_from = list(_bfs_each(g._out, range(g.n)))
     # discovery ranks of the tables walked
     rank_from = cache(lambda src: {x: i for i, x in enumerate(dist_from[src])})
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .coloring import compute_wcol_order, wreach_all
-from .digraph import Digraph, LinearOrder, _bfs, induced_subgraph, out_ball, remove_vertices
-from .errors import InternalInvariantError, _check_radius
+from .digraph import Digraph, LinearOrder, _bfs, _bfs_each, induced_subgraph, remove_vertices
+from .errors import InternalInvariantError, _check_radius, _check_vertices
 from .minors import grad_lower_bound
 from .domination import distance_vector
 from .oracles import verify_dominating, verify_scattered
@@ -321,18 +321,18 @@ def dominator_or_scattered(g: Digraph, targets, r: int, k: int) -> DualityResult
     L-smallest target not yet dominated, exactly as a ``min`` over the
     undominated targets picks them.  Besides the order (computed once per
     graph and radius, see ``compute_wcol_order``) and ``wreach_all``, the
-    walk costs O(n) plus one r-out-ball per distinct hull vertex; the
-    guarantee check costs one r-out-ball per vertex, and the tree one
-    S_v scan per anchor (see ``IndependenceTree``) plus its right turns.
+    walk costs O(n) plus, per anchor, one search from the hull vertices
+    it adds, O(sum of their r-out-balls).  The guarantee check counts,
+    for each vertex, the anchors whose r-in-balls hold it: one r-in-ball
+    per anchor.  The tree costs one S_v scan per anchor (see
+    ``IndependenceTree``) plus its right turns.
     """
     if r < 1:
         raise ValueError("radius must be at least 1")
     if k < 0:
         raise ValueError("budget must be nonnegative")
     target_set = frozenset(targets)
-    for v in target_set:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
+    _check_vertices(g.n, target_set)
 
     res = compute_wcol_order(g, 2 * r)
     sets = wreach_all(g, res.order, 2 * r)
@@ -346,16 +346,18 @@ def dominator_or_scattered(g: Digraph, targets, r: int, k: int) -> DualityResult
             continue
         anchors.append(x)
         # a hull vertex already dominating had its out-ball taken off
-        for y in sets[x] - dominating:
-            undominated -= out_ball(g, y, r)
+        undominated.difference_update(_bfs(g.out_neighbors, sets[x] - dominating, r))
         dominating |= sets[x]
 
-    anchor_set = frozenset(anchors)
-    for u in range(g.n):
-        if len(out_ball(g, u, r) & anchor_set) > res.guarantee:
-            raise InternalInvariantError(
-                "a vertex r-dominates more anchors than the order guarantee"
-            )
+    # u r-dominates the anchors whose r-in-balls hold it
+    dominated_anchors = [0] * g.n
+    for ball in _bfs_each(g._in, anchors, r):
+        for u in ball:
+            dominated_anchors[u] += 1
+    if max(dominated_anchors, default=0) > res.guarantee:
+        raise InternalInvariantError(
+            "a vertex r-dominates more anchors than the order guarantee"
+        )
 
     tree = independence_tree(g, anchors, r)
     chain = max_left_chain(tree)
@@ -562,12 +564,9 @@ def kernelize(g: Digraph, r: int, k: int,
         )
     core = result.core
     classes: dict[frozenset, int] = {}
-    for v in range(g.n):
-        if v in core:
-            continue
-        trace = frozenset(out_ball(g, v, r) & core)
-        if trace not in classes or v < classes[trace]:
-            classes[trace] = v
+    outside = [v for v in range(g.n) if v not in core]
+    for v, ball in zip(outside, _bfs_each(g._out, outside, r)):
+        classes.setdefault(core.intersection(ball), v)  # v ascends: the least stays
     reps = tuple(sorted(classes.values()))
     keep = sorted(core | set(reps))
     sub, old_of = induced_subgraph(g, keep)

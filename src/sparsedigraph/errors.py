@@ -4,6 +4,7 @@ Plain argument mistakes (bad vertex index, malformed file, overlapping
 partition blocks) raise ValueError.  The classes below mark the three
 outcomes that callers are expected to branch on.
 """
+from typing import Iterable
 
 
 class SizeCapError(Exception):
@@ -24,6 +25,14 @@ def _check_radius(r: int):
     """Raise ValueError when the radius ``r`` is negative."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
+
+
+def _check_vertices(n: int, vertices: Iterable[int]):
+    """Raise ValueError naming the smallest of ``vertices`` outside
+    ``0..n-1``, if any."""
+    bad = [v for v in vertices if not 0 <= v < n]
+    if bad:
+        raise ValueError(f"vertex {min(bad)} out of range")
 
 
 class InfeasibleError(Exception):

@@ -18,8 +18,8 @@ from __future__ import annotations
 from math import ceil
 from typing import Iterable, Optional
 
-from .digraph import Digraph, _bits, in_ball, out_ball
-from .errors import SizeCapError, _check_cap, _check_radius
+from .digraph import Digraph, _bfs, _bfs_each, _bits, in_ball, out_ball
+from .errors import SizeCapError, _check_cap, _check_radius, _check_vertices
 from .steiner_types import DstInstance
 
 
@@ -27,9 +27,9 @@ def _cover_masks(g: Digraph, r: int, targets: list[int]) -> list[int]:
     """cover_masks[v] = bitmask over ``targets`` of N_r^+(v) intersected."""
     pos = {t: i for i, t in enumerate(targets)}
     masks = []
-    for v in range(g.n):
+    for ball in _bfs_each(g._out, range(g.n), r):
         mask = 0
-        for u in out_ball(g, v, r):
+        for u in ball:
             if u in pos:
                 mask |= 1 << pos[u]
         masks.append(mask)
@@ -121,29 +121,35 @@ def alpha_r_exact(g: Digraph, r: int, max_n: int = 16) -> tuple[int, frozenset]:
 
 def verify_dominating(g: Digraph, dominators: Iterable[int], r: int,
                       targets: Optional[Iterable[int]] = None) -> bool:
-    """True when every target lies in some dominator's r-out-ball."""
+    """True when every target lies in some dominator's r-out-ball.
+
+    One search from all the dominators at once finds the union of their
+    r-out-balls: O(n + m) at most, and never stopped early.  A dominator
+    outside ``0..n-1`` raises ValueError; a target there is never
+    dominated.
+    """
     _check_radius(r)
-    tgt = set(range(g.n) if targets is None else targets)
-    for v in set(dominators):
-        tgt -= out_ball(g, v, r)
-        if not tgt:
-            return True
-    return not tgt
+    dominators = set(dominators)
+    _check_vertices(g.n, dominators)
+    reached = _bfs(g.out_neighbors, dominators, r)
+    return reached.keys() >= set(range(g.n) if targets is None else targets)
 
 
 def verify_scattered(g: Digraph, vertices: Iterable[int], r: int) -> bool:
     """True when the members have pairwise disjoint r-in-balls.
 
     Keeps the union of the balls seen so far, so it costs O(sum of the
-    ball sizes) instead of one intersection per pair.
+    ball sizes) instead of one intersection per pair.  A member outside
+    ``0..n-1`` raises ValueError.
     """
     _check_radius(r)
+    vertices = set(vertices)
+    _check_vertices(g.n, vertices)
     union: set = set()
-    for v in set(vertices):
-        ball = in_ball(g, v, r)
+    for ball in _bfs_each(g._in, vertices, r):
         if not union.isdisjoint(ball):
             return False
-        union |= ball
+        union.update(ball)
     return True
 
 

@@ -23,7 +23,7 @@ from sparsedigraph.coloring import (
     wcol_of_order,
     wreach_all,
 )
-from sparsedigraph.digraph import _peel_lists, degeneracy, out_distances, remove_vertices
+from sparsedigraph.digraph import _bfs, _peel_lists, degeneracy, out_distances, remove_vertices
 from sparsedigraph.errors import SizeCapError
 
 
@@ -124,6 +124,27 @@ def test_wreach_matches_oracle(seed, perm):
     sets = wreach_all(g, order, 3)
     for v in range(6):
         assert sets[v] == wreach_oracle(g, order, v, 3)
+
+
+def wreach_by_blocked_searches(g, order, r):
+    """``wreach_all`` as one ``_bfs`` per vertex and direction, each
+    through a blocked set that grows along the order."""
+    result = [{v} for v in range(g.n)]
+    blocked = set()
+    for u in order:
+        blocked.add(u)
+        for adj in (g.out_neighbors, g.in_neighbors):
+            for w in _bfs(adj, (u,), r, blocked=blocked):
+                result[w].add(u)
+    return tuple(frozenset(s) for s in result)
+
+
+@given(st.integers(1, 40), st.integers(0, 10**6), st.integers(0, 4), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_wreach_matches_blocked_search_loop(n, seed, r, data):
+    g = random_digraph(n, seed % (n * (n - 1) + 1), seed)
+    order = LinearOrder(data.draw(st.permutations(range(n))))
+    assert wreach_all(g, order, r) == wreach_by_blocked_searches(g, order, r)
 
 
 def test_separator_property():

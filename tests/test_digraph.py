@@ -22,7 +22,7 @@ from sparsedigraph import (
     random_digraph,
     scc,
 )
-from sparsedigraph.digraph import (_adjacency_masks, _bfs, _mask_reach, _peel_lists,
+from sparsedigraph.digraph import (_adjacency_masks, _bfs, _bfs_each, _mask_reach, _peel_lists,
                                    _smallest_last, induced_subgraph, remove_vertices,
                                    shortest_path)
 from sparsedigraph.oracles import verify_strongly_connected
@@ -773,3 +773,33 @@ def test_parse_rejects_garbage():
         parse_digraph("digraph 2 2\n0 1\n0 1\n")
     with pytest.raises(ValueError):
         parse_digraph("digraph 2 2\n0 1\n")
+
+
+# ---------------------------------------------------------------------------
+# per-source searches
+
+
+@given(digraphs(), st.sampled_from([None, 0, 1, 2, 3]), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_bfs_each_matches_bfs_per_source(g, cap, data):
+    # item lists, not dicts, so the discovery order is compared too
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n)) if g.n else []
+    for adj, step in ((g._out, g.out_neighbors), (g._in, g.in_neighbors)):
+        tables = [list(t.items()) for t in _bfs_each(adj, sources, cap)]
+        assert tables == [list(_bfs(step, (s,), cap).items()) for s in sources]
+
+
+@given(digraphs(), st.sampled_from([None, 0, 1, 2, 3]), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_bfs_each_ranked_matches_a_growing_blocked_set(g, cap, data):
+    seq = data.draw(st.permutations(range(g.n)))
+    rank = [0] * g.n
+    for i, v in enumerate(seq):
+        rank[v] = i
+    for adj, step in ((g._out, g.out_neighbors), (g._in, g.in_neighbors)):
+        blocked = set()
+        expected = []
+        for s in seq:
+            blocked.add(s)
+            expected.append(list(_bfs(step, (s,), cap, blocked=blocked).items()))
+        assert [list(t.items()) for t in _bfs_each(adj, seq, cap, rank)] == expected

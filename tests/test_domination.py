@@ -427,7 +427,7 @@ def test_scds_distance_table_cap(monkeypatch):
     cycle = Digraph(6, [(i, (i + 1) % 6) for i in range(6)])
     monkeypatch.setattr(domination, "MAX_SCDS_TABLE_CELLS", 35)  # n = 6: 36 cells
     # the cap is checked before any table is built
-    monkeypatch.setattr(domination, "out_distances", None)
+    monkeypatch.setattr(domination, "_bfs_each", None)
     with pytest.raises(SizeCapError, match="36 distance table cells exceed cap 35"):
         scds_approx(cycle, 1)
     # the empty graph and a graph that is not strongly connected keep their answers

@@ -1,5 +1,6 @@
 """Duality machinery: projections, closures, independence trees, cores,
 and the kernel pipeline, validated against enumeration oracles."""
+import dataclasses
 import math
 import random
 from itertools import combinations
@@ -476,6 +477,23 @@ def test_dos_greedy_anchor_bound():
     anchors = frozenset(res.anchors)
     for u in range(g.n):
         assert len(out_ball(g, u, 2) & anchors) <= res.guarantee
+
+
+@pytest.mark.parametrize("slack", [-1, 0], ids=["below", "at"])
+def test_dos_guarantee_check_against_the_true_count(monkeypatch, slack):
+    g, r = random_digraph(12, 30, 5), 2
+    anchors = frozenset(dominator_or_scattered(g, range(12), r, 2).anchors)
+    most = max(len(out_ball(g, u, r) & anchors) for u in range(g.n))
+    assert most > 1  # so the count, not a single anchor, decides
+    real = duality.compute_wcol_order
+    monkeypatch.setattr(duality, "compute_wcol_order", lambda h, rr: dataclasses.replace(
+        real(h, rr), guarantee=most + slack))
+    if slack < 0:
+        with pytest.raises(InternalInvariantError, match=(
+                "^a vertex r-dominates more anchors than the order guarantee$")):
+            dominator_or_scattered(g, range(12), r, 2)
+    else:
+        assert frozenset(dominator_or_scattered(g, range(12), r, 2).anchors) == anchors
 
 
 def min_scan_anchors(g, targets, r):

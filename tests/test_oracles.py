@@ -141,6 +141,34 @@ def test_validators_trivial_cases():
     assert verify_strongly_connected(two_cycle, [0, 1])
 
 
+@pytest.mark.parametrize("verify", [verify_dominating, verify_scattered])
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_validators_name_an_out_of_range_vertex(verify, bad):
+    # a negative index once read the last vertex's arcs, and n an IndexError
+    g = directed_path(3)
+    for vertices in ([bad], [0, 1, 2, bad]):
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+            verify(g, vertices, 1)
+
+
+def dominated_ball_by_ball(g, dominators, r, targets):
+    """The per-dominator loop ``verify_dominating`` used to run."""
+    tgt = set(targets)
+    for v in set(dominators):
+        tgt -= out_ball(g, v, r)
+    return not tgt
+
+
+@given(st.integers(1, 30), st.integers(0, 10_000), st.integers(0, 3), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_verify_dominating_matches_ball_by_ball(n, seed, r, data):
+    g = random_digraph(n, min(n * (n - 1), n + seed % n), seed)
+    dominators = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+    targets = data.draw(st.none() | st.lists(st.integers(-1, n), max_size=8))
+    expected = dominated_ball_by_ball(g, dominators, r, range(n) if targets is None else targets)
+    assert verify_dominating(g, dominators, r, targets) == expected
+
+
 def pairwise_scattered(g, vertices, r):
     """The pairwise-intersection check ``verify_scattered`` used to run."""
     vs = sorted(set(vertices))
