@@ -32,8 +32,7 @@ from functools import cache
 from typing import Optional
 
 from . import coloring, digraph, domination, duality, instances, minors, oracles, steiner
-from .errors import (InfeasibleError, InternalInvariantError, SizeCapError, _check_radius,
-                     _check_vertices)
+from .errors import InfeasibleError, InternalInvariantError, SizeCapError, _check_radius
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -56,7 +55,9 @@ def _read_vertex_list(path: str, n: int) -> list[int]:
             line = line.strip()
             if line and not line.startswith("#"):
                 out.append(int(line))
-    _check_vertices(n, out)
+    bad = [v for v in out if not 0 <= v < n]
+    if bad:
+        raise ValueError(f"vertex {min(bad)} out of range")
     return out
 
 

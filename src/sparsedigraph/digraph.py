@@ -227,35 +227,24 @@ def _bfs_each(adj: Sequence[Sequence[int]], sources: Iterable[int],
     search from s enters only vertices y with ``rank[y] > rank[s]``: walking
     the sources in rank order, that is ``_bfs`` with every source so far
     blocked.  Each table costs what ``_bfs`` costs for it, without the
-    call, a method call per vertex or any membership test but the one
-    against the table (and the rank test) per arc.
+    call or a method call per vertex: per arc, one ``rank is None`` test,
+    one lookup in the table and, with ``rank``, one comparison.
     """
     last = len(adj) if cap is None else cap  # no path is longer than n - 1
     for s in sources:
         dist = {s: 0}
         frontier = [s]
         d = 0
-        if rank is None:
-            while frontier and d < last:
-                d += 1
-                nxt = []
-                for x in frontier:
-                    for y in adj[x]:
-                        if y not in dist:
-                            dist[y] = d
-                            nxt.append(y)
-                frontier = nxt
-        else:
-            low = rank[s]
-            while frontier and d < last:
-                d += 1
-                nxt = []
-                for x in frontier:
-                    for y in adj[x]:
-                        if rank[y] > low and y not in dist:
-                            dist[y] = d
-                            nxt.append(y)
-                frontier = nxt
+        low = None if rank is None else rank[s]
+        while frontier and d < last:
+            d += 1
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if (rank is None or rank[y] > low) and y not in dist:
+                        dist[y] = d
+                        nxt.append(y)
+            frontier = nxt
         yield dist
 
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .coloring import compute_wcol_order, wreach_all
-from .digraph import Digraph, LinearOrder, _bfs, _bfs_each, induced_subgraph, remove_vertices
+from .digraph import (Digraph, LinearOrder, _bfs, _bfs_each, induced_subgraph, out_ball,
+                      remove_vertices)
 from .errors import InternalInvariantError, _check_radius, _check_vertices
 from .minors import grad_lower_bound
 from .domination import distance_vector
@@ -321,11 +322,10 @@ def dominator_or_scattered(g: Digraph, targets, r: int, k: int) -> DualityResult
     L-smallest target not yet dominated, exactly as a ``min`` over the
     undominated targets picks them.  Besides the order (computed once per
     graph and radius, see ``compute_wcol_order``) and ``wreach_all``, the
-    walk costs O(n) plus, per anchor, one search from the hull vertices
-    it adds, O(sum of their r-out-balls).  The guarantee check counts,
-    for each vertex, the anchors whose r-in-balls hold it: one r-in-ball
-    per anchor.  The tree costs one S_v scan per anchor (see
-    ``IndependenceTree``) plus its right turns.
+    walk costs O(n) plus one r-out-ball per distinct hull vertex.  The
+    guarantee check counts, for each vertex, the anchors whose r-in-balls
+    hold it: one r-in-ball per anchor.  The tree costs one S_v scan per
+    anchor (see ``IndependenceTree``) plus its right turns.
     """
     if r < 1:
         raise ValueError("radius must be at least 1")
@@ -346,7 +346,8 @@ def dominator_or_scattered(g: Digraph, targets, r: int, k: int) -> DualityResult
             continue
         anchors.append(x)
         # a hull vertex already dominating had its out-ball taken off
-        undominated.difference_update(_bfs(g.out_neighbors, sets[x] - dominating, r))
+        for y in sets[x] - dominating:
+            undominated -= out_ball(g, y, r)
         dominating |= sets[x]
 
     # u r-dominates the anchors whose r-in-balls hold it

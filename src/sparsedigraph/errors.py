@@ -28,11 +28,11 @@ def _check_radius(r: int):
 
 
 def _check_vertices(n: int, vertices: Iterable[int]):
-    """Raise ValueError naming the smallest of ``vertices`` outside
-    ``0..n-1``, if any."""
-    bad = [v for v in vertices if not 0 <= v < n]
-    if bad:
-        raise ValueError(f"vertex {min(bad)} out of range")
+    """Raise ValueError naming the first of ``vertices``, in their
+    iteration order, outside ``0..n-1``, if any."""
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range")
 
 
 class InfeasibleError(Exception):

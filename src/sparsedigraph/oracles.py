@@ -25,6 +25,7 @@ from .steiner_types import DstInstance
 
 def _cover_masks(g: Digraph, r: int, targets: list[int]) -> list[int]:
     """cover_masks[v] = bitmask over ``targets`` of N_r^+(v) intersected."""
+    _check_radius(r)
     pos = {t: i for i, t in enumerate(targets)}
     masks = []
     for ball in _bfs_each(g._out, range(g.n), r):

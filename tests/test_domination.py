@@ -232,6 +232,13 @@ def test_redblue_refuses_radius_zero():
         redblue_dominate_approx(directed_path(3), [0, 1], [0, 1, 2], 0)
 
 
+@pytest.mark.parametrize("red, blue, bad", [([5], [-1], 5), ([0], [-1, 7], -1), ([-2, 9], [0], -2)])
+def test_redblue_names_the_first_out_of_range_vertex(red, blue, bad):
+    # the reds, ascending, are checked before the blues, ascending
+    with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+        redblue_dominate_approx(directed_path(3), red, blue, 1)
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("red-blue domination needs no wcol order")
 

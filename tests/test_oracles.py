@@ -144,11 +144,18 @@ def test_validators_trivial_cases():
 @pytest.mark.parametrize("verify", [verify_dominating, verify_scattered])
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_validators_name_an_out_of_range_vertex(verify, bad):
-    # a negative index once read the last vertex's arcs, and n an IndexError
+    # indexing the adjacency tuple would read the last vertex's arcs for -1,
+    # and raise IndexError for n
     g = directed_path(3)
     for vertices in ([bad], [0, 1, 2, bad]):
         with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
             verify(g, vertices, 1)
+
+
+@pytest.mark.parametrize("red", [[0], [0, 2]])
+def test_redblue_exact_rejects_a_negative_radius(red):
+    with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+        redblue_exact_enum(directed_path(3), red, [0], -1)
 
 
 def dominated_ball_by_ball(g, dominators, r, targets):
