@@ -49,8 +49,7 @@ def gamma_r_exact(g: Digraph, r: int, targets: Optional[Iterable[int]] = None,
     tgt = sorted(set(range(g.n) if targets is None else targets))
     if not tgt:
         return 0, frozenset()
-    if not 0 <= tgt[0] <= tgt[-1] < g.n:
-        raise ValueError(f"vertex {tgt[0] if tgt[0] < 0 else tgt[-1]} out of range")
+    _check_vertices(g.n, tgt)
     masks = _cover_masks(g, r, tgt)
     full = (1 << len(tgt)) - 1
     order = sorted(range(g.n), key=lambda v: (-bin(masks[v]).count("1"), v))

@@ -95,30 +95,50 @@ MAX_SUBSET_SOURCES = 16
 MAX_SUBSET_DP_CELLS = 1 << 24
 
 
+def _lanes(n: int, largest: int) -> tuple[Struct, int]:
+    """The struct packing n lanes of the narrowest width, 8, 16 or 32
+    bits, that holds ``largest``, and that width: lane v is bits
+    width*v .. width*v + width - 1 of the packed int."""
+    for code, width in (("B", 8), ("H", 16), ("I", 32)):
+        if largest < 1 << width:
+            break
+    return Struct(f"<{n}{code}"), width
+
+
 def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> Optional[frozenset]:
     """Minimum set of non-terminals connecting the root to every source.
 
     A Dreyfus-Wagner subset DP over the k sources with all terminals free:
     dp[mask][v] is the cheapest tree at v reaching the sources in mask.
     Each mask merges two halves at every vertex, then relaxes along
-    in-arcs in a shortest-path search.  The table, and so the returned
-    set, does not depend on the budget; only the final test against it
-    does.  Returns None when the minimum exceeds the budget or no tree
-    exists.  More than ``MAX_SUBSET_SOURCES`` sources, or a table of more
-    than ``MAX_SUBSET_DP_CELLS`` cells, raise SizeCapError before
-    anything is allocated.
+    in-arcs in a shortest-path search.  Returns None when the minimum
+    exceeds the budget or no tree exists.  More than
+    ``MAX_SUBSET_SOURCES`` sources, or a table of more than
+    ``MAX_SUBSET_DP_CELLS`` cells, raise SizeCapError before anything is
+    allocated.
 
-    Each row dp[mask] is one int with a 32-bit lane per vertex: lane v
-    is bits 32v to 32v + 31.  A split is merged into the row for all
-    vertices at once: with ``high`` holding bit 31 of every lane, the
+    The table is capped at the budget: INF = min(n, budget) + 1, and
+    every state above min(n, budget) reads as INF.  No state at or below
+    the budget depends on the cap, since such a state is built only from
+    states no larger (a merge adds two non-negative values, a relaxation
+    adds 0 or 1); so neither do their pop order, their parents, the
+    split the walk back picks, or the returned set.  A relaxation out of
+    a non-terminal at distance min(n, budget) is skipped: its step can
+    improve no lane.
+
+    Each row dp[mask] is one int with a w-bit lane per vertex: lane v is
+    bits w*v to w*v + w - 1.  A split is merged into the row for all
+    vertices at once: with ``high`` holding bit w - 1 of every lane, the
     lanes of ``((acc | high) - cand) & high`` are set exactly where
-    cand <= acc, and subtracting that shifted down by 31 widens each set
-    bit into a mask of its lane's low 31 bits, which selects cand.  The
-    row starts at INF = n + 1 in every lane, so acc <= INF and
-    cand <= 2 * INF; with k >= 1 the cap keeps n <= MAX_SUBSET_DP_CELLS
-    / 2, so both stay below 2^31 and no subtraction borrows across
-    lanes.  The merge costs O(3^k) operations on n-lane ints, O(3^k * n)
-    word steps with a small constant.
+    cand <= acc, and subtracting that shifted down by w - 1 widens each
+    set bit into a mask of its lane's low w - 1 bits, which selects
+    cand.  The row starts at INF in every lane, so acc <= INF and
+    cand <= 2 * INF; w is the narrowest of 8, 16 and 32 with
+    2 * INF < 2^(w-1), so both stay below bit w - 1 and no subtraction
+    borrows across lanes.  With k >= 1 the cell cap keeps
+    n <= MAX_SUBSET_DP_CELLS / 2, so 32 bits always suffice.  The merge
+    costs O(3^k) operations on n-lane ints, O(3^k * n * w / 64) word
+    steps with a small constant.
 
     The relaxation runs on the row unpacked into a list.  Vertex costs
     are 0 or 1, so its queue is Dial's (1969): a dict from distance to a
@@ -136,12 +156,13 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
     free, but they change which of several equal-cost trees the search
     finds first, and the tie-break fixes the output, so they stay.
 
-    Only the relaxations record parents, packed like the rows, with n in
-    the lanes no relaxation reached: with free terminals the search's
-    pop order cannot be replayed from the table.  The walk back
-    takes, at a state without one that is not a source's base case, the
-    first split in enumeration order whose halves sum to the state's
-    value: the one a strict-improvement loop would have kept.
+    Only the relaxations record parents, packed like the rows but in the
+    narrowest lanes that hold n, which marks the lanes no relaxation
+    reached: with free terminals the search's pop order cannot be
+    replayed from the table.  The walk back takes, at a state without
+    one that is not a source's base case, the first split in enumeration
+    order whose halves sum to the state's value: the one a
+    strict-improvement loop would have kept.
     """
     terminals = frozenset(terminals)
     sources = frozenset(sources)
@@ -180,17 +201,19 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
     src = sorted(sources)
     k = len(src)
     full = (1 << k) - 1
-    INF = n + 1
-    lanes = Struct(f"<{n}I")  # lane v is bits 32v .. 32v + 31 of a packed row
+    INF = min(n, budget) + 1  # every state above the budget reads as INF
+    rows, width = _lanes(n, 4 * INF)  # a merged lane, <= 2 * INF, stays below the top bit
+    parents, pwidth = _lanes(n, n)
+    top = width - 1
 
-    def pack(row) -> int:
-        return int.from_bytes(lanes.pack(*row), "little")
+    def pack(lanes: Struct, values) -> int:
+        return int.from_bytes(lanes.pack(*values), "little")
 
-    def unpack(packed: int) -> list[int]:
-        return list(lanes.unpack(packed.to_bytes(4 * n, "little")))
+    def lane(packed: int, v: int, width: int = width) -> int:
+        return (packed >> (width * v)) & ((1 << width) - 1)
 
-    all_inf = pack([INF] * n)
-    high = pack([1 << 31] * n)
+    all_inf = pack(rows, [INF] * n)
+    high = pack(rows, [1 << top] * n)
     dp = [all_inf] * (full + 1)
     # lane v of step_parent[mask]: the vertex whose relaxation set dp[mask][v], or n
     step_parent = [0] * (full + 1)
@@ -207,9 +230,9 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
             while sub > (mask ^ sub):
                 cand = dp[sub] + dp[mask ^ sub]
                 t = ((acc | high) - cand) & high
-                acc ^= (acc ^ cand) & (t - (t >> 31))
+                acc ^= (acc ^ cand) & (t - (t >> top))
                 sub = (sub - 1) & mask
-            row = unpack(acc)
+            row = list(rows.unpack(acc.to_bytes(rows.size, "little")))
             # filled in ascending v, every bucket starts as a valid heap
             buckets = {}
             for v, d in enumerate(row):
@@ -224,11 +247,14 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
             dist = heappop(levels)
             here = buckets.pop(dist)
             later = None
+            upward = dist + 1 < INF  # a step out of a non-terminal can still improve a lane
             while here:
                 x = heappop(here)
                 if dist > row[x]:
                     continue
                 if cost[x]:
+                    if not upward:
+                        continue
                     step = dist + 1
                     if later is None:
                         later = buckets.get(step)
@@ -244,14 +270,10 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
                         row[w] = step
                         parent[w] = x
                         heappush(into, w)
-        dp[mask] = pack(row)
-        step_parent[mask] = pack(parent)
+        dp[mask] = pack(rows, row)
+        step_parent[mask] = pack(parents, parent)
 
-    def lane(packed: int, v: int) -> int:
-        return (packed >> (32 * v)) & 0xFFFFFFFF
-
-    best = lane(dp[full], root)
-    if best >= INF or best > budget:
+    if lane(dp[full], root) >= INF:  # above min(n, budget): no tree, or none in budget
         return None
 
     chosen: set[int] = set()
@@ -259,7 +281,7 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
     while stack:
         mask, v = stack.pop()
         chosen.add(v)
-        x = lane(step_parent[mask], v)
+        x = lane(step_parent[mask], v, pwidth)
         if x < n:
             stack.append((mask, x))
         elif mask & (mask - 1):
@@ -329,8 +351,10 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
 
         The DP runs once per ``(alive, absorbed)`` leaf, at the largest
         budget, on one contracted graph with the dead vertices' arcs
-        dropped.  Its set has the size of the leaf's optimum, so every
-        budget reaching the leaf only compares that size.  Unless a dead
+        dropped.  The DP caps its states at that budget, and no state
+        at or below it depends on the cap, so its set, when it returns
+        one, has the size of the leaf's optimum, and every budget
+        reaching the leaf only compares that size.  Unless a dead
         vertex has an arc or absorbed vertices close a terminal cycle,
         its preprocessing hands back ``g`` and builds no graph.
         """

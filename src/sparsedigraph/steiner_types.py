@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digraph import Digraph
+from .errors import _check_vertices
 
 
 @dataclass(frozen=True)
@@ -24,8 +25,7 @@ class DstInstance:
         g = self.graph
         if not (0 <= self.root < g.n):
             raise ValueError(f"root {self.root} out of range")
-        if any(not (0 <= t < g.n) for t in self.terminals):
-            raise ValueError("terminal out of range")
+        _check_vertices(g.n, sorted(self.terminals))
         if self.root in self.terminals:
             raise ValueError("root cannot be a terminal")
         if self.budget < 0:

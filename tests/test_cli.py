@@ -405,6 +405,17 @@ def test_vertex_lists_are_range_checked(tmp_path, capsys, argv, listed, bad):
         2, "", f"error: vertex {bad} out of range\n")
 
 
+@pytest.mark.parametrize("terminals, bad", [((3, 99), 99), ((12, -1, 3), -1), ((99, 10), 10)],
+                         ids=["past-n", "negative", "smallest"])
+def test_dst_names_an_out_of_range_terminal(tmp_path, capsys, terminals, bad):
+    # the smallest terminal outside the 10-vertex graph is named
+    path = tmp_path / "inst.dst"
+    lines = ["digraph 10 1", "0 1", "root 0", *(f"terminal {t}" for t in terminals), "budget 2"]
+    path.write_text("\n".join(lines) + "\n")
+    assert run(capsys, "dst", str(path), "--fpt") == (
+        2, "", f"error: vertex {bad} out of range\n")
+
+
 def test_output_deterministic_modulo_timing(tmp_path, capsys):
     path = write_graph(tmp_path, random_digraph(10, 25, 7))
     _, out1, _ = run(capsys, "domset", path, "--radius", "2")

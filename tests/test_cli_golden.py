@@ -11,6 +11,7 @@ import contextlib
 import hashlib
 import io
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -164,6 +165,12 @@ DST_INSTANCES = {
     "split-tie": _split_tie_instance,
     "planted-hub24": planted_hub_instance,
     "deletion-leaf": _deletion_leaf_instance,
+    # the leaf DP caps its states at min(n, budget): budget 1 is infeasible,
+    # as in the benchmark's infeasible desk job, a budget above n caps them
+    # at n, and at budget 0 no relaxation leaves a non-terminal
+    "planted-hub24-k1": lambda: replace(planted_hub_instance(), budget=1),
+    "planted-hub24-k30": lambda: replace(planted_hub_instance(), budget=30),
+    "deletion-leaf-k0": lambda: replace(_deletion_leaf_instance(), budget=0),
 }
 
 DST_COMMANDS = {"fpt": ("--fpt",), "scss": ("--scss",)}
@@ -182,6 +189,12 @@ DST_EXPECTED = {
     ("planted-hub24", "scss"): (0, "7d85e9e637f62da7"),
     ("deletion-leaf", "fpt"): (0, "a398720a346639e6"),
     ("deletion-leaf", "scss"): (1, "863d545e2a717da3"),
+    ("planted-hub24-k1", "fpt"): (1, "90a43657146adbbe"),
+    ("planted-hub24-k1", "scss"): (1, "6fe7b04fe0ee3f87"),
+    ("planted-hub24-k30", "fpt"): (0, "addffafd9ba3b77e"),
+    ("planted-hub24-k30", "scss"): (0, "fa4f316ea759e1f5"),
+    ("deletion-leaf-k0", "fpt"): (1, "392e86e56d55016c"),
+    ("deletion-leaf-k0", "scss"): (1, "b50e522dc9a73ef1"),
 }
 
 

@@ -124,7 +124,7 @@ def test_negative_radius_is_rejected_on_the_empty_graph(call):
         call(Digraph(0))
 
 
-@pytest.mark.parametrize("targets, bad", [([0, 99], 99), ([-2, 1, 5], -2)])
+@pytest.mark.parametrize("targets, bad", [([0, 99], 99), ([-2, 1, 5], -2), ([0, 99, 100], 99)])
 def test_gamma_names_an_out_of_range_target(targets, bad):
     with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
         gamma_r_exact(directed_path(3), 1, targets)

@@ -274,15 +274,16 @@ def _dst_exact_subset_reference(g, root, terminals, sources, budget):
 @given(dst_instances(), st.booleans())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_subset_dp_matches_reference(inst, contracted):
-    # the reference only fails (KeyError) for budgets above n, where its
-    # INF sentinel passes the budget test; at most n both must agree exactly
+    # at every budget, since the DP caps its states there; the reference
+    # only fails (KeyError) for budgets above n, where its INF sentinel
+    # passes the budget test
     if contracted:
         inst = preprocess_contract(inst)[0]
     g, t = inst.graph, inst.terminals
     sources = source_terminals(g, t) if contracted else t
-    budget = min(inst.budget, g.n)
-    got = dst_exact_subset(g, inst.root, t, sources, budget)
-    assert got == _dst_exact_subset_reference(g, inst.root, t, sources, budget)
+    for budget in range(g.n + 1):
+        got = dst_exact_subset(g, inst.root, t, sources, budget)
+        assert got == _dst_exact_subset_reference(g, inst.root, t, sources, budget), budget
 
 
 @st.composite
@@ -349,6 +350,23 @@ def test_subset_dp_lanes_hold_costs_past_16_bits():
     t = frozenset({n - 2, n - 1})
     assert dst_exact_subset(g, 0, t, t, n) == frozenset(range(1, n - 2))
     assert dst_exact_subset(g, 0, t, t, n - 4) is None
+
+
+@pytest.mark.parametrize("cost", [62, 63, 16382, 16383])
+def test_subset_dp_lane_widths_at_the_cap(cost):
+    # root 0 -> 1 -> ... -> cost forks to two sources: the tree costs
+    # ``cost``.  The DP caps its states at min(n, budget), and rows take
+    # 8-bit lanes up to a cap of 62, 16-bit lanes up to 16382 and 32-bit
+    # lanes above, so the budgets cost - 1 and cost straddle a width change
+    # at the two larger costs; the merged lanes on the path hold 2 * cost
+    n = cost + 3
+    arcs = [(v, v + 1) for v in range(cost)] + [(cost, n - 2), (cost, n - 1)]
+    g = Digraph(n, arcs)
+    t = frozenset({n - 2, n - 1})
+    for budget in (cost - 1, cost, n):
+        got = dst_exact_subset(g, 0, t, t, budget)
+        assert got == _dst_exact_subset_reference(g, 0, t, t, budget)
+        assert got == (None if budget < cost else frozenset(range(1, cost + 1)))
 
 
 @st.composite
