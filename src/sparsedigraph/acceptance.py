@@ -166,17 +166,16 @@ def all_criteria() -> list[tuple[str, Callable[[], CriterionResult]]]:
     return list(_CRITERIA)
 
 
-def run_all(verbose: bool = True) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     results = []
     for name, fn in _CRITERIA:
         res = fn()
         results.append(res)
-        if verbose:
-            status = "PASS" if res.ok else "FAIL"
-            line = f"[{status}] {name}"
-            if res.detail:
-                line += f" ({res.detail})"
-            print(line, file=sys.stderr)
+        status = "PASS" if res.ok else "FAIL"
+        line = f"[{status}] {name}"
+        if res.detail:
+            line += f" ({res.detail})"
+        print(line, file=sys.stderr)
     return results
 
 

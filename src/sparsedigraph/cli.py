@@ -246,7 +246,7 @@ def _cmd_oracle(args) -> tuple[int, dict]:
 def _cmd_selftest(args) -> tuple[int, dict]:
     from . import acceptance  # only this command loads the acceptance suite
 
-    results = acceptance.run_all(verbose=True)
+    results = acceptance.run_all()
     ok = all(r.ok for r in results)
     return (EXIT_OK if ok else EXIT_NEGATIVE), {
         "passed": sum(r.ok for r in results),

@@ -290,10 +290,11 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     Once layers a .. 2a - 1 are all empty, so is every later one: each
     split j1 + j2 = t >= 2a has its larger part in a .. t - 1, empty by
     induction.  The loop stops there and pads ``graphs`` to depth r with
-    one shared empty ``Digraph``, so large radii cost no more than the
-    depth the closure actually reaches.  A closure that never empties
-    still scans every split of every layer, O(r^2 * n) before any candidate
-    pair.
+    one shared empty ``Digraph``, so no layer past the closure's depth is
+    built, but the padding is still O(r) time and memory: on a 3-vertex
+    path, ``compute_wcol_order`` peaks at about 16 MB at r = 10^6.  A
+    closure that never empties still scans every split of every layer,
+    O(r^2 * n) before any candidate pair.
     """
     if r < 1:
         raise ValueError("augmentation depth must be at least 1")

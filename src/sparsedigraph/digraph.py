@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
-from .errors import SizeCapError, _check_vertices
+from .errors import SizeCapError, _check_radius, _check_vertices
 
 
 class Digraph:
@@ -301,10 +301,8 @@ def in_ball(g: Digraph, v: int, r: int, within: Optional[frozenset] = None) -> f
 
 
 def _ball(g, v, r, adj, within):
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    _check_vertices(g.n, (v,))
+    _check_radius(r)
     if within is not None and v not in within:
         raise ValueError("start vertex not in the allowed set")
     return frozenset(_bfs(adj, (v,), r, within))

@@ -144,14 +144,17 @@ class IndependenceTree:
     r-in-ball meets v's (some vertex r-dominates both), left otherwise.
     Left chains are therefore r-scattered.
 
-    The walk turns right at node x exactly when x lies in
-    S_v = out-ball_r(in-ball_r(v)), so it is not replayed node by node.
+    The walk is not replayed node by node.  The tree keeps, for each
+    vertex u, the nodes whose r-in-ball holds u, so the nodes where v's
+    walk would turn right are those listed under the members of in_r(v).
     The tree is cut into left spines: maximal left chains, each starting
     at the root or at a right child.  Children come after their parents in
-    ``nodes``, so the first node of a spine that S_v meets is the one with
-    the lowest index; one scan of S_v finds it for every spine, and the
-    walk jumps from spine to spine through right children.  An insertion
-    costs O(|S_v| + right turns) rather than O(depth).
+    ``nodes``, so the first node of a spine that turns right is the one
+    with the lowest index; reading the lists of in_r(v) once finds it for
+    every spine, and the walk jumps from spine to spine through right
+    children.  An insertion costs one search, O(|in_r(v)| + the lists
+    read + right turns), rather than O(depth).  The lists hold
+    sum |in_r(v)| entries over the inserted vertices.
     """
 
     def __init__(self, g: Digraph, radius: int):
@@ -162,33 +165,33 @@ class IndependenceTree:
         self.sequence: list[int] = []
         self._spine_of: list[int] = []  # node index -> its left spine
         self._tails: list[int] = []  # left spine -> its last node
-        self._holders: dict[int, list[int]] = {}  # vertex -> its nodes
+        self._holders: dict[int, list[int]] = {}  # u -> nodes whose r-in-ball holds u
         self._table: tuple = (0, ([], [], []))
 
-    def _add(self, v: int, spine: int) -> int:
-        """Append a node for v at the end of ``spine``, which is a new
-        spine when it equals the spine count; returns the node index."""
+    def _add(self, v: int, spine: int, ball) -> int:
+        """Append a node for v, whose r-in-ball is ``ball``, at the end of
+        ``spine`` (as its tail's left child), or as the first node of a new
+        spine when ``spine`` equals the spine count; returns its index."""
         i = len(self.nodes)
         self.nodes.append(_Node(v))
         self._spine_of.append(spine)
         if spine == len(self._tails):
             self._tails.append(i)
         else:
+            self.nodes[self._tails[spine]].left = i
             self._tails[spine] = i
-        self._holders.setdefault(v, []).append(i)
+        for u in ball:
+            self._holders.setdefault(u, []).append(i)
         return i
 
     def insert(self, v: int):
-        if not (0 <= v < self.graph.n):
-            raise ValueError(f"vertex {v} out of range")
+        _check_vertices(self.graph.n, (v,))
         self.sequence.append(v)
-        if not self.nodes:
-            self._add(v, 0)
-            return
-        g, r, spine_of = self.graph, self.radius, self._spine_of
+        ball = _bfs(self.graph.in_neighbors, (v,), self.radius)
+        spine_of = self._spine_of
         first: dict[int, int] = {}  # spine -> its first node that turns right
-        for x in _bfs(g.out_neighbors, _bfs(g.in_neighbors, (v,), r), r):
-            for i in self._holders.get(x, ()):
+        for u in ball:
+            for i in self._holders.get(u, ()):
                 s = spine_of[i]
                 if i < first.get(s, i + 1):
                     first[s] = i
@@ -196,11 +199,10 @@ class IndependenceTree:
         while spine in first:
             node = self.nodes[first[spine]]
             if node.right is None:
-                node.right = self._add(v, len(self._tails))
+                node.right = self._add(v, len(self._tails), ball)
                 return
             spine = spine_of[node.right]
-        tail = self.nodes[self._tails[spine]]  # read before _add moves it
-        tail.left = self._add(v, spine)
+        self._add(v, spine, ball)
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -323,9 +325,11 @@ def dominator_or_scattered(g: Digraph, targets, r: int, k: int) -> DualityResult
     undominated targets picks them.  Besides the order (computed once per
     graph and radius, see ``compute_wcol_order``) and ``wreach_all``, the
     walk costs O(n) plus one r-out-ball per distinct hull vertex.  The
-    guarantee check counts, for each vertex, the anchors whose r-in-balls
-    hold it: one r-in-ball per anchor.  The tree costs one S_v scan per
-    anchor (see ``IndependenceTree``) plus its right turns.
+    tree costs one r-in-ball search per anchor, plus the lists it reads
+    and its right turns (see ``IndependenceTree``).  The guarantee check
+    reads the tree's lists: the nodes listed under u are the anchors u
+    r-dominates, so while the check holds they sum to at most n·c
+    entries, c the order's guarantee.
     """
     if r < 1:
         raise ValueError("radius must be at least 1")
@@ -350,17 +354,12 @@ def dominator_or_scattered(g: Digraph, targets, r: int, k: int) -> DualityResult
             undominated -= out_ball(g, y, r)
         dominating |= sets[x]
 
-    # u r-dominates the anchors whose r-in-balls hold it
-    dominated_anchors = [0] * g.n
-    for ball in _bfs_each(g._in, anchors, r):
-        for u in ball:
-            dominated_anchors[u] += 1
-    if max(dominated_anchors, default=0) > res.guarantee:
+    tree = independence_tree(g, anchors, r)
+    # u r-dominates the anchors whose r-in-balls hold it: its tree list
+    if max(map(len, tree._holders.values()), default=0) > res.guarantee:
         raise InternalInvariantError(
             "a vertex r-dominates more anchors than the order guarantee"
         )
-
-    tree = independence_tree(g, anchors, r)
     chain = max_left_chain(tree)
     if len(chain) >= k + 1:
         witness = tuple(chain[: k + 1])
@@ -444,7 +443,7 @@ def reduce_core(g: Digraph, core, r: int, k: int,
     hull: frozenset = frozenset()
     scattered: Optional[tuple] = None
     for _ in range(c):
-        hull = frozenset().union(*(hull_sets[y] for y in sorted(current))) if current else frozenset()
+        hull = frozenset().union(*(hull_sets[y] for y in current))
         stripped = remove_vertices(g, hull)
         q_i = q_fn(len(hull))
         step = dominator_or_scattered(stripped, targets - hull, r, q_i)

@@ -384,7 +384,7 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
             t_all = terminals | absorbed  # all alive: deletions remove only dominators
             sources = source_terminals(g, t_all)
             dominated = set()
-            for x in sorted(absorbed | {root}):
+            for x in absorbed | {root}:
                 dominated.update(w for w in g.out_neighbors(x) if w in alive)
             t_bar = frozenset(t for t in sources if t not in dominated)
             if k_rem == 0 and t_bar:

@@ -95,7 +95,9 @@ def test_wcol_tfa(tmp_path, capsys):
 
 
 def test_wcol_and_kernel_at_huge_radius_on_a_path(tmp_path, capsys):
-    # the augmentation stops at its closure, so neither job grows with r
+    # the augmentation builds no layer past its closure, but both jobs still
+    # take O(r) memory: wcol pads its layer tuple to depth r and kernel adds
+    # length-r paths
     path = write_graph(tmp_path, directed_path(3))
     code, out, _ = run(capsys, "wcol", path, "--radius", "100000")
     assert code == 0

@@ -369,7 +369,7 @@ def tree_instances(draw):
     seq = draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
     if draw(st.booleans()):
         seq = sorted(seq)
-    return g, seq, draw(st.integers(1, 3))
+    return g, seq, draw(st.integers(0, 3))
 
 
 @given(tree_instances())
@@ -381,6 +381,22 @@ def test_tree_matches_walk_from_root(case):
     tree = independence_tree(g, seq, r)
     assert [(x.vertex, x.left, x.right) for x in tree.nodes] == walk_from_root_tree(g, seq, r)
     assert tree.sequence == list(seq)
+
+
+def test_tree_runs_one_search_per_insertion(monkeypatch):
+    g = random_digraph(40, 120, 3)
+    seq = [*range(0, 40, 3), *range(40), 5]
+    calls = []
+    real = duality._bfs
+    monkeypatch.setattr(duality, "_bfs", lambda *a, **kw: calls.append(a[1:]) or real(*a, **kw))
+    tree = independence_tree(g, seq, 2)
+    assert calls == [((v,), 2) for v in seq]
+    assert [x.vertex for x in tree.nodes] == seq
+    # the guarantee check reads the tree's lists: no search of its own
+    monkeypatch.setattr(duality, "_bfs_each", None)
+    calls.clear()
+    res = dominator_or_scattered(g, range(40), 2, 40)
+    assert calls == [((v,), 2) for v in res.anchors]
 
 
 def test_tree_rejects_bad_vertex_and_radius():
