@@ -238,10 +238,10 @@ class Augmentation:
     E_1 re-orients the base arcs; deeper layers hold the oriented
     fraternal/transitive closures.  No two arcs of the layers join the
     same two vertices, in either direction, so a vertex's out-degrees
-    summed over the layers are its out-degree in the union.  ``graphs``
-    holds the layers as ``Digraph``s; ``layers`` derives their arc
-    frozensets for callers that test and count arcs (the definition
-    checker in ``acceptance``).
+    summed over the layers are its out-degree in the union.  ``graphs[i]``
+    is E_{i+1} as a ``Digraph``, the last one has an arc, and every layer
+    past ``len(graphs)`` is empty; ``layers`` derives all ``depth`` arc
+    frozensets for the definition checker in ``acceptance``.
 
     ``partners[u]`` is the set of vertices that some layer joins to u in
     either direction: the union's undirected adjacency, which
@@ -258,7 +258,8 @@ class Augmentation:
 
     @property
     def layers(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(h.arcs()) for h in self.graphs)
+        return (tuple(frozenset(h.arcs()) for h in self.graphs)
+                + (frozenset(),) * (self.depth - len(self.graphs)))
 
 
 def tfa_augment(g: Digraph, r: int) -> Augmentation:
@@ -289,10 +290,9 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
 
     Once layers a .. 2a - 1 are all empty, so is every later one: each
     split j1 + j2 = t >= 2a has its larger part in a .. t - 1, empty by
-    induction.  The loop stops there and pads ``graphs`` to depth r with
-    one shared empty ``Digraph``, so no layer past the closure's depth is
-    built, but the padding is still O(r) time and memory: on a 3-vertex
-    path, ``compute_wcol_order`` peaks at about 16 MB at r = 10^6.  A
+    induction.  The loop stops there, and ``graphs`` ends at the last
+    layer with an arc; the depth r is kept only in ``Augmentation.depth``,
+    so a radius past the closure's depth costs no time or memory.  A
     closure that never empties still scans every split of every layer,
     O(r^2 * n) before any candidate pair.
     """
@@ -348,10 +348,7 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
             empty_from = t + 1
         layers.append(Digraph.__new__(Digraph)._fill(n, und))
 
-    if len(layers) < r:
-        empty = Digraph.__new__(Digraph)._fill(n, [()] * n)
-        layers += [empty] * (r - len(layers))
-    return Augmentation(n=n, depth=r, graphs=tuple(layers), partners=tuple(partners))
+    return Augmentation(n, r, tuple(layers[:empty_from - 1]), tuple(partners))
 
 
 @dataclass(frozen=True)
@@ -380,8 +377,7 @@ def order_from_augmentation(g: Digraph, aug: Augmentation) -> WcolOrder:
     """
     if aug.n != g.n:
         raise ValueError("augmentation does not fit the graph")
-    hs = [h for h in aug.graphs if h.m]
-    d = max(map(sum, zip(*(map(len, h._out) for h in hs))), default=0)
+    d = max(map(sum, zip(*(map(len, h._out) for h in aug.graphs))), default=0)
     c, order, _ = _smallest_last(aug.partners)
     return WcolOrder(order=order, guarantee=(d + 1) * c + 1, smaller_neighbors=c, max_outdegree=d)
 

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .coloring import compute_wcol_order, wreach_all
-from .digraph import (Digraph, LinearOrder, _bfs, _bfs_each, induced_subgraph, out_ball,
-                      remove_vertices)
-from .errors import InternalInvariantError, _check_radius, _check_vertices
+from .digraph import (MAX_PARSE_N, Digraph, LinearOrder, _bfs, _bfs_each, induced_subgraph,
+                      out_ball, remove_vertices)
+from .errors import InternalInvariantError, SizeCapError, _check_radius, _check_vertices
 from .minors import grad_lower_bound
 from .domination import distance_vector
 from .oracles import verify_dominating, verify_scattered
@@ -83,17 +83,9 @@ def closure(g: Digraph, anchors, r: int,
     while True:
         budget = (r - 1) * xi * len(anchor_set)
         chosen: set = set()
-        ok = True
-        while True:
-            large = [
-                u for u in outside
-                if u not in chosen
-                and len(projection(g, u, anchor_set, r, chosen)) > xi
-            ]
-            if not large:
-                break
+        while large := [u for u in outside if u not in chosen
+                        and len(projection(g, u, anchor_set, r, chosen)) > xi]:
             if len(chosen) >= budget:
-                ok = False
                 break
             # score every vertex on a qualifying projection path of a large
             # u: dist(u, w) + dist(w, first anchor hit) <= r in one
@@ -109,7 +101,7 @@ def closure(g: Digraph, anchors, r: int,
                                    if a + d_to.get(w, r + 1) <= r)
                 score.update(on_path)
             chosen.add(max(sorted(score), key=score.__getitem__))
-        if ok:
+        else:
             result = ClosureResult(vertices=frozenset(chosen), xi=xi)
             if result.vertices & anchor_set:
                 raise InternalInvariantError("closure intersects the anchors")
@@ -541,7 +533,8 @@ def kernelize(g: Digraph, r: int, k: int,
     Vertices outside the core collapse to one representative per
     coverage class (equal r-out-neighborhood traces on the core); two
     fresh vertices and length-r paths translate the annotated instance
-    back to plain distance-r domination at budget k+1.
+    back to plain distance-r domination at budget k+1; a kernel past
+    ``MAX_PARSE_N`` vertices raises SizeCapError before they are built.
     """
     if r < 1:
         raise ValueError("radius must be at least 1")
@@ -569,6 +562,9 @@ def kernelize(g: Digraph, r: int, k: int,
         classes.setdefault(core.intersection(ball), v)  # v ascends: the least stays
     reps = tuple(sorted(classes.values()))
     keep = sorted(core | set(reps))
+    kernel_n = len(keep) + 2 + (r - 1) * (1 + len(reps))
+    if kernel_n > MAX_PARSE_N:
+        raise SizeCapError(f"kernel: {kernel_n} vertices exceed cap {MAX_PARSE_N}")
     sub, old_of = induced_subgraph(g, keep)
     # w = sub.n runs a length-r path of fresh vertices to w' = sub.n + 1 and
     # to every kept non-core vertex; each fresh vertex gets the next index

@@ -368,8 +368,8 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
 
     nodes_per_budget = []
     solution = None
+    limit = 1  # (d+1)^(budget*(d+1)), one factor more per budget
     for budget in range(inst.budget + 1):
-        limit = (d + 1) ** (budget * (d + 1))
         nodes = 0
         found = None
         # children: the absorptions, then the deletion
@@ -417,6 +417,7 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
             if k_rem >= 1:
                 stack += [(alive, absorbed | {cand}, k_rem - 1) for cand in reversed(dominators)]
         nodes_per_budget.append(nodes)
+        limit *= (d + 1) ** (d + 1)
         if found is not None:
             solution = _lift(mapping, inst.terminals, found)
             if not dst_valid(inst.graph, inst.root, inst.terminals, solution):

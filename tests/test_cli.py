@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -95,9 +96,8 @@ def test_wcol_tfa(tmp_path, capsys):
 
 
 def test_wcol_and_kernel_at_huge_radius_on_a_path(tmp_path, capsys):
-    # the augmentation builds no layer past its closure, but both jobs still
-    # take O(r) memory: wcol pads its layer tuple to depth r and kernel adds
-    # length-r paths
+    # the augmentation keeps no layer past its closure, so wcol's memory is
+    # flat in r; kernel still adds length-r paths, up to its vertex cap
     path = write_graph(tmp_path, directed_path(3))
     code, out, _ = run(capsys, "wcol", path, "--radius", "100000")
     assert code == 0
@@ -105,6 +105,21 @@ def test_wcol_and_kernel_at_huge_radius_on_a_path(tmp_path, capsys):
     code, out, _ = run(capsys, "kernel", path, "--radius", "3000", "--budget", "1")
     assert code == 0
     json_out(out)
+
+
+def test_wcol_at_radius_ten_million_takes_no_memory(tmp_path, capsys):
+    # nothing is kept per layer past the closure, so the peak does not
+    # grow with r
+    path = write_graph(tmp_path, directed_path(3))
+    assert run(capsys, "wcol", path, "--radius", "3")[0] == 0  # load the modules first
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "wcol", path, "--radius", "10000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json_out(out)["valid"] is True
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("graph", [directed_path(3), Digraph(0)], ids=["path", "empty"])
@@ -273,6 +288,26 @@ def test_kernel_roundtrip(tmp_path, capsys):
     assert code in (0, 1)
     kernel = parse_digraph(target.read_text())
     assert kernel.n == rep["kernel_n"]
+
+
+def test_kernel_past_the_parse_cap_exits_size_cap(tmp_path, capsys):
+    # on a 3-vertex path the kernel keeps all 3 vertices and adds 2 + (r - 1)
+    path = write_graph(tmp_path, directed_path(3))
+    code, out, err = run(capsys, "kernel", path, "--radius", "999997", "--budget", "1")
+    assert (code, out) == (3, "")
+    assert "1000001 vertices exceed cap 1000000" in err
+
+
+@pytest.mark.parametrize("r, code", [(96, 0), (97, 3)])
+def test_kernel_at_the_lowered_parse_cap(tmp_path, capsys, monkeypatch, r, code):
+    monkeypatch.setattr(duality, "MAX_PARSE_N", 100)
+    path = write_graph(tmp_path, directed_path(3))
+    got, out, err = run(capsys, "kernel", path, "--radius", str(r), "--budget", "1")
+    assert got == code
+    if code:
+        assert out == "" and "101 vertices exceed cap 100" in err
+    else:
+        assert json_out(out)["kernel_n"] == 100
 
 
 def test_kernel_long_path_reports(tmp_path, capsys):

@@ -28,6 +28,9 @@ from sparsedigraph.cli import main
 # hypothesis leans towards a strategy's first and smallest choices, so
 # values that usually pass the argument checks are listed first
 SMALL = st.sampled_from(["2", "1", "3", "0", "-1", "-2"])
+# a radius past MAX_PARSE_N: wcol and domset must not grow with it, and the
+# kernel refuses its length-r paths
+RADIUS = SMALL | st.just("1000000")
 TOKENS = st.sampled_from(["-1", "0", "2", "7", "x", "1.5", "", "digraph", "root", "budget",
                           "terminal", "99999999999"])
 
@@ -112,7 +115,7 @@ def cli_runs(draw, command):
         if draw(st.booleans()):
             argv += ["--output", "{out}"]
     elif command == "wcol":
-        argv = ["wcol", "{graph}", "--radius", draw(SMALL)]
+        argv = ["wcol", "{graph}", "--radius", draw(RADIUS)]
         argv += options(draw, "--exact", "--tfa", values=("--coloring", "--max-n"))
     elif command == "minor":
         argv = ["minor", "{graph}", "--crown", draw(SMALL), "--depth", draw(SMALL)]
@@ -122,13 +125,13 @@ def cli_runs(draw, command):
                                                           ["--scss"]]))
         argv += options(draw, values=("--max-n",))
     elif command == "domset":
-        argv = ["domset", "{graph}", "--radius", draw(SMALL)]
+        argv = ["domset", "{graph}", "--radius", draw(RADIUS)]
         argv += options(draw, "--scds", "--oracle-ratio")
         for option in ("--red", "--blue"):
             if draw(st.booleans()):
                 argv += [option, "{list}"]
     elif command == "kernel":
-        argv = ["kernel", "{graph}", "--radius", draw(SMALL), "--budget", draw(SMALL)]
+        argv = ["kernel", "{graph}", "--radius", draw(RADIUS), "--budget", draw(SMALL)]
         argv += options(draw, "--emit-core")
         if draw(st.booleans()):
             argv += ["--emit-kernel", "{out}"]

@@ -1,5 +1,6 @@
 """Weak coloring machinery against exhaustive path-enumeration oracles."""
 import math
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -517,10 +518,15 @@ def test_augmentation_matches_pair_list_reference(g, r):
 @given(_GRAPHS, st.integers(1, 3))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_augmentation_arc_views_match_layer_graphs(g, r):
+    # the graphs end at the closure's last arc; the arc view runs on to
+    # depth r with empty layers
     aug = tfa_augment(g, r)
-    assert len(aug.graphs) == len(aug.layers) == r
-    for h, layer in zip(aug.graphs, aug.layers):
+    layers = aug.layers
+    assert len(layers) == r and len(aug.graphs) <= r
+    assert not aug.graphs or aug.graphs[-1].m
+    for h, layer in zip(aug.graphs, layers):
         assert h == Digraph(g.n, layer)
+    assert not any(layers[len(aug.graphs):])
 
 
 def _refuse_arc_view(*args, **kwargs):
@@ -550,7 +556,7 @@ def _count_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("g, r", [
     (random_digraph(200, 600, 1), 3),
-    (random_digraph(30, 60, 4), 40),  # the closure stops, the rest is padding
+    (random_digraph(30, 60, 4), 40),  # the closure stops, every later layer is empty
     (directed_path(12), 12),
     (Digraph(5), 3),  # no arcs: no layer is peeled
 ], ids=["random", "past-closure", "path", "edgeless"])
@@ -627,13 +633,25 @@ def test_augmentation_past_its_closure_matches_pair_list_reference(g, r):
 
 @pytest.mark.parametrize("g", _TINY_GRAPHS, ids=["point", "path3", "pair-and-arc", "apex-crown3"])
 def test_large_radius_augmentation_is_a_padded_small_run(g):
+    # the layer graphs stop with the closure; only the arc view is padded
     small, big = tfa_augment(g, 12), tfa_augment(g, 2000)
-    assert big.depth == len(big.graphs) == 2000
-    assert big.graphs[:12] == small.graphs
-    tail = big.graphs[12:]
-    assert all(h.m == 0 and h.n == g.n for h in tail)
-    assert len({id(h) for h in tail}) == 1  # one shared empty layer
+    assert big.depth == len(big.layers) == 2000
+    assert big.graphs == small.graphs
+    assert big.layers == small.layers + (frozenset(),) * (2000 - 12)
     assert order_from_augmentation(g, big) == order_from_augmentation(g, small)
+
+
+def test_wcol_order_memory_is_flat_in_the_radius():
+    # nothing is kept per layer past the closure, so the peak does not
+    # grow with r
+    g = directed_path(3)
+    tracemalloc.start()
+    try:
+        compute_wcol_order(g, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_augmentation_builds_no_layer_past_its_closure(monkeypatch):

@@ -731,6 +731,15 @@ def test_fpt_node_bound_stops_the_run_at_once(monkeypatch):
     assert calls == []
 
 
+def test_fpt_unreachable_terminal_runs_every_budget():
+    # the terminal is unreachable, so all 20001 budgets run; each node
+    # bound is the last one times one factor, so the run stays linear
+    inst = parse_dst_instance("digraph 3 1\n0 1\nroot 0\nterminal 2\nbudget 20000\n")
+    res = dst_fpt(inst)
+    assert res.solution is None
+    assert res.nodes_per_budget == (1,) * 20001
+
+
 def test_fpt_apex_crown_root_through_apex():
     g0 = apex_crown(6)
     n = g0.n
