@@ -60,9 +60,9 @@ class Digraph:
         skipping ``__init__``'s checks: each ``out[u]`` must be ascending,
         free of duplicates and of u, with entries in ``0..n-1``.  The tails
         are visited in ascending order, so the in-lists come out sorted.
-        Package code builds these: ``contract``, ``induced_subgraph`` and
-        ``reverse`` here, the kernel graph in ``duality`` and, from the
-        peel's live lists, the augmentation's layer graphs in ``coloring``.
+        Package code builds these: ``contract`` and ``induced_subgraph``
+        here, the kernel graph in ``duality`` and, from the peel's live
+        lists, the augmentation's layer graphs in ``coloring``.
         """
         inc: list[list[int]] = [[] for _ in range(n)]
         for u, heads in enumerate(out):
@@ -102,8 +102,15 @@ class Digraph:
         return [(u, v) for u in range(self.n) for v in self.underlying_neighbors(u) if u < v]
 
     def reverse(self) -> "Digraph":
-        """The digraph with every arc flipped; its out-lists are our in-lists."""
-        return Digraph.__new__(Digraph)._fill(self.n, self._in)
+        """The digraph with every arc flipped, in O(1): it shares our
+        adjacency tuples swapped (its out-lists are our in-lists, which
+        ``_fill`` would rebuild as they are) and our underlying lists,
+        but not ``_derived``."""
+        rev = Digraph.__new__(Digraph)
+        rev.n, rev.m = self.n, self.m
+        rev._out, rev._in, rev._und = self._in, self._out, self._und
+        rev._derived = {}
+        return rev
 
     def __eq__(self, other) -> bool:
         return (
@@ -430,9 +437,14 @@ def contract(g: Digraph, partition: Iterable[Iterable[int]],
     vertex mapping.  New indices follow the smallest old index of each
     block.  If every block is a singleton and no dead vertex has an arc,
     ``g`` itself comes back with the identity mapping: nothing is built.
+
+    Cost: one remap per row, and a set and a sort only for the rows that
+    touch a merged or dead vertex (its own and its in-neighbours').  A
+    vertex outside every block keeps its rank among the leaders, so the
+    mapping is increasing on such vertices and the other rows, remapped
+    entry by entry, stay sorted; with no merged block they are shared.
     """
     blocks = [sorted(set(b)) for b in partition]
-    lead = list(range(g.n))  # smallest vertex of each vertex's block
     seen: set[int] = set()
     for b in blocks:
         for v in b:
@@ -441,19 +453,38 @@ def contract(g: Digraph, partition: Iterable[Iterable[int]],
             if v in seen:
                 raise ValueError(f"partition blocks overlap at vertex {v}")
             seen.add(v)
-            lead[v] = b[0]
-    leaders = [v for v in range(g.n) if lead[v] == v]
-    new_id = {x: i for i, x in enumerate(leaders)}
-    mapping = [new_id[lead[v]] for v in range(g.n)]
     dead = frozenset(dead)
-    if len(leaders) == g.n and not any(g._out[v] or g._in[v] for v in dead if v < g.n):
+    _check_vertices(g.n, sorted(dead))
+    merged = [b for b in blocks if len(b) > 1]
+    mapping = list(range(g.n))
+    count = g.n
+    if merged:
+        for b in merged:
+            for v in b:
+                mapping[v] = b[0]
+        count = 0
+        for v, lead in enumerate(mapping):
+            if lead == v:
+                mapping[v] = count
+                count += 1
+            else:  # lead < v, so mapping[lead] is already its new index
+                mapping[v] = mapping[lead]
+    elif not any(g._out[v] or g._in[v] for v in dead):
         return g, mapping
-    proj: list[set[int]] = [set() for _ in leaders]
+    moved = dead.union(*merged)
+    touched = moved.union(*(g._in[v] for v in moved))
+    out: list[Sequence[int]] = [()] * count
     for u, heads in enumerate(g._out):
-        if u not in dead:
-            proj[mapping[u]].update(mapping[v] for v in heads if v not in dead)
-    out = [sorted(s - {a}) for a, s in enumerate(proj)]  # a -> a was inside a block
-    return Digraph.__new__(Digraph)._fill(len(out), out), mapping
+        if u not in touched:
+            out[mapping[u]] = [mapping[v] for v in heads] if merged else heads
+    proj: dict[int, set[int]] = {}
+    for u in touched - dead:
+        proj.setdefault(mapping[u], set()).update(
+            mapping[v] for v in g._out[u] if v not in dead)
+    for a, heads in proj.items():
+        heads.discard(a)  # a -> a was inside a block
+        out[a] = sorted(heads)
+    return Digraph.__new__(Digraph)._fill(count, out), mapping
 
 
 def induced_subgraph(g: Digraph, vertices: Iterable[int]) -> tuple[Digraph, list[int]]:

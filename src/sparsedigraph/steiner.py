@@ -330,7 +330,9 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
     past the bound stops there.
 
     The high-degree threshold d is twice the degeneracy of the contracted
-    host's underlying graph, computable at any size.  ``_degeneracy``
+    host's underlying graph, computable at any size.  The peel reads each
+    vertex's neighbours as an unsorted set: its removal order, and so d,
+    does not depend on the order in which a row is read.  ``_degeneracy``
     passes in that degeneracy when the caller already has it (see
     ``scss_2approx``) and skips the peel.
     """
@@ -340,7 +342,7 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
     terminals = reduced.terminals
     dgen = _degeneracy
     if dgen is None:
-        dgen = _smallest_last([g.underlying_neighbors(v) for v in range(g.n)])[0]
+        dgen = _smallest_last([{*o, *i} for o, i in zip(g._out, g._in)])[0]
     d = 2 * dgen
 
     everything = frozenset(range(g.n))

@@ -156,6 +156,17 @@ def _deletion_leaf_instance() -> DstInstance:
     return DstInstance(Digraph(n, arcs), 0, frozenset(range(10, 16)), 3)
 
 
+def _merged_heads_instance() -> DstInstance:
+    # the terminal cycle 3 -> 7 -> 11 contracts to one vertex (s = 2), and
+    # non-terminal 1 has arcs into 3 and 7, so its contracted row merges
+    # two heads into one
+    g = random_digraph(16, 30, 4)
+    planted = {(3, 7), (7, 11), (11, 3), (0, 1), (1, 3), (1, 7), (0, 2),
+               (2, 4), (4, 5), (4, 13), (5, 8), (13, 8), (8, 3)}
+    return DstInstance(Digraph(16, set(g.arcs()) | planted), 0,
+                       frozenset({3, 5, 7, 11, 13}), 4)
+
+
 DST_INSTANCES = {
     # the bypass arcs pick [3, 13] here; without them the DP finds [4, 13]
     "bypass-tie": lambda: DstInstance(
@@ -165,6 +176,7 @@ DST_INSTANCES = {
     "split-tie": _split_tie_instance,
     "planted-hub24": planted_hub_instance,
     "deletion-leaf": _deletion_leaf_instance,
+    "merged-heads": _merged_heads_instance,
     # the leaf DP caps its states at min(n, budget): budget 1 is infeasible,
     # as in the benchmark's infeasible desk job, a budget above n caps them
     # at n, and at budget 0 no relaxation leaves a non-terminal
@@ -189,6 +201,8 @@ DST_EXPECTED = {
     ("planted-hub24", "scss"): (0, "7d85e9e637f62da7"),
     ("deletion-leaf", "fpt"): (0, "a398720a346639e6"),
     ("deletion-leaf", "scss"): (1, "863d545e2a717da3"),
+    ("merged-heads", "fpt"): (0, "f6dbdac6549da78d"),
+    ("merged-heads", "scss"): (0, "e22e3ce2d20bafc4"),
     ("planted-hub24-k1", "fpt"): (1, "90a43657146adbbe"),
     ("planted-hub24-k1", "scss"): (1, "6fe7b04fe0ee3f87"),
     ("planted-hub24-k30", "fpt"): (0, "addffafd9ba3b77e"),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sparsedigraph import (
     Digraph,
     LinearOrder,
+    compute_wcol_order,
     contract,
     crown,
     degeneracy,
@@ -750,6 +751,74 @@ def test_contract_matches_rebuild_reference(g, isolated, data):
     unchanged = (all(len(b) < 2 for b in blocks)
                  and not any(g.out_neighbors(v) or g.in_neighbors(v) for v in dead))
     assert (h is g) == unchanged
+
+
+@st.composite
+def contraction_cases(draw):
+    """A digraph, blocks and dead vertices on which the projection merges:
+    an outside vertex with arcs into two members of block A, arcs between
+    blocks A and B both ways, a block C whose members are all dead, a
+    singleton block, an empty block, and dead members inside A and B."""
+    n = draw(st.integers(8, 16))
+    perm = draw(st.permutations(range(n)))
+    outside, single = perm[:2]
+    rest = perm[2:]
+    cut_a = draw(st.integers(2, len(rest) - 4))
+    cut_b = draw(st.integers(cut_a + 2, len(rest) - 2))
+    a, b, c = rest[:cut_a], rest[cut_a:cut_b], rest[cut_b:]
+    planted = {(outside, a[0]), (outside, a[1]), (a[0], b[0]), (a[1], b[1]),
+               (b[0], a[0]), (c[0], a[0]), (b[1], c[1]), (single, c[0])}
+    drawn = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    g = Digraph(n, {(u, v) for u, v in planted | drawn if u != v})
+    dead = set(c) | draw(st.sets(st.sampled_from(a + b), max_size=2))
+    dead |= draw(st.sets(st.integers(0, n - 1), max_size=2))
+    return g, [a, [], b, [single], c], frozenset(dead)
+
+
+@given(contraction_cases(), st.booleans())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_contract_remap_matches_set_projection(case, with_dead):
+    g, blocks, dead = case
+    dead = dead if with_dead else frozenset()
+    h, mapping = contract(g, blocks, dead)
+    ref, ref_mapping = _contract_reference(g, blocks, dead)
+    assert (h.n, h._out, h._in, mapping) == (ref.n, ref._out, ref._in, ref_mapping)
+    assert h.m == ref.m
+    # only singletons, empty blocks and arc-free dead vertices: g itself
+    bare = frozenset(v for v in range(g.n) if not g._out[v] and not g._in[v])
+    same, identity = contract(g, [[]] + [[v] for v in range(g.n)], bare)
+    assert same is g and identity == list(range(g.n))
+
+
+@pytest.mark.parametrize("dead", [[99], [-1], [0, 3]])
+def test_contract_range_checks_dead_vertices(dead):
+    g = directed_path(3)
+    bad = next(v for v in dead if not 0 <= v < g.n)
+    with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+        remove_vertices(g, dead)
+    with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+        contract(g, [[0, 1]], dead)
+
+
+@given(digraphs(max_n=14))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_reverse_shares_the_tuples_swapped(g):
+    rg = g.reverse()
+    assert rg._out is g._in and rg._in is g._out
+    rebuilt = Digraph.__new__(Digraph)._fill(g.n, g._in)
+    assert (rg.n, rg.m, rg._out, rg._in) == (rebuilt.n, rebuilt.m, rebuilt._out, rebuilt._in)
+    assert rg.reverse() == g and rg.reverse()._out is g._out
+    assert [rg.underlying_neighbors(v) for v in range(g.n)] == \
+        [g.underlying_neighbors(v) for v in range(g.n)]
+
+
+def test_reverse_does_not_share_the_memo():
+    g = random_digraph(40, 120, seed=3)
+    order = compute_wcol_order(g, 2)
+    rg = g.reverse()
+    assert rg._derived == {} and compute_wcol_order(g, 2) is order
+    assert compute_wcol_order(rg, 2) is not order
+    assert compute_wcol_order(rg, 2) == compute_wcol_order(Digraph(g.n, rg.arcs()), 2)
 
 
 # ---------------------------------------------------------------------------

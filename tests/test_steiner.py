@@ -634,6 +634,40 @@ def test_scss_peels_once(inst):
     assert got == (None if bwd is None else fwd | bwd)
 
 
+@st.composite
+def antiparallel_block_instances(draw):
+    """``dst_instances`` hosts with antiparallel arcs added and two or three
+    terminals on a cycle, so the contraction merges a terminal block."""
+    inst = draw(dst_instances())
+    arcs = set(inst.graph.arcs())
+    if arcs:
+        arcs |= {(v, u) for u, v in draw(st.sets(st.sampled_from(sorted(arcs)), min_size=1))}
+    pool = [v for v in range(inst.graph.n) if v != inst.root]
+    cycle = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=3, unique=True))
+    arcs |= {(cycle[i - 1], cycle[i]) for i in range(len(cycle))}
+    return DstInstance(Digraph(inst.graph.n, arcs), inst.root,
+                       inst.terminals | set(cycle), inst.budget)
+
+
+@given(antiparallel_block_instances())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_fpt_degree_threshold_peels_unsorted_sets(inst):
+    calls = []
+    real = Digraph.underlying_neighbors
+
+    def counted(g, v):
+        calls.append(v)
+        return real(g, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Digraph, "underlying_neighbors", counted)
+        res = dst_fpt(inst)
+    assert calls == []
+    reduced = preprocess_contract(inst)[0].graph
+    assert reduced.n < inst.graph.n
+    assert res.degree_threshold == 2 * degeneracy(reduced)[0]
+
+
 def test_each_host_is_contracted_once(monkeypatch):
     # the terminal 2-cycle 5 <-> 6 makes the top-level contraction build a
     # graph; the leaf then finds only singletons and no dead vertex, so it
