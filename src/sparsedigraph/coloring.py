@@ -21,7 +21,8 @@ from itertools import combinations
 
 from .digraph import (Digraph, LinearOrder, _adjacency_masks, _bfs_each, _bits, _mask_reach,
                       _peel_lists, _smallest_last)
-from .errors import InternalInvariantError, SizeCapError, _check_cap, _check_radius
+from .errors import (InternalInvariantError, SizeCapError, _check_cap, _check_radius,
+                     _check_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +188,7 @@ def adm_of_order(g: Digraph, order: LinearOrder, v: int, r: int) -> int:
     """Largest family of length-<=r paths leaving v towards L-smaller
     endpoints, pairwise meeting only in v."""
     _check_radius(r)
+    _check_vertices(g.n, (v,))
     smaller = frozenset(
         w for w in range(g.n) if order.position(w) < order.position(v)
     )

@@ -32,6 +32,7 @@ UNREACHED = None  # distance-vector entry for "further than r"
 
 def distance_vector(g: Digraph, v: int, anchors: Sequence[int], r: int) -> tuple:
     """Distances from each anchor to v, entries beyond r replaced by None."""
+    _check_vertices(g.n, (v, *anchors))
     dist = in_distances(g, v, cap=r)
     return tuple(dist.get(a, UNREACHED) for a in anchors)
 
@@ -146,7 +147,7 @@ def redblue_dominate_approx(g: Digraph, red: Iterable[int], blue: Iterable[int],
         if not trace:
             raise InfeasibleError(f"red vertex {v} is not blue-dominated at radius {r}")
         members.append(trace)
-    members = sorted(set(members), key=sorted)
+    members = list(set(members))
 
     result = _greedy_hitting_set(members, blues)
     if not verify_dominating(g, result, r, reds) or not result <= blue_set:

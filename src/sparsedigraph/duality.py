@@ -41,6 +41,7 @@ def projection(g: Digraph, u: int, anchors, r: int, removed=frozenset()) -> froz
     Paths never touch a vertex of ``removed``, which gives the projection
     in g minus those vertices without building that graph.
     """
+    _check_vertices(g.n, (u,))
     anchor_set = frozenset(anchors)
     if u in anchor_set or u in removed:
         raise ValueError("projection source must lie outside the anchor and removed sets")
@@ -74,6 +75,7 @@ def closure(g: Digraph, anchors, r: int,
     three contract properties are asserted on the way out.
     """
     anchor_set = frozenset(anchors)
+    _check_vertices(g.n, sorted(anchor_set))
     if r < 1:
         raise ValueError("radius must be at least 1")
     if xi is None:
@@ -354,19 +356,15 @@ def dominator_or_scattered(g: Digraph, targets, r: int, k: int) -> DualityResult
         )
     chain = max_left_chain(tree)
     if len(chain) >= k + 1:
-        witness = tuple(chain[: k + 1])
+        kind, dom, witness = "scattered", None, tuple(chain[: k + 1])
         if not verify_scattered(g, witness, r) or not set(witness) <= target_set:
             raise InternalInvariantError("scattered witness failed validation")
-        return DualityResult(
-            kind="scattered", dominating=None, scattered=witness,
-            order=res.order, guarantee=res.guarantee,
-            anchors=tuple(anchors), tree=tree,
-        )
-    dom = frozenset(dominating)
-    if not verify_dominating(g, dom, r, target_set):
-        raise InternalInvariantError("greedy dominator failed validation")
+    else:
+        kind, dom, witness = "dominating", frozenset(dominating), None
+        if not verify_dominating(g, dom, r, target_set):
+            raise InternalInvariantError("greedy dominator failed validation")
     return DualityResult(
-        kind="dominating", dominating=dom, scattered=None,
+        kind=kind, dominating=dom, scattered=witness,
         order=res.order, guarantee=res.guarantee,
         anchors=tuple(anchors), tree=tree,
     )

@@ -141,14 +141,12 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
     steps with a small constant.
 
     The relaxation runs on the row unpacked into a list.  Vertex costs
-    are 0 or 1, so its queue is Dial's (1969): a dict from distance to a
-    min-heap of vertex ids.  Relaxing out of a free vertex pushes into
-    the bucket being drained, out of a non-terminal into the next one.
-    A heap of the distances that hold a bucket jumps over the ones no
-    lane holds: a merged row may have gaps between its finite values,
-    as many as it has lanes.  Vertices leave in (dist, v) order, the
-    order of one heap keyed by both, so the tie-break does not depend on
-    the queue; a mask costs O(n + m log n) for the heaps.
+    are 0 or 1, so its queue is Dial's (1969): a list of INF min-heaps
+    of vertex ids, indexed by distance and drained in order.  Relaxing
+    out of a free vertex pushes into the bucket being drained, out of a
+    non-terminal into the next one.  Vertices leave in (dist, v) order,
+    the order of one heap keyed by both, so the tie-break does not
+    depend on the queue; a mask costs O(INF + n + m log n), INF <= n + 1.
 
     Bypass arcs from each source to the first non-terminals along
     terminal-internal paths are laid over the in-lists of their heads
@@ -220,10 +218,8 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
 
     for mask in range(1, full + 1):
         if mask & (mask - 1) == 0:
-            source = src[mask.bit_length() - 1]
             row = [INF] * n
-            row[source] = 0
-            buckets = {0: [source]}
+            row[src[mask.bit_length() - 1]] = 0
         else:
             acc = all_inf
             sub = (mask - 1) & mask
@@ -233,38 +229,21 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
                 acc ^= (acc ^ cand) & (t - (t >> top))
                 sub = (sub - 1) & mask
             row = list(rows.unpack(acc.to_bytes(rows.size, "little")))
-            # filled in ascending v, every bucket starts as a valid heap
-            buckets = {}
-            for v, d in enumerate(row):
-                if d < INF:
-                    if d in buckets:
-                        buckets[d].append(v)
-                    else:
-                        buckets[d] = [v]
+        # filled in ascending v, every bucket starts as a valid heap
+        buckets: list[list[int]] = [[] for _ in range(INF)]
+        for v, d in enumerate(row):
+            if d < INF:
+                buckets[d].append(v)
         parent = [n] * n
-        levels = sorted(buckets)  # the distances that hold a bucket, as a heap
-        while levels:
-            dist = heappop(levels)
-            here = buckets.pop(dist)
-            later = None
-            upward = dist + 1 < INF  # a step out of a non-terminal can still improve a lane
+        for dist, here in enumerate(buckets):
             while here:
                 x = heappop(here)
                 if dist > row[x]:
                     continue
-                if cost[x]:
-                    if not upward:
-                        continue
-                    step = dist + 1
-                    if later is None:
-                        later = buckets.get(step)
-                        if later is None:
-                            later = buckets[step] = []
-                            heappush(levels, step)
-                    into = later
-                else:
-                    step = dist
-                    into = here
+                step = dist + cost[x]
+                if step == INF:  # out of a non-terminal at min(n, budget): improves no lane
+                    continue
+                into = buckets[step]
                 for w in in_nb[x]:
                     if step < row[w]:
                         row[w] = step

@@ -226,6 +226,12 @@ def test_exact_caps_rise_with_max_n():
 # admissibility
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_adm_of_order_range_checks_its_vertex(bad):
+    with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+        adm_of_order(directed_path(3), LinearOrder.identity(3), bad, 1)
+
+
 def test_adm_edgeless():
     g = Digraph(5)
     order = LinearOrder.identity(5)

@@ -239,6 +239,14 @@ def test_redblue_names_the_first_out_of_range_vertex(red, blue, bad):
         redblue_dominate_approx(directed_path(3), red, blue, 1)
 
 
+@pytest.mark.parametrize("v, anchors, bad", [(-1, [0, 1, 2], -1), (3, [0, 1, 2], 3),
+                                             (2, [0, -1], -1), (2, [3, 0], 3)])
+def test_distance_vector_range_checks_its_vertices(v, anchors, bad):
+    # v is checked before the anchors, in their given order
+    with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+        distance_vector(directed_path(3), v, anchors, 2)
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("red-blue domination needs no wcol order")
 
@@ -373,6 +381,21 @@ def test_lazy_greedy_matches_rescan(members, blues):
     # vertices, be empty, or repeat, and blues may repeat
     assert _cover_outcome(_greedy_hitting_set, members, blues) == \
         _cover_outcome(rescan_greedy, members, blues)
+
+
+@given(
+    st.lists(st.frozensets(st.integers(0, 9), max_size=5), max_size=12, unique=True),
+    st.lists(st.integers(0, 9), min_size=1, max_size=10),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_lazy_greedy_ignores_the_order_of_the_members(members, blues, rnd):
+    # red-blue hands the greedy its deduplicated traces in set order: the
+    # picks depend only on gain counts and vertex ids
+    shuffled = list(members)
+    rnd.shuffle(shuffled)
+    assert _cover_outcome(_greedy_hitting_set, shuffled, blues) == \
+        _cover_outcome(_greedy_hitting_set, sorted(members, key=sorted), blues)
 
 
 def test_lazy_greedy_ties_and_stall():

@@ -407,6 +407,15 @@ def test_tree_rejects_bad_vertex_and_radius():
         independence_tree(g, [0], -1)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_projection_and_closure_range_check_their_vertices(bad):
+    g = directed_path(3)
+    with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+        projection(g, bad, [0], 2)
+    with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+        closure(g, [0, bad], 2)
+
+
 def chain_oracle(tree):
     """Longest (#left edges + 1) over all root-leaf paths, brute force."""
     if not tree.nodes:

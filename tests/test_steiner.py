@@ -3,6 +3,7 @@ import heapq
 import inspect
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -350,6 +351,26 @@ def test_subset_dp_lanes_hold_costs_past_16_bits():
     t = frozenset({n - 2, n - 1})
     assert dst_exact_subset(g, 0, t, t, n) == frozenset(range(1, n - 2))
     assert dst_exact_subset(g, 0, t, t, n - 4) is None
+
+
+def test_subset_dp_buckets_follow_the_capped_budget():
+    # root 0 -> 1 -> ... -> 10 forks to two sources.  The queue holds one
+    # bucket per distance up to min(n, budget), so a huge budget costs what
+    # budget n costs.  The memory check runs first: a queue sized from the
+    # budget fails it before the call at 10**9 could allocate.
+    n = 13
+    g = Digraph(n, [(v, v + 1) for v in range(10)] + [(10, 11), (10, 12)])
+    t = frozenset({11, 12})
+    want = dst_exact_subset(g, 0, t, t, n)
+    assert want == frozenset(range(1, 11))
+    tracemalloc.start()
+    try:
+        assert dst_exact_subset(g, 0, t, t, 10**6) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18
+    assert dst_exact_subset(g, 0, t, t, 10**9) == want
 
 
 @pytest.mark.parametrize("cost", [62, 63, 16382, 16383])
