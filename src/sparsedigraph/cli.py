@@ -32,7 +32,8 @@ from functools import cache
 from typing import Optional
 
 from . import coloring, digraph, domination, duality, instances, minors, oracles, steiner
-from .errors import InfeasibleError, InternalInvariantError, SizeCapError, _check_radius
+from .errors import (InfeasibleError, InternalInvariantError, SizeCapError, _check_radius,
+                     _check_vertices)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -47,18 +48,13 @@ def _read_graph(path: str) -> digraph.Digraph:
 
 
 def _read_vertex_list(path: str, n: int) -> list[int]:
-    """The vertices listed one per line in ``path``; the smallest one
-    outside ``0..n-1``, if any, is named in a ValueError."""
-    out = []
+    """The vertices listed one per line in ``path``, read past blank and
+    comment lines as graph files are; the smallest one outside
+    ``0..n-1``, if any, is named in a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                out.append(int(line))
-    bad = [v for v in out if not 0 <= v < n]
-    if bad:
-        raise ValueError(f"vertex {min(bad)} out of range")
-    return out
+        vertices = [int(ln) for ln in digraph._content_lines(fh.read())]
+    _check_vertices(n, sorted(vertices))
+    return vertices
 
 
 def _flatten(prefix: str, value):

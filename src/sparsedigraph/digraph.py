@@ -28,12 +28,13 @@ class Digraph:
 
     Sorting makes every traversal in the package deterministic without
     further care.  The tuples are the only arc store, so ``has_arc(u, v)``
-    scans u's out-list in O(out-degree).  ``_derived`` holds data other
+    scans u's out-list in O(out-degree), and ``underlying_neighbors(v)``
+    merges v's two lists on each call.  ``_derived`` holds data other
     modules compute from the graph (keyed by name and parameters), so it
     is computed once per graph and freed with it.
     """
 
-    __slots__ = ("n", "m", "_out", "_in", "_und", "_derived")
+    __slots__ = ("n", "m", "_out", "_in", "_derived")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -72,7 +73,6 @@ class Digraph:
         self._out = tuple(map(tuple, out))
         self._in = tuple(map(tuple, inc))
         self.m = sum(map(len, self._out))
-        self._und: Optional[tuple[tuple[int, ...], ...]] = None
         self._derived: dict = {}
         return self
 
@@ -90,12 +90,9 @@ class Digraph:
         return self._in[v]
 
     def underlying_neighbors(self, v: int) -> tuple[int, ...]:
-        """Neighbors of v in the underlying undirected graph."""
-        if self._und is None:
-            self._und = tuple(
-                tuple(sorted({*out, *inc})) for out, inc in zip(self._out, self._in)
-            )
-        return self._und[v]
+        """Neighbors of v in the underlying undirected graph, ascending,
+        merged from v's two lists on each call: no caller reads one twice."""
+        return tuple(sorted({*self._out[v], *self._in[v]}))
 
     def underlying_edges(self) -> list[tuple[int, int]]:
         """Unordered pairs of the underlying undirected graph, each once."""
@@ -104,11 +101,10 @@ class Digraph:
     def reverse(self) -> "Digraph":
         """The digraph with every arc flipped, in O(1): it shares our
         adjacency tuples swapped (its out-lists are our in-lists, which
-        ``_fill`` would rebuild as they are) and our underlying lists,
-        but not ``_derived``."""
+        ``_fill`` would rebuild as they are), but not ``_derived``."""
         rev = Digraph.__new__(Digraph)
         rev.n, rev.m = self.n, self.m
-        rev._out, rev._in, rev._und = self._in, self._out, self._und
+        rev._out, rev._in = self._in, self._out
         rev._derived = {}
         return rev
 
@@ -308,22 +304,30 @@ def in_ball(g: Digraph, v: int, r: int, within: Optional[frozenset] = None) -> f
 
 
 def _ball(g, v, r, adj, within):
-    _check_vertices(g.n, (v,))
     _check_radius(r)
     if within is not None and v not in within:
         raise ValueError("start vertex not in the allowed set")
-    return frozenset(_bfs(adj, (v,), r, within))
+    return frozenset(_search(g, v, adj, r, within))
+
+
+def _search(g: Digraph, v: int, adj, cap: Optional[int],
+            within: Optional[frozenset]) -> dict[int, int]:
+    """``_bfs`` from v alone once v is checked to lie in ``0..n-1``.  Public
+    searches call this, never each other, so a traced run times each in
+    its own span."""
+    _check_vertices(g.n, (v,))
+    return _bfs(adj, (v,), cap, within)
 
 
 def out_distances(g: Digraph, v: int, cap: Optional[int] = None,
                   within: Optional[frozenset] = None) -> dict[int, int]:
     """BFS distances from v along arcs; vertices past ``cap`` are omitted."""
-    return _bfs(g.out_neighbors, (v,), cap, within)
+    return _search(g, v, g.out_neighbors, cap, within)
 
 
 def in_distances(g: Digraph, v: int, cap: Optional[int] = None) -> dict[int, int]:
     """BFS distances towards v (i.e. from v in the reversed digraph)."""
-    return _bfs(g.in_neighbors, (v,), cap)
+    return _search(g, v, g.in_neighbors, cap, None)
 
 
 def shortest_path(g: Digraph, u: int, v: int,
@@ -331,9 +335,11 @@ def shortest_path(g: Digraph, u: int, v: int,
     """One shortest directed u->v path as a vertex list, or None.
 
     Each vertex's predecessor is its in-neighbor one step closer to u that
-    ``_bfs`` discovered first, so the result is deterministic.
+    ``_bfs`` discovered first, so the result is deterministic.  A vertex
+    outside ``0..n-1`` raises ValueError, u checked first.
     """
-    dist = _bfs(g.out_neighbors, (u,), within=within)
+    dist = _search(g, u, g.out_neighbors, None, within)
+    _check_vertices(g.n, (v,))
     if v not in dist:
         return None
     return _walk_back(g, dist, {x: i for i, x in enumerate(dist)}, v)

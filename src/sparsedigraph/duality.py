@@ -39,10 +39,13 @@ def projection(g: Digraph, u: int, anchors, r: int, removed=frozenset()) -> froz
     direction) whose internal vertices avoid the anchor set.
 
     Paths never touch a vertex of ``removed``, which gives the projection
-    in g minus those vertices without building that graph.
+    in g minus those vertices without building that graph.  A bad u, else
+    the smallest anchor outside ``0..n-1``, is named in a ValueError.
     """
     _check_vertices(g.n, (u,))
     anchor_set = frozenset(anchors)
+    if anchor_set and (min(anchor_set) < 0 or max(anchor_set) >= g.n):
+        _check_vertices(g.n, sorted(anchor_set))
     if u in anchor_set or u in removed:
         raise ValueError("projection source must lie outside the anchor and removed sets")
     if r < 1:
@@ -276,7 +279,7 @@ def max_left_chain(tree: IndependenceTree) -> list[int]:
         node = tree.nodes[at]
         left_val = 1 + value[node.left] if node.left is not None else 1
         right_val = value[node.right] if node.right is not None else 0
-        if node.left is not None and left_val >= max(right_val, 2):
+        if node.left is not None and left_val >= right_val:
             chain.append(node.vertex)
             at = node.left
         elif node.right is not None and right_val > left_val:
@@ -483,16 +486,14 @@ def domination_core(g: Digraph, r: int, k: int,
         outcome = reduce_core(
             g, core, r, k, q_fn=q_fn, small_threshold=small_threshold
         )
-        if outcome.kind == "no-instance":
+        if outcome.kind != "removable":  # "small" carries no witness
+            refuted = outcome.kind == "no-instance"
             return CoreResult(
-                kind="no-instance",
+                kind="no-instance" if refuted else "core",
+                core=None if refuted else core,
                 removed=tuple(removed),
                 scattered_witness=outcome.scattered_witness,
                 iterations=rounds,
-            )
-        if outcome.kind == "small":
-            return CoreResult(
-                kind="core", core=core, removed=tuple(removed), iterations=rounds
             )
         core = core - {outcome.removable}
         removed.append(outcome.removable)
@@ -542,48 +543,41 @@ def kernelize(g: Digraph, r: int, k: int,
         c = compute_wcol_order(g, 2 * r).guarantee
         small_threshold = default_core_threshold(g, r, k, c)
     result = domination_core(g, r, k, q_fn=q_fn, small_threshold=small_threshold)
-    if result.kind == "no-instance":
-        return KernelResult(
-            graph=Digraph(k + 2),
-            budget=k + 1,
-            infeasible=True,
-            core_size=0,
-            removed=result.removed,
-            representatives=(),
-            iterations=result.iterations,
-            threshold=small_threshold or 0,
-        )
-    core = result.core
-    classes: dict[frozenset, int] = {}
-    outside = [v for v in range(g.n) if v not in core]
-    for v, ball in zip(outside, _bfs_each(g._out, outside, r)):
-        classes.setdefault(core.intersection(ball), v)  # v ascends: the least stays
-    reps = tuple(sorted(classes.values()))
-    keep = sorted(core | set(reps))
-    kernel_n = len(keep) + 2 + (r - 1) * (1 + len(reps))
-    if kernel_n > MAX_PARSE_N:
-        raise SizeCapError(f"kernel: {kernel_n} vertices exceed cap {MAX_PARSE_N}")
-    sub, old_of = induced_subgraph(g, keep)
-    # w = sub.n runs a length-r path of fresh vertices to w' = sub.n + 1 and
-    # to every kept non-core vertex; each fresh vertex gets the next index
-    w = sub.n
-    out: list = [*sub._out, [], ()]
-    for to in (w + 1, *(v for v, old in enumerate(old_of) if old not in core)):
-        prev = w
-        for _ in range(r - 1):
-            out[prev].append(len(out))
-            prev = len(out)
-            out.append([])
-        out[prev].append(to)
-    out[w].sort()  # at r = 1, w' comes first but is w's largest head
+    if result.kind == "no-instance":  # the fixed trivially infeasible kernel
+        core, reps, graph = frozenset(), (), Digraph(k + 2)
+    else:
+        core = result.core
+        classes: dict[frozenset, int] = {}
+        outside = [v for v in range(g.n) if v not in core]
+        for v, ball in zip(outside, _bfs_each(g._out, outside, r)):
+            classes.setdefault(core.intersection(ball), v)  # v ascends: the least stays
+        reps = tuple(sorted(classes.values()))
+        keep = sorted(core | set(reps))
+        kernel_n = len(keep) + 2 + (r - 1) * (1 + len(reps))
+        if kernel_n > MAX_PARSE_N:
+            raise SizeCapError(f"kernel: {kernel_n} vertices exceed cap {MAX_PARSE_N}")
+        sub, old_of = induced_subgraph(g, keep)
+        # w = sub.n runs a length-r path of fresh vertices to w' = sub.n + 1 and
+        # to every kept non-core vertex; each fresh vertex gets the next index
+        w = sub.n
+        out: list = [*sub._out, [], ()]
+        for to in (w + 1, *(v for v, old in enumerate(old_of) if old not in core)):
+            prev = w
+            for _ in range(r - 1):
+                out[prev].append(len(out))
+                prev = len(out)
+                out.append([])
+            out[prev].append(to)
+        out[w].sort()  # at r = 1, w' comes first but is w's largest head
+        graph = Digraph.__new__(Digraph)._fill(len(out), out)
     return KernelResult(
-        graph=Digraph.__new__(Digraph)._fill(len(out), out),
+        graph=graph,
         budget=k + 1,
-        infeasible=False,
+        infeasible=result.kind == "no-instance",
         core_size=len(core),
         removed=result.removed,
         representatives=reps,
-        core=frozenset(core),
+        core=core,
         iterations=result.iterations,
         threshold=small_threshold or 0,
     )

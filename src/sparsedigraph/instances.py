@@ -7,7 +7,6 @@ in lexicographic (i, j) order; the apex, when present, comes last.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,7 +65,10 @@ def bidirected_clique(q: int) -> Digraph:
 def random_digraph(n: int, m: int, seed: int) -> Digraph:
     """m distinct arcs drawn uniformly without replacement.
 
-    Identical (n, m, seed) always yields the identical graph.
+    Identical (n, m, seed) always yields the identical graph.  The arcs
+    are drawn in O(m) as indices into the n(n-1) pairs (u, v), u != v, in
+    lexicographic order: ``random.sample`` picks the same indices from a
+    ``range`` as from the materialized list of pairs.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -74,29 +76,8 @@ def random_digraph(n: int, m: int, seed: int) -> Digraph:
         raise ValueError(f"arc count m={m} is negative")
     if m > n * (n - 1):
         raise ValueError(f"m={m} exceeds the {n * (n - 1)} possible arcs")
-    rng = random.Random(seed)
-    return Digraph(n, rng.sample(_OrderedPairs(n), m))
-
-
-class _OrderedPairs(Sequence):
-    """The n(n-1) pairs (u, v), u != v, in lexicographic order.
-
-    Items are computed on demand, so ``random.sample`` draws m of them in
-    O(m) when m is small against n^2, and picks exactly the pairs it would
-    pick from the materialized list.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __len__(self) -> int:
-        return self.n * (self.n - 1)
-
-    def __getitem__(self, j: int) -> tuple[int, int]:
-        if not 0 <= j < len(self):
-            raise IndexError(j)
-        u, w = divmod(j, self.n - 1)
-        return u, w + (w >= u)
+    pairs = (divmod(j, n - 1) for j in random.Random(seed).sample(range(n * (n - 1)), m))
+    return Digraph(n, ((u, w + (w >= u)) for u, w in pairs))
 
 
 # family name -> generator, in the order the command line lists them; each

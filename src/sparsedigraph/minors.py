@@ -152,13 +152,15 @@ def validate_model(h: Digraph, g: Digraph, r: int, model: DirectedModel) -> bool
         if not bs or used & set(bs):
             return False
         used |= set(bs)
+    if not all(0 <= x < g.n for x in used):  # before any lookup in the host's lists
+        return False
     for e in h.arcs():
         if e not in model.arc_images:
             return False
         a, b = model.arc_images[e]
-        if not g.has_arc(a, b):
-            return False
         if a not in model.branch_sets[e[0]] or b not in model.branch_sets[e[1]]:
+            return False
+        if not g.has_arc(a, b):
             return False
     # distinct pattern arcs must use distinct host arcs
     if len(set(model.arc_images.values())) != len(model.arc_images):

@@ -431,8 +431,9 @@ def test_oracle_alpha_on_two_thousand_vertices_does_not_recurse(tmp_path, capsys
     ["domset", "{graph}", "--radius", "1", "--red", "{list}"],
     ["domset", "{graph}", "--radius", "1", "--blue", "{list}"],
 ], ids=["verify-dominating", "verify-scattered", "verify-strong", "red", "blue"])
-@pytest.mark.parametrize("listed, bad", [("0\n1\n7\n", 7), ("9\n-1\n0\n", -1)],
-                         ids=["past-n", "negative"])
+@pytest.mark.parametrize("listed, bad", [("0\n1\n7\n", 7), ("9\n-1\n0\n", -1),
+                                         ("# chosen\n\n 2 \n5\n", 5)],
+                         ids=["past-n", "negative", "comment-and-blank"])
 def test_vertex_lists_are_range_checked(tmp_path, capsys, argv, listed, bad):
     # on a 3-cycle, {0, 1, 7} once passed verify-dominating as a valid set
     files = {"graph": write_graph(tmp_path, Digraph(3, [(0, 1), (1, 2), (2, 0)])),

@@ -24,8 +24,8 @@ from sparsedigraph import (
     scc,
 )
 from sparsedigraph.digraph import (_adjacency_masks, _bfs, _bfs_each, _mask_reach, _peel_lists,
-                                   _smallest_last, induced_subgraph, remove_vertices,
-                                   shortest_path)
+                                   _smallest_last, in_distances, induced_subgraph, out_distances,
+                                   remove_vertices, shortest_path)
 from sparsedigraph.oracles import verify_strongly_connected
 
 
@@ -599,6 +599,19 @@ def test_shortest_path_matches_early_exit_reference(g, data):
     for u in range(g.n):
         for v in range(g.n):
             assert shortest_path(g, u, v, within) == early_exit_shortest_path(g, u, v, within)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_distances_and_shortest_path_range_check_their_vertices(bad):
+    # on the path 0 -> 1 -> 2, in_distances(g, -1, 2) once returned vertex
+    # 2's in-ball under the key -1, and shortest_path(g, 0, 3) returned None
+    g = directed_path(3)
+    calls = [lambda: out_distances(g, bad), lambda: out_distances(g, bad, 1, frozenset({0})),
+             lambda: in_distances(g, bad, 2), lambda: shortest_path(g, bad, 2),
+             lambda: shortest_path(g, 0, bad)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,14 @@ def test_projection_and_closure_range_check_their_vertices(bad):
         closure(g, [0, bad], 2)
 
 
+@pytest.mark.parametrize("anchors, bad", [([-1], -1), ([3], 3), ([0, 5, 3], 3), ([4, -3, 0], -3)])
+def test_projection_names_its_smallest_bad_anchor(anchors, bad):
+    # on the path 0 -> 1 -> 2, projection(g, 0, [5], 2) once returned the
+    # empty set and projection(g, 2, [0, -3], 2) returned {0}
+    with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+        projection(directed_path(3), 1, anchors, 2)
+
+
 def chain_oracle(tree):
     """Longest (#left edges + 1) over all root-leaf paths, brute force."""
     if not tree.nodes:

@@ -1,7 +1,12 @@
 """Generators: counts, arc structure, determinism."""
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsedigraph import (
+    Digraph,
     InstanceRecipe,
     apex_crown,
     bidirected_clique,
@@ -103,6 +108,16 @@ def test_random_digraph_deterministic():
     b = random_digraph(10, 20, seed=123)
     assert a == b
     assert a != random_digraph(10, 20, seed=124)
+
+
+@given(st.integers(1, 12), st.integers(0, 2**32), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_random_digraph_samples_the_lexicographic_pairs(n, seed, data):
+    # drawing indices from a range picks the pairs that sampling the
+    # materialized list would pick
+    m = data.draw(st.integers(0, n * (n - 1)))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    assert random_digraph(n, m, seed) == Digraph(n, random.Random(seed).sample(pairs, m))
 
 
 def test_recipe_roundtrip():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sparsedigraph import Digraph, apex_crown, bidirected_clique, crown, directed_path, random_digraph
 from sparsedigraph.errors import SizeCapError
 from sparsedigraph.minors import (
+    DirectedModel,
     contains_crown,
     grad,
     grad_lower_bound,
@@ -50,6 +51,25 @@ def test_absorption_needs_positive_depth():
     model = is_depth_r_minor(h, g, 1)
     assert model is not None
     assert validate_model(h, g, 1, model)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("r", [0, 1])
+def test_validate_model_rejects_a_non_vertex(bad, r):
+    # a branch set {bad} once validated at r = 0, and an arc image
+    # (3, 1) raised IndexError from the host's adjacency
+    g = directed_path(3)
+    one = Digraph(1)
+    assert validate_model(one, g, r, DirectedModel(r, {0: (2,)}, {}, {0: 2}, {0: 2}))
+    assert not validate_model(one, g, r, DirectedModel(r, {0: (bad,)}, {}, {0: bad}, {0: bad}))
+    arc = Digraph(2, [(0, 1)])
+    ends = {0: 0, 1: 1}
+    assert validate_model(arc, g, r, DirectedModel(r, {0: (0,), 1: (1,)}, {(0, 1): (0, 1)},
+                                                   ends, ends))
+    assert not validate_model(arc, g, r, DirectedModel(r, {0: (0,), 1: (1,)},
+                                                       {(0, 1): (bad, 1)}, ends, ends))
+    assert not validate_model(arc, g, r, DirectedModel(r, {0: (0, bad), 1: (1,)},
+                                                       {(0, 1): (bad, 1)}, ends, ends))
 
 
 def test_no_minor_when_pattern_larger():
