@@ -145,7 +145,6 @@ def corpus() -> list[Digraph]:
 
 @dataclass
 class CriterionResult:
-    name: str
     ok: bool
     detail: str = ""
 
@@ -189,19 +188,13 @@ def criterion_counterexample_family() -> CriterionResult:
         g = apex_crown(n)
         gamma, witness = gamma_r_exact(g, 1, max_n=100)
         if gamma != n // 2 + n % 2 + 1:
-            return CriterionResult(
-                "counterexample family", False,
-                f"apex_crown({n}) gamma_1 = {gamma}",
-            )
+            return CriterionResult(False, f"apex_crown({n}) gamma_1 = {gamma}")
         if not verify_dominating(g, witness, 1):
-            return CriterionResult("counterexample family", False, "bad witness")
+            return CriterionResult(False, "bad witness")
         alpha, sc = alpha_r_exact(g, 1, max_n=100)
         if alpha != 2 or not verify_scattered(g, sc, 1):
-            return CriterionResult(
-                "counterexample family", False,
-                f"apex_crown({n}) alpha_1 = {alpha}",
-            )
-    return CriterionResult("counterexample family", True, "n = 4..12 exact")
+            return CriterionResult(False, f"apex_crown({n}) alpha_1 = {alpha}")
+    return CriterionResult(True, "n = 4..12 exact")
 
 
 @criterion("2. limit weak coloring number of directed paths")
@@ -209,10 +202,8 @@ def criterion_path_treedepth() -> CriterionResult:
     for n in range(1, 9):
         val, _ = wcol_infty_exact(directed_path(n))
         if val != math.ceil(math.log2(n + 1)):
-            return CriterionResult(
-                "path tree-depth", False, f"P_{n} gave {val}"
-            )
-    return CriterionResult("path tree-depth", True, "n = 1..8 exact")
+            return CriterionResult(False, f"P_{n} gave {val}")
+    return CriterionResult(True, "n = 1..8 exact")
 
 
 @criterion("3. augmentation order guarantee and definition checks")
@@ -223,18 +214,13 @@ def criterion_tfa_guarantee() -> CriterionResult:
             aug = tfa_augment(g, r)
             problems = check_augmentation(g, aug)
             if problems:
-                return CriterionResult(
-                    "tfa guarantee", False, problems[0]
-                )
+                return CriterionResult(False, problems[0])
             res = compute_wcol_order(g, r)
             actual = wcol_of_order(g, res.order, r)
             if actual > res.guarantee:
-                return CriterionResult(
-                    "tfa guarantee", False,
-                    f"n={g.n} r={r}: {actual} > {res.guarantee}",
-                )
+                return CriterionResult(False, f"n={g.n} r={r}: {actual} > {res.guarantee}")
             checked += 1
-    return CriterionResult("tfa guarantee", True, f"{checked} graph/radius pairs")
+    return CriterionResult(True, f"{checked} graph/radius pairs")
 
 
 @criterion("4. neighborhood complexity within the certified bound")
@@ -248,12 +234,9 @@ def criterion_neighborhood_complexity() -> CriterionResult:
             bound = ((r + 2) * res.guarantee * len(x)) ** res.guarantee
             nu = neighborhood_complexity(g, x, r)
             if nu > bound:
-                return CriterionResult(
-                    "neighborhood complexity", False,
-                    f"n={g.n} r={r}: {nu} > bound",
-                )
+                return CriterionResult(False, f"n={g.n} r={r}: {nu} > bound")
             checked += 1
-    return CriterionResult("neighborhood complexity", True, f"{checked} checks")
+    return CriterionResult(True, f"{checked} checks")
 
 
 @criterion("5. distance-r VC dimension within the wcol bound")
@@ -265,13 +248,9 @@ def criterion_vc_bound() -> CriterionResult:
             dim, _ = vc_dimension_distance_r(g, r)
             c = wcol_exact(g, r)[0]
             if dim > (r + 2) * (2 * c) ** 2:
-                return CriterionResult(
-                    "vc bound", False, f"n={g.n} r={r}: dim {dim}, wcol {c}"
-                )
+                return CriterionResult(False, f"n={g.n} r={r}: dim {dim}, wcol {c}")
             checked += 1
-    return CriterionResult(
-        "vc bound", True, f"{checked} checks on {len(small)} small graphs"
-    )
+    return CriterionResult(True, f"{checked} checks on {len(small)} small graphs")
 
 
 def _dst_instances() -> list[DstInstance]:
@@ -309,15 +288,15 @@ def criterion_dst() -> CriterionResult:
         res = dst_fpt(inst)  # raises if the node bound breaks
         expect = dst_exact_enum(inst)
         if (res.solution is None) != (expect is None):
-            return CriterionResult("dst", False, "decision mismatch")
+            return CriterionResult(False, "decision mismatch")
         if expect is not None and len(res.solution) != len(expect):
-            return CriterionResult("dst", False, "size mismatch")
+            return CriterionResult(False, "size mismatch")
         d = res.degree_threshold
         for budget, nodes in enumerate(res.nodes_per_budget):
             if nodes > (d + 1) ** (budget * (d + 1)):
-                return CriterionResult("dst", False, "node bound exceeded")
+                return CriterionResult(False, "node bound exceeded")
         agreements += 1
-    return CriterionResult("dst", True, f"{agreements} instances agree")
+    return CriterionResult(True, f"{agreements} instances agree")
 
 
 @criterion("7. strongly connected Steiner within factor two")
@@ -335,17 +314,15 @@ def criterion_scss() -> CriterionResult:
             continue
         got = scss_2approx(g, terminals, 3)
         if got is None:
-            return CriterionResult("scss", False, f"missed feasible seed {seed}")
+            return CriterionResult(False, f"missed feasible seed {seed}")
         if len(got) > 2 * len(opt):
-            return CriterionResult(
-                "scss", False, f"|got|={len(got)} vs opt {len(opt)}"
-            )
+            return CriterionResult(False, f"|got|={len(got)} vs opt {len(opt)}")
         if not verify_strongly_connected(g, terminals | got):
-            return CriterionResult("scss", False, "not strongly connected")
+            return CriterionResult(False, "not strongly connected")
         done += 1
     if done < 25:
-        return CriterionResult("scss", False, f"only {done} feasible instances")
-    return CriterionResult("scss", True, "25 feasible instances within 2x")
+        return CriterionResult(False, f"only {done} feasible instances")
+    return CriterionResult(True, "25 feasible instances within 2x")
 
 
 @criterion("8. red-blue domination close to optimal")
@@ -367,21 +344,17 @@ def criterion_redblue() -> CriterionResult:
         try:
             d = redblue_dominate_approx(g, red, blue, 2)
         except InfeasibleError:
-            return CriterionResult("red-blue", False, "feasible called infeasible")
+            return CriterionResult(False, "feasible called infeasible")
         if not verify_dominating(g, d, 2, red) or not d <= set(blue):
-            return CriterionResult("red-blue", False, "invalid output")
+            return CriterionResult(False, "invalid output")
         gate = 8 * k * math.log2(k + 2)
         worst = max(worst, len(d) / gate)
         if len(d) > gate:
-            return CriterionResult(
-                "red-blue", False, f"|D|={len(d)} over gate {gate:.1f} (k={k})"
-            )
+            return CriterionResult(False, f"|D|={len(d)} over gate {gate:.1f} (k={k})")
         done += 1
     if done < 30:
-        return CriterionResult("red-blue", False, f"only {done} feasible instances")
-    return CriterionResult(
-        "red-blue", True, f"30 instances, worst gate ratio {worst:.2f}"
-    )
+        return CriterionResult(False, f"only {done} feasible instances")
+    return CriterionResult(True, f"30 instances, worst gate ratio {worst:.2f}")
 
 
 @criterion("9. duality branches validate and refutations are real")
@@ -398,17 +371,15 @@ def criterion_duality() -> CriterionResult:
         if res.kind == "scattered":
             scattered_seen += 1
             if len(res.scattered) != k + 1:
-                return CriterionResult("duality", False, "witness size off")
+                return CriterionResult(False, "witness size off")
             if not verify_scattered(g, res.scattered, r):
-                return CriterionResult("duality", False, "witness not scattered")
+                return CriterionResult(False, "witness not scattered")
             if gamma_r_exact(g, r, targets)[0] <= k:
-                return CriterionResult("duality", False, "false refutation")
+                return CriterionResult(False, "false refutation")
         else:
             if not verify_dominating(g, res.dominating, r, targets):
-                return CriterionResult("duality", False, "invalid dominator")
-    return CriterionResult(
-        "duality", True, f"30 instances, {scattered_seen} refutations"
-    )
+                return CriterionResult(False, "invalid dominator")
+    return CriterionResult(True, f"30 instances, {scattered_seen} refutations")
 
 
 @criterion("10. kernelization preserves the domination decision")
@@ -426,8 +397,8 @@ def criterion_kernel() -> CriterionResult:
         else:
             kernel_decision = gamma_r_exact(res.graph, r, max_n=60)[0] <= res.budget
         if kernel_decision != original:
-            return CriterionResult("kernel", False, f"seed {seed} flipped")
-    return CriterionResult("kernel", True, "20 instances preserved")
+            return CriterionResult(False, f"seed {seed} flipped")
+    return CriterionResult(True, "20 instances preserved")
 
 
 @criterion("11. monotonicity and ball duality across the corpus")
@@ -438,16 +409,14 @@ def criterion_monotonicity() -> CriterionResult:
                 ball = out_ball(g, v, r)
                 for u in ball:
                     if v not in in_ball(g, u, r):
-                        return CriterionResult("monotonicity", False, "ball duality")
+                        return CriterionResult(False, "ball duality")
     small = [g for g in corpus() if g.n <= 7][:6]
     for g in small:
         keep = g.arcs()[: max(0, g.m - 3)]
         h = Digraph(g.n, keep)
         for r in (1, 2):
             if wcol_exact(h, r)[0] > wcol_exact(g, r)[0]:
-                return CriterionResult("monotonicity", False, "wcol not monotone")
+                return CriterionResult(False, "wcol not monotone")
             if adm_exact(h, r)[0] > adm_exact(g, r)[0]:
-                return CriterionResult("monotonicity", False, "adm not monotone")
-    return CriterionResult(
-        "monotonicity", True, f"{CORPUS_SIZE} ball checks, {len(small)} exact pairs"
-    )
+                return CriterionResult(False, "adm not monotone")
+    return CriterionResult(True, f"{CORPUS_SIZE} ball checks, {len(small)} exact pairs")

@@ -55,9 +55,7 @@ def wreach_all(g: Digraph, order: LinearOrder, r: int) -> tuple[frozenset, ...]:
 
 def wcol_of_order(g: Digraph, order: LinearOrder, r: int) -> int:
     """max_v |WReach_r[v]| for a fixed order."""
-    if g.n == 0:
-        return 0
-    return max(len(s) for s in wreach_all(g, order, r))
+    return max(map(len, wreach_all(g, order, r)), default=0)
 
 
 def wcol_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:

@@ -293,50 +293,56 @@ def out_ball(g: Digraph, v: int, r: int, within: Optional[frozenset] = None) -> 
     """Vertices reachable from v by a directed path of length <= r.
 
     Always contains v itself.  If ``within`` is given, paths may only use
-    vertices of that set (v must belong to it).
+    vertices of that set.  ValueError, checked in this order: r < 0, v
+    outside ``0..n-1``, v outside ``within``.
     """
-    return _ball(g, v, r, g.out_neighbors, within)
+    return frozenset(_search(g, v, g.out_neighbors, r, within))
 
 
 def in_ball(g: Digraph, v: int, r: int, within: Optional[frozenset] = None) -> frozenset:
-    """Vertices that reach v by a directed path of length <= r."""
-    return _ball(g, v, r, g.in_neighbors, within)
-
-
-def _ball(g, v, r, adj, within):
-    _check_radius(r)
-    if within is not None and v not in within:
-        raise ValueError("start vertex not in the allowed set")
-    return frozenset(_search(g, v, adj, r, within))
+    """Vertices that reach v by a directed path of length <= r, inside
+    ``within`` if given; ValueError as for ``out_ball``."""
+    return frozenset(_search(g, v, g.in_neighbors, r, within))
 
 
 def _search(g: Digraph, v: int, adj, cap: Optional[int],
             within: Optional[frozenset]) -> dict[int, int]:
-    """``_bfs`` from v alone once v is checked to lie in ``0..n-1``.  Public
+    """``_bfs`` from v alone, after the checks every public search makes,
+    in this order: a given ``cap`` is a radius (``_check_radius``), v lies
+    in ``0..n-1``, and v lies in ``within`` when that is given.  Public
     searches call this, never each other, so a traced run times each in
     its own span."""
+    if cap is not None:
+        _check_radius(cap)
     _check_vertices(g.n, (v,))
+    if within is not None and v not in within:
+        raise ValueError("start vertex not in the allowed set")
     return _bfs(adj, (v,), cap, within)
 
 
 def out_distances(g: Digraph, v: int, cap: Optional[int] = None,
                   within: Optional[frozenset] = None) -> dict[int, int]:
-    """BFS distances from v along arcs; vertices past ``cap`` are omitted."""
+    """BFS distances from v along arcs, inside ``within`` if given;
+    vertices past ``cap`` are omitted.  ValueError, checked in this
+    order: cap < 0, v outside ``0..n-1``, v outside ``within``."""
     return _search(g, v, g.out_neighbors, cap, within)
 
 
 def in_distances(g: Digraph, v: int, cap: Optional[int] = None) -> dict[int, int]:
-    """BFS distances towards v (i.e. from v in the reversed digraph)."""
+    """BFS distances towards v (i.e. from v in the reversed digraph).
+    ValueError for cap < 0, then for v outside ``0..n-1``."""
     return _search(g, v, g.in_neighbors, cap, None)
 
 
 def shortest_path(g: Digraph, u: int, v: int,
                   within: Optional[frozenset] = None) -> Optional[list[int]]:
-    """One shortest directed u->v path as a vertex list, or None.
+    """One shortest directed u->v path inside ``within`` (if given) as a
+    vertex list, or None.
 
     Each vertex's predecessor is its in-neighbor one step closer to u that
-    ``_bfs`` discovered first, so the result is deterministic.  A vertex
-    outside ``0..n-1`` raises ValueError, u checked first.
+    ``_bfs`` discovered first, so the result is deterministic.  ValueError,
+    checked in this order: u outside ``0..n-1``, u outside ``within``, v
+    outside ``0..n-1``.
     """
     dist = _search(g, u, g.out_neighbors, None, within)
     _check_vertices(g.n, (v,))
@@ -373,39 +379,31 @@ def scc(g: Digraph) -> SccDecomposition:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, None)]  # (v, v's out-neighbours not yet scanned)
         while work:
-            v, pi = work.pop()
-            if pi == 0:
+            v, heads = work.pop()
+            if heads is None:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            recurse = False
-            out = g.out_neighbors(v)
-            for i in range(pi, len(out)):
-                w = out[i]
+                heads = iter(g.out_neighbors(v))
+            for w in heads:
                 if index[w] == -1:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recurse = True
+                    work += ((v, heads), (w, None))
                     break
                 if on_stack[w]:
                     low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            else:
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack[comp[-1]] = False
+                    comps.append(sorted(comp))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
     comps.sort(key=lambda c: c[0])
     component_of = [0] * n
     for cid, comp in enumerate(comps):

@@ -133,8 +133,7 @@ def redblue_dominate_approx(g: Digraph, red: Iterable[int], blue: Iterable[int],
     below 1 or a vertex out of range, and InfeasibleError when even the
     whole blue set fails.
     """
-    if r < 1:
-        raise ValueError("radius must be at least 1")
+    _check_radius(r, least=1)
     reds = sorted(set(red))
     blues = sorted(set(blue))
     _check_vertices(g.n, reds + blues)
@@ -173,8 +172,7 @@ def scds_approx(g: Digraph, r: int, stats_out: Optional[dict] = None) -> frozens
     more than ``MAX_SCDS_TABLE_CELLS`` cells raises SizeCapError before
     the table is built.  A radius below 1 raises ValueError first.
     """
-    if r < 1:
-        raise ValueError("radius must be at least 1")
+    _check_radius(r, least=1)
     if g.n == 0:
         if stats_out is not None:
             stats_out.update(k_guess=None, center=None)

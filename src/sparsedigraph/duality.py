@@ -48,7 +48,8 @@ def projection(g: Digraph, u: int, anchors, r: int, removed=frozenset()) -> froz
         _check_vertices(g.n, sorted(anchor_set))
     if u in anchor_set or u in removed:
         raise ValueError("projection source must lie outside the anchor and removed sets")
-    if r < 1:
+    _check_radius(r)
+    if r == 0:
         return frozenset()
     blocked = anchor_set.union(removed)
     found = set()
@@ -79,8 +80,7 @@ def closure(g: Digraph, anchors, r: int,
     """
     anchor_set = frozenset(anchors)
     _check_vertices(g.n, sorted(anchor_set))
-    if r < 1:
-        raise ValueError("radius must be at least 1")
+    _check_radius(r, least=1)
     if xi is None:
         xi = max(1, math.ceil(2 * grad_lower_bound(g)))
 
@@ -328,8 +328,7 @@ def dominator_or_scattered(g: Digraph, targets, r: int, k: int) -> DualityResult
     r-dominates, so while the check holds they sum to at most n·c
     entries, c the order's guarantee.
     """
-    if r < 1:
-        raise ValueError("radius must be at least 1")
+    _check_radius(r, least=1)
     if k < 0:
         raise ValueError("budget must be nonnegative")
     target_set = frozenset(targets)
@@ -433,33 +432,30 @@ def reduce_core(g: Digraph, core, r: int, k: int,
 
     hull_sets = wreach_all(g, first.order, r)
     current = frozenset(first.dominating)
-    hull: frozenset = frozenset()
-    scattered: Optional[tuple] = None
     for _ in range(c):
         hull = frozenset().union(*(hull_sets[y] for y in current))
         stripped = remove_vertices(g, hull)
         q_i = q_fn(len(hull))
         step = dominator_or_scattered(stripped, targets - hull, r, q_i)
         if step.kind == "scattered":
-            scattered = step.scattered
             break
         current = hull | step.dominating
-    if scattered is None:
+    else:
         raise InternalInvariantError(
             "core reduction exceeded its iteration bound without a scattered set"
         )
 
     anchors = sorted(hull)
     buckets: dict[tuple, list[int]] = {}
-    for w in scattered:
+    for w in step.scattered:
         buckets.setdefault(distance_vector(g, w, anchors, r), []).append(w)
     crowded = [members for members in buckets.values() if len(members) > k + 1]
     if not crowded:
         raise InternalInvariantError(
             "no distance-profile class exceeded k+1 despite the threshold"
         )
-    crowded.sort(key=lambda ms: (-len(ms), min(ms)))
-    return ReduceOutcome(kind="removable", removable=min(crowded[0]))
+    largest = min(crowded, key=lambda ms: (-len(ms), min(ms)))  # ties: least member
+    return ReduceOutcome(kind="removable", removable=min(largest))
 
 
 @dataclass(frozen=True)
@@ -535,8 +531,7 @@ def kernelize(g: Digraph, r: int, k: int,
     back to plain distance-r domination at budget k+1; a kernel past
     ``MAX_PARSE_N`` vertices raises SizeCapError before they are built.
     """
-    if r < 1:
-        raise ValueError("radius must be at least 1")
+    _check_radius(r, least=1)
     if k < 0:
         raise ValueError("budget must be nonnegative")
     if small_threshold is None and g.n:

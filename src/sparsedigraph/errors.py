@@ -21,10 +21,16 @@ def _check_cap(name: str, value: int, cap: int):
         raise SizeCapError(f"{name}: size {value} exceeds cap {cap}; pass max_n to override (slow)")
 
 
-def _check_radius(r: int):
-    """Raise ValueError when the radius ``r`` is negative."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+def _check_radius(r: int, least: int = 0):
+    """Raise ValueError when the radius ``r`` is below ``least``.
+
+    This is the package's one radius rule: every routine taking a radius
+    needs r >= 0, and a routine that needs at least one step (``least=1``:
+    domination, duality, closures, kernels) needs r >= 1.
+    """
+    if r < least:
+        raise ValueError("radius must be nonnegative" if least == 0
+                         else f"radius must be at least {least}")
 
 
 def _check_vertices(n: int, vertices: Iterable[int]):

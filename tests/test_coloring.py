@@ -169,6 +169,14 @@ def test_wcol_edgeless():
     assert wcol_of_order(g, LinearOrder.identity(4), 3) == 1
 
 
+def test_wcol_of_order_checks_its_radius_on_every_graph():
+    # r = -1 was once accepted on the empty graph and refused on a path
+    for g in (Digraph(0), directed_path(3)):
+        with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+            wcol_of_order(g, LinearOrder.identity(g.n), -1)
+    assert wcol_of_order(Digraph(0), LinearOrder([]), 2) == 0
+
+
 def test_wcol_exact_small_cases():
     g = Digraph(2, [(0, 1)])
     assert wcol_exact(g, 1)[0] == 2

@@ -598,7 +598,11 @@ def test_shortest_path_matches_early_exit_reference(g, data):
     within = data.draw(st.none() | st.frozensets(st.integers(0, max(g.n - 1, 0))))
     for u in range(g.n):
         for v in range(g.n):
-            assert shortest_path(g, u, v, within) == early_exit_shortest_path(g, u, v, within)
+            if within is not None and u not in within:
+                with pytest.raises(ValueError, match="^start vertex not in the allowed set$"):
+                    shortest_path(g, u, v, within)
+            else:
+                assert shortest_path(g, u, v, within) == early_exit_shortest_path(g, u, v, within)
 
 
 @pytest.mark.parametrize("bad", [-1, 3])
@@ -612,6 +616,24 @@ def test_distances_and_shortest_path_range_check_their_vertices(bad):
     for call in calls:
         with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
             call()
+
+
+def test_searches_share_one_argument_contract():
+    # on the path 0 -> 1 -> 2, in_distances(g, 2, -1) once returned {2: 0}, and
+    # out_distances and shortest_path entered a start outside ``within``
+    g = directed_path(3)
+    for call in (lambda: out_distances(g, 0, -1), lambda: in_distances(g, 2, -1)):
+        with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+            call()
+    outside = frozenset({1, 2})
+    for call in (lambda: out_distances(g, 0, 2, outside), lambda: shortest_path(g, 0, 2, outside)):
+        with pytest.raises(ValueError, match="^start vertex not in the allowed set$"):
+            call()
+    # the radius is checked first, then the start's range, then ``within``
+    with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+        in_ball(g, 5, -1)
+    with pytest.raises(ValueError, match="^vertex 5 out of range$"):
+        out_ball(g, 5, 1, frozenset({0}))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,12 @@ def test_distance_vector_path():
     assert distance_vector(g, 2, [0, 1], 2) == (2, 1)
 
 
+def test_distance_vector_checks_its_radius():
+    # on the path 0 -> 1 -> 2, r = -1 once gave (None, None, 0)
+    with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+        distance_vector(directed_path(3), 2, [0, 1, 2], -1)
+
+
 def test_distance_vector_matches_bfs():
     for seed in range(4):
         g = random_digraph(10, 25, seed)

@@ -424,6 +424,15 @@ def test_projection_names_its_smallest_bad_anchor(anchors, bad):
         projection(directed_path(3), 1, anchors, 2)
 
 
+def test_projection_checks_its_radius():
+    # on the path 0 -> 1 -> 2, projection(g, 1, [0], -3) once returned the empty set
+    g = directed_path(3)
+    for r in (-1, -3):
+        with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+            projection(g, 1, [0], r)
+    assert projection(g, 1, [0], 0) == frozenset()
+
+
 def chain_oracle(tree):
     """Longest (#left edges + 1) over all root-leaf paths, brute force."""
     if not tree.nodes:

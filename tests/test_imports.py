@@ -5,8 +5,9 @@ parameter of a module-level function is passed by some call, no function
 calls itself but ``cli._flatten``, no ``assert`` statement or ``raise
 AssertionError`` stands in for ``InternalInvariantError``, the command
 line loads the acceptance suite only for ``selftest``, importing it runs
-no algorithm module, each command runs only the modules it calls, and
-the package re-exports its names lazily."""
+no algorithm module, each command runs only the modules it calls, the
+package re-exports its names lazily, and only ``errors`` words the radius
+rule."""
 import ast
 import json
 import os
@@ -312,3 +313,10 @@ def test_assertion_is_caught():
                "b": "def g():\n    raise AssertionError\n\n"
                     "def h():\n    raise InternalInvariantError('ok')\n"}
     assert assertions(sources) == ["a:2", "a:4", "b:2"]
+
+
+def test_the_radius_rule_has_one_home():
+    # every radius check goes through errors._check_radius, so the rule
+    # and its messages cannot drift apart between modules
+    assert [p.name for p in SOURCES
+            if p.name != "errors.py" and "radius must be" in p.read_text(encoding="utf-8")] == []
