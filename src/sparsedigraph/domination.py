@@ -41,6 +41,7 @@ def neighborhood_complexity(g: Digraph, subset: Iterable[int], r: int) -> int:
     """Number of distinct traces N_r^-(v) & subset over all vertices."""
     _check_radius(r)
     s = frozenset(subset)
+    _check_vertices(g.n, s)
     return len({s.intersection(ball) for ball in _bfs_each(g._in, range(g.n), r)})
 
 
@@ -80,27 +81,28 @@ def vc_dimension_distance_r(g: Digraph, r: int,
 # red-blue approximation
 
 
-def _greedy_hitting_set(members: list[frozenset], blues: list[int]) -> frozenset:
-    """Deterministic greedy set cover over the blue candidates.
+def _greedy_hitting_set(members: list[frozenset], n: int) -> frozenset:
+    """Deterministic greedy set cover over the vertices named in members.
 
-    Each step picks the blue vertex hitting the most sets not yet hit,
-    ties broken towards the smallest index, and raises InfeasibleError
-    when no blue vertex hits a remaining set.  This is the lazy greedy of
-    Minoux (1978): an inverted index lists the sets each blue vertex
-    hits, live gain counts drop as sets get hit, and a max-heap keeps
-    possibly stale ``(-gain, b)`` entries.  Gains only fall, so an entry
-    that matches its vertex's live gain when it reaches the top is the
-    exact ``max(blues, key=(gain, -b))`` of a full rescan, and the picks
-    are the same.  Costs O(sum of |members| + heap pushes * log |blues|),
+    Every vertex named in a member is a candidate and lies in 0..n-1; a
+    caller restricts the candidates by intersecting the members first.
+    Each step picks the vertex hitting the most sets not yet hit, ties
+    broken towards the smallest index, and raises InfeasibleError when
+    no vertex hits a remaining set (an empty member).  This is the lazy
+    greedy of Minoux (1978): an inverted index lists the sets each
+    vertex hits, live gain counts drop as sets get hit, and a max-heap
+    keeps possibly stale ``(-gain, b)`` entries.  Gains only fall, so an
+    entry that matches its vertex's live gain when it reaches the top is
+    the exact ``max(key=(gain, -b))`` of a full rescan, and the picks
+    are the same.  Costs O(n + sum of |members| + heap pushes * log n),
     with at most one push per gain decrement.
     """
-    hits: dict[int, list[int]] = {b: [] for b in blues}
+    hits: list[list[int]] = [[] for _ in range(n)]
     for i, m in enumerate(members):
         for x in m:
-            if x in hits:
-                hits[x].append(i)
-    gain = {b: len(sets) for b, sets in hits.items()}
-    heap = [(-gain[b], b) for b in hits if gain[b]]
+            hits[x].append(i)
+    gain = list(map(len, hits))
+    heap = [(-c, b) for b, c in enumerate(gain) if c]
     heapq.heapify(heap)
     alive = [True] * len(members)
     remaining = len(members)
@@ -119,8 +121,7 @@ def _greedy_hitting_set(members: list[frozenset], blues: list[int]) -> frozenset
                 alive[i] = False
                 remaining -= 1
                 for x in members[i]:
-                    if x in gain:
-                        gain[x] -= 1
+                    gain[x] -= 1
     return frozenset(chosen)
 
 
@@ -135,11 +136,10 @@ def redblue_dominate_approx(g: Digraph, red: Iterable[int], blue: Iterable[int],
     """
     _check_radius(r, least=1)
     reds = sorted(set(red))
-    blues = sorted(set(blue))
-    _check_vertices(g.n, reds + blues)
+    blue_set = frozenset(blue)
+    _check_vertices(g.n, reds + sorted(blue_set))
     if not reds:
         return frozenset()
-    blue_set = frozenset(blues)
     members = []
     for v, ball in zip(reds, _bfs_each(g._in, reds, r)):
         trace = blue_set.intersection(ball)
@@ -148,7 +148,7 @@ def redblue_dominate_approx(g: Digraph, red: Iterable[int], blue: Iterable[int],
         members.append(trace)
     members = list(set(members))
 
-    result = _greedy_hitting_set(members, blues)
+    result = _greedy_hitting_set(members, g.n)
     if not verify_dominating(g, result, r, reds) or not result <= blue_set:
         raise InternalInvariantError("red-blue approximation produced an invalid set")
     return result

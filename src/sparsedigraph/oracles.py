@@ -24,8 +24,8 @@ from .steiner_types import DstInstance
 
 
 def _cover_masks(g: Digraph, r: int, targets: list[int]) -> list[int]:
-    """cover_masks[v] = bitmask over ``targets`` of N_r^+(v) intersected."""
-    _check_radius(r)
+    """cover_masks[v] = bitmask over ``targets`` of N_r^+(v) intersected;
+    the callers check r."""
     pos = {t: i for i, t in enumerate(targets)}
     masks = []
     for ball in _bfs_each(g._out, range(g.n), r):
@@ -156,9 +156,11 @@ def verify_scattered(g: Digraph, vertices: Iterable[int], r: int) -> bool:
 def verify_strongly_connected(g: Digraph, vertices: Iterable[int]) -> bool:
     """True when the induced subgraph on ``vertices`` is strongly connected.
 
-    Empty and singleton sets count as strongly connected.
+    Empty and singleton sets count as strongly connected.  A vertex
+    outside ``0..n-1`` raises ValueError.
     """
     vs = frozenset(vertices)
+    _check_vertices(g.n, vs)
     if len(vs) <= 1:
         return True
     start = min(vs)
@@ -168,8 +170,10 @@ def verify_strongly_connected(g: Digraph, vertices: Iterable[int]) -> bool:
 
 
 def dst_valid(g: Digraph, root: int, terminals: frozenset, solution: Iterable[int]) -> bool:
-    """True when root reaches every terminal inside G[{root} | T | S]."""
+    """True when root reaches every terminal inside G[{root} | T | S].
+    A vertex outside ``0..n-1`` raises ValueError, the root first."""
     allowed = frozenset(solution) | terminals | {root}
+    _check_vertices(g.n, (root, *allowed))
     return terminals <= out_ball(g, root, g.n, within=allowed)
 
 
@@ -207,6 +211,7 @@ def scss_exact_enum(g: Digraph, terminals: Iterable[int], budget: int,
     """Minimum S with G[T | S] strongly connected, by enumeration."""
     _check_cap("scss_exact_enum", g.n, max_n)
     term = frozenset(terminals)
+    _check_vertices(g.n, term)
     pool = [v for v in range(g.n) if v not in term]
     for s in _subsets_ascending(pool, min(budget, len(pool))):
         if verify_strongly_connected(g, term | set(s)):
@@ -217,8 +222,10 @@ def scss_exact_enum(g: Digraph, terminals: Iterable[int], budget: int,
 def redblue_exact_enum(g: Digraph, red: Iterable[int], blue: Iterable[int], r: int,
                        max_k: int = 4) -> Optional[frozenset]:
     """Minimum D inside blue with red contained in N_r^+(D), by enumeration."""
+    _check_radius(r)
     reds = sorted(set(red))
     blues = sorted(set(blue))
+    _check_vertices(g.n, reds + blues)
     if not reds:
         return frozenset()
     masks = _cover_masks(g, r, reds)

@@ -35,7 +35,7 @@ from .digraph import (
     parse_digraph,
     scc,
 )
-from .errors import InternalInvariantError, SizeCapError
+from .errors import InternalInvariantError, SizeCapError, _check_vertices
 from .oracles import dst_valid, verify_strongly_connected
 from .steiner_types import DstInstance
 
@@ -74,12 +74,16 @@ def preprocess_contract(inst: DstInstance, dead: frozenset = frozenset()
 def _lift(mapping: list[int], terminals, solution) -> frozenset:
     """A reduced instance's solution in the original's vertex ids: its
     vertices are non-terminals, which ``preprocess_contract`` never merges."""
-    inverse = {new: old for old, new in enumerate(mapping) if old not in terminals}
-    return frozenset(inverse[v] for v in solution)
+    return frozenset(old for old, new in enumerate(mapping)
+                     if new in solution and old not in terminals)
 
 
 def source_terminals(g: Digraph, terminals) -> frozenset:
-    """Terminals without an in-arc from another terminal."""
+    """Terminals without an in-arc from another terminal.
+
+    The terminals are not range-checked: this runs at every branching
+    node of ``dst_fpt``, whose terminals ``DstInstance`` has checked.
+    """
     term = frozenset(terminals)
     return frozenset(
         t for t in term if not any(u in term for u in g.in_neighbors(t))
@@ -164,6 +168,7 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
     """
     terminals = frozenset(terminals)
     sources = frozenset(sources)
+    _check_vertices(g.n, (root, *terminals))
     if not sources <= terminals:
         raise ValueError("sources must be terminals")
     if root in terminals:

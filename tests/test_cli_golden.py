@@ -31,15 +31,18 @@ GRAPHS = {
 }
 
 # subcommand arguments after the graph path; "RED" is replaced by a file
-# listing every third vertex
+# listing every third vertex, "BLUE" by one listing every vertex v with
+# v % 3 != 2, so RED is a subset of BLUE
 COMMANDS = {
     "wcol-r2": ("wcol", "--radius", "2"),
     "wcol-r3": ("wcol", "--radius", "3"),
     "wcol-r4": ("wcol", "--radius", "4"),
     "domset-r1": ("domset", "--radius", "1"),
     "domset-r1-red": ("domset", "--radius", "1", "--red", "RED"),
+    "domset-r1-red-blue": ("domset", "--radius", "1", "--red", "RED", "--blue", "BLUE"),
     "domset-r2": ("domset", "--radius", "2"),
     "domset-r2-red": ("domset", "--radius", "2", "--red", "RED"),
+    "domset-r2-red-blue": ("domset", "--radius", "2", "--red", "RED", "--blue", "BLUE"),
     "kernel-r1-k3": ("kernel", "--radius", "1", "--budget", "3"),
     "kernel-r2-k3": ("kernel", "--radius", "2", "--budget", "3", "--emit-core"),
 }
@@ -51,8 +54,10 @@ EXPECTED = {
     ("random60-1", "wcol-r4"): (0, "dc7a6548563c9b8a"),
     ("random60-1", "domset-r1"): (0, "429b3fbb1a78809c"),
     ("random60-1", "domset-r1-red"): (0, "885546380111198f"),
+    ("random60-1", "domset-r1-red-blue"): (0, "7fcdbdca26460367"),
     ("random60-1", "domset-r2"): (0, "249f0123d2ae682f"),
     ("random60-1", "domset-r2-red"): (0, "19c0dec9c73c8b1f"),
+    ("random60-1", "domset-r2-red-blue"): (0, "19c0dec9c73c8b1f"),
     ("random60-1", "kernel-r1-k3"): (1, "7044f7c7c23bfb5c"),
     ("random60-1", "kernel-r2-k3"): (0, "1e4dc7f17968e933"),
     ("random60-2", "wcol-r2"): (0, "6b6ab58028416b9a"),
@@ -60,8 +65,10 @@ EXPECTED = {
     ("random60-2", "wcol-r4"): (0, "a8cc095198d10c03"),
     ("random60-2", "domset-r1"): (0, "a8e25dcd636e5a12"),
     ("random60-2", "domset-r1-red"): (0, "15a82c7e234ec10c"),
+    ("random60-2", "domset-r1-red-blue"): (0, "756bf30398c2fcfe"),
     ("random60-2", "domset-r2"): (0, "7846da240f534c6c"),
     ("random60-2", "domset-r2-red"): (0, "2800cc185db14a24"),
+    ("random60-2", "domset-r2-red-blue"): (0, "c26c61bd11534129"),
     ("random60-2", "kernel-r1-k3"): (1, "1d8ac4b1784673bc"),
     ("random60-2", "kernel-r2-k3"): (0, "f2adbe1bf3d99b1e"),
     ("random60-3", "wcol-r2"): (0, "ca7a361baef0f8da"),
@@ -69,8 +76,10 @@ EXPECTED = {
     ("random60-3", "wcol-r4"): (0, "08845c4aa5411caa"),
     ("random60-3", "domset-r1"): (0, "35a374bf84abdea3"),
     ("random60-3", "domset-r1-red"): (0, "6cfc5cfdc0fb1022"),
+    ("random60-3", "domset-r1-red-blue"): (0, "015c3896ec1fd6d2"),
     ("random60-3", "domset-r2"): (0, "922ca7291524d644"),
     ("random60-3", "domset-r2-red"): (0, "3bd0499509180861"),
+    ("random60-3", "domset-r2-red-blue"): (0, "077a0d95f5be4671"),
     ("random60-3", "kernel-r1-k3"): (1, "496ae152cc13b6d0"),
     ("random60-3", "kernel-r2-k3"): (0, "a206724b0dc463f2"),
     ("apex10", "wcol-r2"): (0, "bf04240516b6d250"),
@@ -78,8 +87,10 @@ EXPECTED = {
     ("apex10", "wcol-r4"): (0, "3ac8b4d83cee3f78"),
     ("apex10", "domset-r1"): (0, "0951840234cec72a"),
     ("apex10", "domset-r1-red"): (0, "68562fa238b9e817"),
+    ("apex10", "domset-r1-red-blue"): (0, "68562fa238b9e817"),
     ("apex10", "domset-r2"): (0, "534b0d17ad4b0f1d"),
     ("apex10", "domset-r2-red"): (0, "534b0d17ad4b0f1d"),
+    ("apex10", "domset-r2-red-blue"): (0, "534b0d17ad4b0f1d"),
     ("apex10", "kernel-r1-k3"): (0, "8aa5b9f01759814c"),
     ("apex10", "kernel-r2-k3"): (0, "7ff82667e27f2145"),
 }
@@ -91,8 +102,11 @@ def _digest(tmp_path, graph: str, command: str) -> tuple[int, str]:
     path.write_text(format_digraph(g))
     red = tmp_path / "red.txt"
     red.write_text("".join(f"{v}\n" for v in range(0, g.n, 3)))
+    blue = tmp_path / "blue.txt"
+    blue.write_text("".join(f"{v}\n" for v in range(g.n) if v % 3 != 2))
+    lists = {"RED": str(red), "BLUE": str(blue)}
     sub, *rest = COMMANDS[command]
-    return _run([sub, str(path)] + [str(red) if a == "RED" else a for a in rest])
+    return _run([sub, str(path)] + [lists.get(a, a) for a in rest])
 
 
 def _run(argv: list) -> tuple[int, str]:

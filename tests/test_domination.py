@@ -259,7 +259,7 @@ def _refuse(*args, **kwargs):
 
 def _greedy_all_all(g, r):
     members = {frozenset(in_ball(g, v, r)) for v in range(g.n)}
-    return _greedy_hitting_set(sorted(members, key=sorted), list(range(g.n)))
+    return _greedy_hitting_set(sorted(members, key=sorted), g.n)
 
 
 def test_redblue_gate_floor_skips_order(monkeypatch):
@@ -371,6 +371,9 @@ def rescan_greedy(members, blues):
 
 
 def _cover_outcome(fn, members, blues):
+    if fn is _greedy_hitting_set:
+        # the lazy greedy takes members already restricted to the blues
+        members, blues = [m & set(blues) for m in members], 10
     try:
         return fn(members, blues)
     except InfeasibleError:
@@ -407,17 +410,26 @@ def test_lazy_greedy_ignores_the_order_of_the_members(members, blues, rnd):
 def test_lazy_greedy_ties_and_stall():
     # 1 and 2 both hit two sets: the smaller index wins, then 3 is needed
     members = [frozenset({1, 2}), frozenset({1, 2}), frozenset({3})]
-    assert _greedy_hitting_set(members, [3, 2, 1]) == frozenset({1, 3})
+    assert _greedy_hitting_set(members, 4) == frozenset({1, 3})
     assert rescan_greedy(members, [3, 2, 1]) == frozenset({1, 3})
     # stale gains: 5 starts best, then 6 and 7 tie on what is left
     members = [frozenset({5, 6}), frozenset({5, 7}), frozenset({5}),
                frozenset({6, 8}), frozenset({7, 8})]
     blues = [5, 6, 7, 8]
-    assert _greedy_hitting_set(members, blues) == rescan_greedy(members, blues)
+    assert _greedy_hitting_set(members, 9) == rescan_greedy(members, blues)
     # the second set has no blue member: both stall
-    for fn in (_greedy_hitting_set, rescan_greedy):
-        with pytest.raises(InfeasibleError):
-            fn([frozenset({0}), frozenset({4})], [0, 1])
+    with pytest.raises(InfeasibleError):
+        _greedy_hitting_set([frozenset({0}), frozenset()], 2)
+    with pytest.raises(InfeasibleError):
+        rescan_greedy([frozenset({0}), frozenset({4})], [0, 1])
+
+
+def test_lazy_greedy_never_picks_a_vertex_in_no_member():
+    # vertex n - 1 = 4 is in a member; 0, 1 and 3 are in none and, though
+    # smaller, are never picked
+    members = [frozenset({4}), frozenset({2, 4}), frozenset({2})]
+    assert _greedy_hitting_set(members, 5) == frozenset({2, 4})
+    assert rescan_greedy(members, range(5)) == frozenset({2, 4})
 
 
 # ---------------------------------------------------------------------------
