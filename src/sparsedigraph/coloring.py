@@ -423,11 +423,11 @@ def low_treedepth_coloring(g: Digraph, p: int) -> list[int]:
     """
     if p < 1:
         raise ValueError("class budget must be at least 1")
-    radius = 2 ** p
-    if radius > MAX_COLORING_RADIUS:
+    if p >= MAX_COLORING_RADIUS.bit_length():  # 2^p > cap, before 2^p is built
         raise SizeCapError(
             f"low_treedepth_coloring: radius 2^{p} exceeds cap {MAX_COLORING_RADIUS}"
         )
+    radius = 2 ** p
     res = compute_wcol_order(g, radius)
     sets = wreach_all(g, res.order, radius)
     colors = [-1] * g.n

@@ -11,8 +11,9 @@ neighborhood-complexity bound.
 
 The thresholds are astronomically conservative, which is what makes the
 procedure provably correct; at desk scale they mean the domination core
-is usually the whole vertex set.  Both thresholds accept overrides so
-the deeper phases can actually be exercised on crafted instances.
+is usually the whole vertex set.  Both thresholds are module functions,
+``complexity_threshold`` and ``default_core_threshold``, which tests
+replace so the deeper phases can be exercised on crafted instances.
 """
 from __future__ import annotations
 
@@ -76,13 +77,15 @@ def closure(g: Digraph, anchors, r: int,
     greedy construction blows its size budget (r-1) * xi * |anchors|, xi
     is doubled and the construction restarts.  Removed vertices are
     blocked in the searches rather than cut out of a rebuilt graph.  All
-    three contract properties are asserted on the way out.
+    three contract properties are asserted on the way out; xi < 1 is refused.
     """
     anchor_set = frozenset(anchors)
     _check_vertices(g.n, sorted(anchor_set))
     _check_radius(r, least=1)
     if xi is None:
-        xi = max(1, math.ceil(2 * grad_lower_bound(g)))
+        xi = _density_xi(g)
+    elif xi < 1:
+        raise ValueError(f"projection bound xi must be at least 1, got {xi}")
 
     outside = [v for v in range(g.n) if v not in anchor_set]
     while True:
@@ -385,11 +388,21 @@ def complexity_threshold(r: int, k: int, c: int) -> Callable[[int], int]:
     return q
 
 
-def default_core_threshold(g: Digraph, r: int, k: int, c: int) -> int:
-    """Size below which a target set is accepted as a core outright."""
-    xi = max(1, math.ceil(2 * grad_lower_bound(g)))
-    q = complexity_threshold(r, k, c)
-    return q(((r - 1) * xi + 1) * c * k) * (k + 2)
+def _density_xi(g: Digraph) -> int:
+    """Twice the greedy density lower bound, rounded up, and at least 1."""
+    return max(1, math.ceil(2 * grad_lower_bound(g)))
+
+
+def default_core_threshold(g: Digraph, r: int, k: int) -> int:
+    """Size below which a target set is accepted as a core outright; c is
+    the guarantee of ``compute_wcol_order(g, 2r)``.  The value is kept in
+    ``g._derived`` under ``("core_threshold", r, k)``, as orders are."""
+    key = ("core_threshold", r, k)
+    if key not in g._derived:
+        c = compute_wcol_order(g, 2 * r).guarantee
+        q = complexity_threshold(r, k, c)
+        g._derived[key] = q(((r - 1) * _density_xi(g) + 1) * c * k) * (k + 2)
+    return g._derived[key]
 
 
 @dataclass(frozen=True)
@@ -406,33 +419,27 @@ class ReduceOutcome:
     scattered_witness: Optional[tuple] = None
 
 
-def reduce_core(g: Digraph, core, r: int, k: int,
-                q_fn: Optional[Callable[[int], int]] = None,
-                small_threshold: Optional[int] = None) -> ReduceOutcome:
+def reduce_core(g: Digraph, core, r: int, k: int) -> ReduceOutcome:
     """Either refute k-domination, accept the core as small, or find a
     removable core vertex.
 
     Phase 1 alternates weak-reachability hulls with dominator-or-
     scattered calls on the stripped graph until a scattered set beats the
     complexity threshold; phase 2 buckets that set by distance profiles
-    towards the hull and picks a crowded bucket.  Both thresholds accept
-    overrides for testing; the defaults are the certified ones.
+    towards the hull and picks a crowded bucket.  Both thresholds are the
+    certified module functions, which tests replace.
     """
     targets = frozenset(core)
     first = dominator_or_scattered(g, targets, r, k)
     if first.kind == "scattered":
         return ReduceOutcome(kind="no-instance", scattered_witness=first.scattered)
-    c = first.guarantee
-    if small_threshold is None:
-        small_threshold = default_core_threshold(g, r, k, c)
-    if len(targets) <= small_threshold:
+    if len(targets) <= default_core_threshold(g, r, k):
         return ReduceOutcome(kind="small")
-    if q_fn is None:
-        q_fn = complexity_threshold(r, k, c)
+    q_fn = complexity_threshold(r, k, first.guarantee)
 
     hull_sets = wreach_all(g, first.order, r)
     current = frozenset(first.dominating)
-    for _ in range(c):
+    for _ in range(first.guarantee):
         hull = frozenset().union(*(hull_sets[y] for y in current))
         stripped = remove_vertices(g, hull)
         q_i = q_fn(len(hull))
@@ -470,18 +477,14 @@ class CoreResult:
     iterations: int = 0
 
 
-def domination_core(g: Digraph, r: int, k: int,
-                    q_fn: Optional[Callable[[int], int]] = None,
-                    small_threshold: Optional[int] = None) -> CoreResult:
+def domination_core(g: Digraph, r: int, k: int) -> CoreResult:
     """Shrink V(G) to a domination core by repeated single removals."""
     core = frozenset(range(g.n))
     removed: list[int] = []
     rounds = 0
     while True:
         rounds += 1
-        outcome = reduce_core(
-            g, core, r, k, q_fn=q_fn, small_threshold=small_threshold
-        )
+        outcome = reduce_core(g, core, r, k)
         if outcome.kind != "removable":  # "small" carries no witness
             refuted = outcome.kind == "no-instance"
             return CoreResult(
@@ -520,9 +523,7 @@ class KernelResult:
     threshold: int = 0
 
 
-def kernelize(g: Digraph, r: int, k: int,
-              q_fn: Optional[Callable[[int], int]] = None,
-              small_threshold: Optional[int] = None) -> KernelResult:
+def kernelize(g: Digraph, r: int, k: int) -> KernelResult:
     """Produce an equivalent standard-form distance-r domination instance.
 
     Vertices outside the core collapse to one representative per
@@ -530,14 +531,12 @@ def kernelize(g: Digraph, r: int, k: int,
     fresh vertices and length-r paths translate the annotated instance
     back to plain distance-r domination at budget k+1; a kernel past
     ``MAX_PARSE_N`` vertices raises SizeCapError before they are built.
+    ``threshold`` is ``default_core_threshold``'s memo in ``g._derived``.
     """
     _check_radius(r, least=1)
     if k < 0:
         raise ValueError("budget must be nonnegative")
-    if small_threshold is None and g.n:
-        c = compute_wcol_order(g, 2 * r).guarantee
-        small_threshold = default_core_threshold(g, r, k, c)
-    result = domination_core(g, r, k, q_fn=q_fn, small_threshold=small_threshold)
+    result = domination_core(g, r, k)
     if result.kind == "no-instance":  # the fixed trivially infeasible kernel
         core, reps, graph = frozenset(), (), Digraph(k + 2)
     else:
@@ -574,5 +573,5 @@ def kernelize(g: Digraph, r: int, k: int,
         representatives=reps,
         core=core,
         iterations=result.iterations,
-        threshold=small_threshold or 0,
+        threshold=default_core_threshold(g, r, k) if g.n else 0,
     )

@@ -310,8 +310,8 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
     Budgets are tried in increasing order, so a returned solution has
     globally minimum cardinality.  Each run is a depth-first search over
     an explicit stack, so its depth costs no Python frames; its node
-    count is checked against (d+1)^(budget*(d+1)) at every node, so a run
-    past the bound stops there.
+    count is checked against min((d+1)^(budget*(d+1)), 2^64) at every
+    node, so a run past the bound stops there.
 
     The high-degree threshold d is twice the degeneracy of the contracted
     host's underlying graph, computable at any size.  The peel reads each
@@ -354,7 +354,7 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
 
     nodes_per_budget = []
     solution = None
-    limit = 1  # (d+1)^(budget*(d+1)), one factor more per budget
+    limit = 1  # one factor (d+1)^(d+1) more per budget, up to 2^64: no run counts that far
     for budget in range(inst.budget + 1):
         nodes = 0
         found = None
@@ -403,7 +403,7 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
             if k_rem >= 1:
                 stack += [(alive, absorbed | {cand}, k_rem - 1) for cand in reversed(dominators)]
         nodes_per_budget.append(nodes)
-        limit *= (d + 1) ** (d + 1)
+        limit = min(limit * (d + 1) ** (d + 1), 2 ** 64)
         if found is not None:
             solution = _lift(mapping, inst.terminals, found)
             if not dst_valid(inst.graph, inst.root, inst.terminals, solution):

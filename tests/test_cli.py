@@ -122,6 +122,21 @@ def test_wcol_at_radius_ten_million_takes_no_memory(tmp_path, capsys):
     assert peak < 2**20
 
 
+def test_coloring_past_the_cap_is_refused_before_its_radius_is_built(tmp_path, capsys):
+    # 2^(10^8) would take 12 MiB, and its comparison with the cap longer
+    path = write_graph(tmp_path, directed_path(2))
+    assert run(capsys, "wcol", path, "--radius", "2", "--coloring", "6")[0] == 3  # load first
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "wcol", path, "--radius", "2", "--coloring", "100000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "radius 2^100000000 exceeds cap 32" in err
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("graph", [directed_path(3), Digraph(0)], ids=["path", "empty"])
 def test_wcol_radius_zero_is_answered(tmp_path, capsys, graph):
     # every vertex weakly 0-reaches only itself; this once exited 2

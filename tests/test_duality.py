@@ -39,6 +39,13 @@ def bidirected_star(leaves):
     return Digraph(leaves + 1, arcs)
 
 
+def force_thresholds(monkeypatch, small, q):
+    """Replace both certified thresholds: a target set of at most ``small``
+    vertices is a core, and every scattered-set threshold is ``q``."""
+    monkeypatch.setattr(duality, "default_core_threshold", lambda g, r, k: small)
+    monkeypatch.setattr(duality, "complexity_threshold", lambda r, k, c: lambda x: q)
+
+
 def all_minimum_dominators(g, r, targets):
     size, _ = gamma_r_exact(g, r, targets, max_n=20)
     balls = [out_ball(g, v, r) for v in range(g.n)]
@@ -131,6 +138,19 @@ def test_closure_radius_one_doubles_xi():
     res = closure(g, list(range(1, q + 1)), 1, xi=1)
     assert res.vertices == frozenset()
     assert res.xi >= q
+
+
+@pytest.mark.parametrize("xi", [0, -1])
+def test_closure_rejects_a_bound_below_one(xi):
+    # a bound below 1 gives a size budget of at most 0 that doubling never
+    # grows, so the construction would restart forever
+    g = directed_path(4)
+    with pytest.raises(ValueError, match=f"^projection bound xi must be at least 1, got {xi}$"):
+        closure(g, [0], 2, xi=xi)
+    with pytest.raises(ValueError, match="^vertex 4 out of range$"):
+        closure(g, [4], 2, xi=xi)  # the anchors are checked first, then the radius
+    with pytest.raises(ValueError, match="^radius must be at least 1$"):
+        closure(g, [0], 0, xi=xi)
 
 
 def test_closure_properties_on_random():
@@ -668,12 +688,10 @@ def test_reduce_core_refutes_scattered_instances():
     assert verify_scattered(g, out.scattered_witness, 1)
 
 
-def test_reduce_core_removable_on_star():
+def test_reduce_core_removable_on_star(monkeypatch):
     g = bidirected_star(8)
-    out = reduce_core(
-        g, range(g.n), 1, 1,
-        q_fn=lambda x: 2, small_threshold=0,
-    )
+    force_thresholds(monkeypatch, 0, 2)
+    out = reduce_core(g, range(g.n), 1, 1)
     assert out.kind == "removable"
     z = out.removable
     # the core property survives: every minimum dominator of the rest
@@ -683,7 +701,7 @@ def test_reduce_core_removable_on_star():
         assert verify_dominating(g, dom, 1, range(g.n))
 
 
-def test_reduce_core_removable_on_randoms():
+def test_reduce_core_removable_on_randoms(monkeypatch):
     # hub-and-leaves over a bidirected core: pairwise conflicts keep the
     # top level from refuting, while stripping the hull scatters the
     # leaves, which is exactly what the removable path needs
@@ -697,10 +715,9 @@ def test_reduce_core_removable_on_randoms():
         arcs += [(0, core_n + i) for i in range(leaves)]
         g = Digraph(n, arcs)
         k = rng.randint(1, 2)
+        force_thresholds(monkeypatch, 0, k + 1)
         try:
-            out = reduce_core(
-                g, range(n), 1, k, q_fn=lambda x: k + 1, small_threshold=0
-            )
+            out = reduce_core(g, range(n), 1, k)
         except InternalInvariantError:
             continue  # forced thresholds void the pigeonhole guarantee
         if out.kind != "removable":
@@ -730,9 +747,10 @@ def test_domination_core_apex_crown():
     assert size_core == size_full
 
 
-def test_domination_core_shrinks_star():
+def test_domination_core_shrinks_star(monkeypatch):
     g = bidirected_star(9)
-    res = domination_core(g, 1, 1, q_fn=lambda x: 2, small_threshold=7)
+    force_thresholds(monkeypatch, 7, 2)
+    res = domination_core(g, 1, 1)
     assert res.kind == "core"
     assert len(res.core) <= 7
     assert len(res.removed) == g.n - len(res.core)
@@ -740,8 +758,38 @@ def test_domination_core_shrinks_star():
         assert verify_dominating(g, dom, 1, range(g.n))
 
 
+def test_core_threshold_computed_once_per_graph(monkeypatch):
+    # only the scattered-set threshold is replaced, so the core threshold
+    # is 2 * (k + 2) = 6 and the star loses one leaf per round
+    calls = []
+    real = duality.grad_lower_bound
+    monkeypatch.setattr(duality, "grad_lower_bound", lambda h: calls.append(h) or real(h))
+    monkeypatch.setattr(duality, "complexity_threshold", lambda r, k, c: lambda x: 2)
+    g = bidirected_star(9)
+    res = domination_core(g, 1, 1)
+    assert (res.kind, res.removed, res.iterations) == ("core", (4, 3, 2, 1), 5)
+    assert calls == [g]
+    assert g._derived[("core_threshold", 1, 1)] == 6
+
+
 # ---------------------------------------------------------------------------
 # kernels
+
+
+def test_kernel_reports_the_core_threshold():
+    # the certified value, recomputed here from its definition
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        g = random_digraph(n, rng.randint(0, 2 * n), seed + 500)
+        r, k = rng.randint(1, 3), rng.randint(0, 4)
+        c = compute_wcol_order(g, 2 * r).guarantee
+        xi = max(1, math.ceil(2 * grad_lower_bound(g)))
+        expect = (k + 1) * ((r + 2) * c * ((r - 1) * xi + 1) * c * k) ** c * (k + 2)
+        res = kernelize(g, r, k)
+        assert res.threshold == duality.default_core_threshold(g, r, k) == expect
+        assert g._derived[("core_threshold", r, k)] == expect
+    assert kernelize(Digraph(0), 2, 1).threshold == 0
 
 
 def test_kernel_no_instance_propagation():
@@ -809,22 +857,22 @@ def test_kernel_graph_matches_set_built_reference(monkeypatch, r, with_reps):
             else frozenset(range(n))
         monkeypatch.setattr(duality, "domination_core", lambda *args, **kwargs: CoreResult(
             kind="core", core=core, removed=(), iterations=1))
-        res = kernelize(g, r, 2, small_threshold=0)
+        monkeypatch.setattr(duality, "default_core_threshold", lambda g, r, k: 0)
+        res = kernelize(g, r, 2)
         assert bool(res.representatives) == (core != frozenset(range(n)))
         ref = _set_built_kernel_graph(g, r, core, res.representatives)
         assert res.graph == ref and res.graph._in == ref._in and res.graph.m == ref.m
 
 
-def test_kernel_collapses_twins():
-    # many duplicate out-leaves collapse to one representative
-    center = 0
+def test_kernel_collapses_twins(monkeypatch):
+    # the out-leaves dropped from the core see no core vertex, so they
+    # collapse to one representative
     n = 8
-    arcs = [(i, center) for i in range(1, n)]
-    g = Digraph(n, arcs)
-    res = kernelize(
-        g, 1, 1, q_fn=lambda x: 2, small_threshold=1
-    )
-    if not res.infeasible:
-        assert res.graph.n < n + 2 + (n - 1)
-        k_dec = gamma_r_exact(res.graph, 1, max_n=60)[0] <= res.budget
-        assert k_dec == (gamma_r_exact(g, 1)[0] <= 1)
+    g = Digraph(n, [(0, i) for i in range(1, n)])
+    force_thresholds(monkeypatch, 5, 2)
+    res = kernelize(g, 1, 1)
+    assert not res.infeasible
+    assert (res.removed, res.representatives) == ((4, 3, 2), (2,))
+    assert res.graph.n < n + 2 + (n - 1)
+    k_dec = gamma_r_exact(res.graph, 1, max_n=60)[0] <= res.budget
+    assert k_dec == (gamma_r_exact(g, 1)[0] <= 1)

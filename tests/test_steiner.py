@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsedigraph import Digraph, DstInstance, apex_crown, directed_path, random_digraph
+from sparsedigraph import (Digraph, DstInstance, apex_crown, bidirected_clique, directed_path,
+                           random_digraph)
 from sparsedigraph import steiner
 from sparsedigraph.digraph import _bfs, degeneracy, remove_vertices
 from sparsedigraph.errors import InternalInvariantError, SizeCapError
@@ -793,6 +794,22 @@ def test_fpt_unreachable_terminal_runs_every_budget():
     res = dst_fpt(inst)
     assert res.solution is None
     assert res.nodes_per_budget == (1,) * 20001
+
+
+def test_fpt_node_bound_stays_small_over_many_budgets():
+    # d = 118 and an unreachable terminal: all 2001 budgets run one node
+    # each, and the exact bound (d+1)^(budget(d+1)) would grow to 200 KB
+    g = Digraph(62, [*bidirected_clique(60).arcs(), (60, 0)])
+    dst_fpt(DstInstance(g, 60, frozenset({61}), 1))  # fill the caches first
+    tracemalloc.start()
+    try:
+        res = dst_fpt(DstInstance(g, 60, frozenset({61}), 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.solution is None and res.degree_threshold == 118
+    assert res.nodes_per_budget == (1,) * 2001
+    assert peak < 2**18
 
 
 def test_fpt_apex_crown_root_through_apex():
