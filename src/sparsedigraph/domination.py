@@ -14,17 +14,17 @@ Every output is validated before it is returned.
 
 The strongly connected variant guesses a center v and a radius k, colors
 the strong k-ball of v blue, finds a red-blue dominator inside it, and
-stitches the result together with shortest paths through v.
+stitches the result together with shortest paths through v.  It keeps
+no all-pairs table: see ``scds_approx`` for its per-center pass.
 """
 from __future__ import annotations
 
 import heapq
-from functools import cache
 from typing import Iterable, Optional, Sequence
 
-from .digraph import Digraph, _bfs_each, _walk_back, in_distances
-from .errors import (InfeasibleError, InternalInvariantError, SizeCapError, _check_cap,
-                     _check_radius, _check_vertices)
+from .digraph import Digraph, _bfs, _bfs_each, _walk_back, in_distances
+from .errors import (InfeasibleError, InternalInvariantError, _check_cap, _check_radius,
+                     _check_vertices)
 from .oracles import verify_dominating, verify_strongly_connected
 
 UNREACHED = None  # distance-vector entry for "further than r"
@@ -140,8 +140,15 @@ def redblue_dominate_approx(g: Digraph, red: Iterable[int], blue: Iterable[int],
     _check_vertices(g.n, reds + sorted(blue_set))
     if not reds:
         return frozenset()
+    return _redblue_cover(g, reds, blue_set, _bfs_each(g._in, reds, r), r)
+
+
+def _redblue_cover(g: Digraph, reds: Sequence[int], blue_set: frozenset,
+                   balls: Iterable, r: int) -> frozenset:
+    """``redblue_dominate_approx`` once the reds' r-in-balls, ``balls`` in
+    the order of ``reds``, are known; ``scds_approx`` holds them already."""
     members = []
-    for v, ball in zip(reds, _bfs_each(g._in, reds, r)):
+    for v, ball in zip(reds, balls):
         trace = blue_set.intersection(ball)
         if not trace:
             raise InfeasibleError(f"red vertex {v} is not blue-dominated at radius {r}")
@@ -157,20 +164,28 @@ def redblue_dominate_approx(g: Digraph, red: Iterable[int], blue: Iterable[int],
 # ---------------------------------------------------------------------------
 # strongly connected distance-r dominating sets
 
-# largest all-pairs distance table, n^2 cells, that scds_approx builds
-MAX_SCDS_TABLE_CELLS = 1 << 22
-
 
 def scds_approx(g: Digraph, r: int, stats_out: Optional[dict] = None) -> frozenset:
     """Strongly connected set dominating every vertex within distance r.
 
-    Tries radii k = 1, 2, ... and every center; the best (smallest)
-    validated answer at the first feasible radius is returned.  When a
-    dict is passed as ``stats_out`` it receives that radius as
-    ``k_guess`` and the center as ``center`` (both None on the empty
-    graph).  A strongly connected graph whose distance table would have
-    more than ``MAX_SCDS_TABLE_CELLS`` cells raises SizeCapError before
-    the table is built.  A radius below 1 raises ValueError first.
+    A center c is feasible at radius k when its strong k-ball, the u with
+    d(c,u) <= k and d(u,c) <= k, meets every r-in-ball, so its first
+    feasible radius is k_c = max(1, max over v of min over u in B_r^-(v)
+    of max(d(c,u), d(u,c))).  Per center, an out-search and an in-search
+    capped at the least k_c so far, K, and a pass over the in-balls that
+    stops once it passes K give k_c.  Red-blue on the strong K-ball, fed
+    the same in-balls, and the stitch then run for the centers with
+    k_c = K, in center order; the smallest validated answer, the first on
+    ties, is returned, and ``stats_out`` (if given) receives K as
+    ``k_guess`` and its center as ``center`` (both None on the empty
+    graph).  A radius below 1 raises ValueError first.
+
+    The stitch joins each dominator w to c by the paths ``shortest_path``
+    returns: c -> w walked back on c's out-table, and w -> c on a search
+    from w along the arcs one step closer to c.  Those arcs hold exactly
+    the shortest w -> c paths, whose vertices a full search from w finds
+    in the same order.  Time is O(n (n + m + sum of |B_r^-(v)|)); memory
+    is O(n + m + sum of |B_r^-(v)|): the in-balls, one center's tables.
     """
     _check_radius(r, least=1)
     if g.n == 0:
@@ -179,42 +194,47 @@ def scds_approx(g: Digraph, r: int, stats_out: Optional[dict] = None) -> frozens
         return frozenset()
     if not verify_strongly_connected(g, range(g.n)):
         raise InfeasibleError("graph is not strongly connected")
-    if g.n * g.n > MAX_SCDS_TABLE_CELLS:
-        raise SizeCapError(f"scds_approx: {g.n}^2 = {g.n * g.n} distance table cells"
-                           f" exceed cap {MAX_SCDS_TABLE_CELLS}")
 
-    dist_from = list(_bfs_each(g._out, range(g.n)))
-    # discovery ranks of the tables walked
-    rank_from = cache(lambda src: {x: i for i, x in enumerate(dist_from[src])})
+    in_balls = [tuple(ball) for ball in _bfs_each(g._in, range(g.n), r)]
+    least, centers = g.n, []  # the least k_c so far and the centers reaching it
+    for c in range(g.n):
+        to_c, = _bfs_each(g._in, (c,), least)
+        from_c, = _bfs_each(g._out, (c,), least)
+        strong = [g.n] * g.n  # max(d(c,u), d(u,c)), or n past the caps
+        for u in from_c.keys() & to_c.keys():
+            strong[u] = max(from_c[u], to_c[u])
+        k_c = 1
+        for ball in in_balls:
+            k_c = max(k_c, min(map(strong.__getitem__, ball)))
+            if k_c > least:
+                break
+        if k_c < least:
+            least, centers = k_c, [c]
+        elif k_c == least:
+            centers.append(c)
 
-    best: Optional[frozenset] = None
-    best_center = None
-    for k in range(1, g.n + 1):
-        for center in range(g.n):
-            ball = frozenset(
-                u for u in range(g.n)
-                if dist_from[center].get(u, g.n + 1) <= k
-                and dist_from[u].get(center, g.n + 1) <= k
-            )
-            try:
-                core = redblue_dominate_approx(g, range(g.n), ball, r)
-            except InfeasibleError:
-                continue
-            stitched = set(core) | {center}
-            for w in sorted(core):
-                for src, v in ((center, w), (w, center)):
-                    stitched.update(_walk_back(g, dist_from[src], rank_from(src), v))
-            result = frozenset(stitched)
-            if not verify_dominating(g, result, r):
-                raise InternalInvariantError("stitched dominator lost coverage")
-            if not verify_strongly_connected(g, result):
-                raise InternalInvariantError("stitched dominator is not strongly connected")
-            if best is None or len(result) < len(best):
-                best = result
-                best_center = center
-        if best is not None:
-            if stats_out is not None:
-                stats_out["k_guess"] = k
-                stats_out["center"] = best_center
-            return best
-    raise InternalInvariantError("no radius produced a feasible ball")
+    best = best_center = None
+    for c in centers:
+        to_c, = _bfs_each(g._in, (c,), least)
+        from_c, = _bfs_each(g._out, (c,), least)
+        # arcs one step closer to c: from w they span the shortest w -> c paths
+        closer = lambda x: [y for y in g._out[x] if to_c.get(y) == to_c[x] - 1]
+        core = _redblue_cover(g, range(g.n), frozenset(from_c.keys() & to_c.keys()), in_balls, r)
+        stitched = set(core) | {c}
+        if best is not None and len(stitched) >= len(best):
+            continue  # the stitch only adds to core and c: no smaller answer
+        rank = {x: i for i, x in enumerate(from_c)}
+        for w in core:
+            back = _bfs(closer, (w,))
+            stitched.update(_walk_back(g, from_c, rank, w))
+            stitched.update(_walk_back(g, back, {x: i for i, x in enumerate(back)}, c))
+        result = frozenset(stitched)
+        if not verify_dominating(g, result, r):
+            raise InternalInvariantError("stitched dominator lost coverage")
+        if not verify_strongly_connected(g, result):
+            raise InternalInvariantError("stitched dominator is not strongly connected")
+        if best is None or len(result) < len(best):
+            best, best_center = result, c
+    if stats_out is not None:
+        stats_out.update(k_guess=least, center=best_center)
+    return best

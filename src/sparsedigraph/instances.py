@@ -10,7 +10,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .digraph import Digraph
+from .digraph import MAX_PARSE_N, Digraph
+from .errors import SizeCapError
 
 
 def directed_path(n: int) -> Digraph:
@@ -93,7 +94,11 @@ FAMILIES = {
 
 @dataclass(frozen=True)
 class InstanceRecipe:
-    """A reproducible description of a generated instance."""
+    """A reproducible description of a generated instance.
+
+    A recipe whose graph would have more vertices than any reader accepts,
+    ``digraph.MAX_PARSE_N``, raises SizeCapError when it is made.
+    """
 
     family: str
     size: int
@@ -108,6 +113,11 @@ class InstanceRecipe:
         if self.family == "random":
             if self.seed is None or self.arcs is None:
                 raise ValueError("random recipes need arcs and seed")
+        n = self.size  # the vertex count, before anything is built
+        if self.family in ("crown", "apex-crown"):
+            n += self.size * (self.size - 1) // 2 + (self.family == "apex-crown")
+        if n > MAX_PARSE_N:
+            raise SizeCapError(f"{self.describe()}: {n} vertices exceed cap {MAX_PARSE_N}")
 
     def build(self) -> Digraph:
         extra = (self.arcs, self.seed) if self.family == "random" else ()

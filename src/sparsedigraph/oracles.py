@@ -15,7 +15,7 @@ Caps default to desk scale; pass ``max_n`` explicitly to go past them
 """
 from __future__ import annotations
 
-from math import ceil
+from math import ceil, comb
 from typing import Iterable, Optional
 
 from .digraph import Digraph, _bfs, _bfs_each, _bits, in_ball, out_ball
@@ -219,18 +219,31 @@ def scss_exact_enum(g: Digraph, terminals: Iterable[int], budget: int,
     return None
 
 
+# most blue subsets redblue_exact_enum tries: those of up to 4 of 71 blues
+MAX_REDBLUE_SUBSETS = 1 << 20
+
+
 def redblue_exact_enum(g: Digraph, red: Iterable[int], blue: Iterable[int], r: int,
                        max_k: int = 4) -> Optional[frozenset]:
-    """Minimum D inside blue with red contained in N_r^+(D), by enumeration."""
+    """Minimum D inside blue with red contained in N_r^+(D), by enumeration.
+
+    The blue subsets of up to ``max_k`` vertices are counted first; more
+    than ``MAX_REDBLUE_SUBSETS`` of them raises SizeCapError.
+    """
     _check_radius(r)
     reds = sorted(set(red))
     blues = sorted(set(blue))
     _check_vertices(g.n, reds + blues)
     if not reds:
         return frozenset()
+    k = min(max_k, len(blues))
+    subsets = sum(comb(len(blues), i) for i in range(k + 1))
+    if subsets > MAX_REDBLUE_SUBSETS:
+        raise SizeCapError(f"redblue_exact_enum: {subsets} blue subsets of up to {max_k}"
+                           f" vertices exceed cap {MAX_REDBLUE_SUBSETS}")
     masks = _cover_masks(g, r, reds)
     full = (1 << len(reds)) - 1
-    for s in _subsets_ascending(blues, min(max_k, len(blues))):
+    for s in _subsets_ascending(blues, k):
         acc = 0
         for v in s:
             acc |= masks[v]

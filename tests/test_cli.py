@@ -84,6 +84,21 @@ def test_gen_to_file(tmp_path, capsys):
     assert parse_digraph(target.read_text()).n == 6
 
 
+@pytest.mark.parametrize("family, size, n", [("path", "1000001", 1000001),
+                                             ("crown", "1415", 1001820)])
+def test_gen_past_the_parse_cap_is_refused_before_building(capsys, monkeypatch,
+                                                           family, size, n):
+    # no reader accepts more than MAX_PARSE_N vertices, so gen builds none
+    from sparsedigraph import instances
+
+    def refuse(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(instances, "Digraph", refuse)
+    assert run(capsys, "gen", family, size) == (
+        3, "", f"size cap: recipe {family} {size}: {n} vertices exceed cap 1000000\n")
+
+
 def test_wcol_tfa(tmp_path, capsys):
     path = write_graph(tmp_path, random_digraph(12, 30, 3))
     code, out, _ = run(capsys, "wcol", path, "--radius", "2")
@@ -280,15 +295,19 @@ def test_domset_scds_infeasible(tmp_path, capsys):
     assert "infeasible" in err
 
 
-def test_domset_scds_table_past_cap_exits_size_cap(tmp_path, capsys, monkeypatch):
-    from sparsedigraph import domination
+def test_domset_oracle_ratio_past_the_subset_cap_exits_size_cap(tmp_path, capsys,
+                                                                monkeypatch):
+    from sparsedigraph import oracles
 
-    path = write_graph(tmp_path, Digraph(3, [(0, 1), (1, 2), (2, 0)]))
-    monkeypatch.setattr(domination, "MAX_SCDS_TABLE_CELLS", 8)  # n = 3: 9 cells
-    code, out, err = run(capsys, "domset", path, "--radius", "1", "--scds")
-    assert code == 3
-    assert out == ""
-    assert "exceed cap 8" in err
+    path = write_graph(tmp_path, directed_path(6))
+    code, out, _ = run(capsys, "domset", path, "--radius", "1", "--oracle-ratio")
+    assert code == 0 and json_out(out)["ratio_vs_oracle"] == 1.0
+    # 6 blues: 1 + 6 + 15 + 20 + 15 = 57 subsets of up to 4 vertices
+    monkeypatch.setattr(oracles, "MAX_REDBLUE_SUBSETS", 56)
+    code, out, err = run(capsys, "domset", path, "--radius", "1", "--oracle-ratio")
+    assert (code, out) == (3, "")
+    assert err == ("size cap: redblue_exact_enum: 57 blue subsets of up to 4 vertices"
+                   " exceed cap 56\n")
 
 
 def test_kernel_roundtrip(tmp_path, capsys):

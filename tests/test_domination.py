@@ -1,6 +1,7 @@
 """Distance profiles, VC dimension, and the domination approximations."""
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -436,10 +437,16 @@ def test_lazy_greedy_never_picks_a_vertex_in_no_member():
 # strongly connected domination
 
 
+def bidirected_star(n):
+    return Digraph(n, [(0, i) for i in range(1, n)] + [(i, 0) for i in range(1, n)])
+
+
 def test_scds_bidirected_star():
-    arcs = [(0, i) for i in range(1, 5)] + [(i, 0) for i in range(1, 5)]
-    g = Digraph(5, arcs)
-    assert scds_approx(g, 1) == frozenset({0})
+    # vertex 0 dominates from its strong 0-ball, yet radii start at 1
+    for g in (bidirected_star(5), Digraph(1)):
+        stats = {}
+        assert scds_approx(g, 1, stats_out=stats) == frozenset({0})
+        assert stats == {"k_guess": 1, "center": 0}
 
 
 def scds_exact_enum(g, r, max_size):
@@ -467,21 +474,29 @@ def test_scds_cycle():
 def test_scds_requires_strong_connectivity():
     with pytest.raises(InfeasibleError):
         scds_approx(directed_path(4), 1)
-
-
-def test_scds_distance_table_cap(monkeypatch):
-    from sparsedigraph import domination
-
-    cycle = Digraph(6, [(i, (i + 1) % 6) for i in range(6)])
-    monkeypatch.setattr(domination, "MAX_SCDS_TABLE_CELLS", 35)  # n = 6: 36 cells
-    # the cap is checked before any table is built
-    monkeypatch.setattr(domination, "_bfs_each", None)
-    with pytest.raises(SizeCapError, match="36 distance table cells exceed cap 35"):
-        scds_approx(cycle, 1)
-    # the empty graph and a graph that is not strongly connected keep their answers
-    assert scds_approx(Digraph(0), 1) == frozenset()
     with pytest.raises(InfeasibleError):
         scds_approx(directed_path(7), 1)
+    # the empty graph is strongly connected, with an empty answer
+    assert scds_approx(Digraph(0), 1) == frozenset()
+
+
+def hamiltonian_random(n, m, seed):
+    """``random_digraph(n, m, seed)`` plus the cycle 0 -> 1 -> ... -> n-1 -> 0."""
+    g = random_digraph(n, m, seed)
+    return Digraph(n, set(g.arcs()) | {(i, (i + 1) % n) for i in range(n)})
+
+
+def test_scds_keeps_no_all_pairs_table():
+    # an n x n table of distance dicts peaks at 4.2 MiB on this graph (13.2 MiB
+    # at n = 400); one center's tables and the in-balls take 0.25 MiB
+    g = hamiltonian_random(300, 600, 3)
+    tracemalloc.start()
+    try:
+        scds_approx(g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_scds_random_strong_instances():
@@ -507,9 +522,9 @@ def test_scds_random_strong_instances():
 
 
 def _scds_shortest_path_stitch(g, r):
-    """The stitch that ran two fresh shortest-path searches per core
-    vertex, kept as the reference for the one along ``dist_from``:
-    returns (set, k_guess, center)."""
+    """The k-by-center search over an all-pairs table, whose stitch runs
+    two fresh shortest-path searches per core vertex, kept as the
+    reference for ``scds_approx``: returns (set, k_guess, center)."""
     dist_from = [out_distances(g, v) for v in range(g.n)]
     for k in range(1, g.n + 1):
         best = best_center = None
@@ -546,7 +561,9 @@ def strong_hosts(draw):
     return Digraph(n, arcs | {(i, (i + 1) % n) for i in range(n)})
 
 
-@given(strong_hosts(), st.integers(1, 2))
+@given(strong_hosts(), st.integers(1, 3))
+@example(Digraph(1), 1)
+@example(bidirected_star(6), 2)
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_scds_stitch_matches_shortest_path_reference(g, r):
     stats = {}

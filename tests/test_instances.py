@@ -14,6 +14,7 @@ from sparsedigraph import (
     directed_path,
     random_digraph,
 )
+from sparsedigraph.errors import SizeCapError
 
 
 def crown_subdivision_vertex(q: int, i: int, j: int) -> int:
@@ -132,3 +133,16 @@ def test_recipe_roundtrip():
         InstanceRecipe("random", 6)
     with pytest.raises(ValueError):
         InstanceRecipe("moebius", 6)
+
+
+@pytest.mark.parametrize("family, size", [
+    ("path", 10**6), ("bidirected-clique", 10**6), ("random", 10**6),
+    ("crown", 1413), ("apex-crown", 1413),  # 998991 and 998992 vertices
+])
+def test_recipe_past_the_parse_cap_is_refused(family, size):
+    # MAX_PARSE_N = 10^6 vertices or just below is accepted, one more size
+    # is refused, and neither recipe builds anything
+    extra = {"arcs": 0, "seed": 1} if family == "random" else {}
+    InstanceRecipe(family, size, **extra)
+    with pytest.raises(SizeCapError, match="vertices exceed cap 1000000"):
+        InstanceRecipe(family, size + 1, **extra)

@@ -230,3 +230,18 @@ def test_redblue_enum():
     assert redblue_exact_enum(g, red=[0, 2], blue=[0, 1], r=1) == frozenset({0, 1})
     assert redblue_exact_enum(g, red=[], blue=[0], r=1) == frozenset()
     assert redblue_exact_enum(g, red=[0], blue=[3], r=1) is None
+
+
+def test_redblue_enum_counts_its_subsets_before_it_searches(monkeypatch):
+    from sparsedigraph import oracles
+
+    g = directed_path(6)
+    # up to 2 of 6 blues: 1 + 6 + 15 = 22 subsets
+    monkeypatch.setattr(oracles, "MAX_REDBLUE_SUBSETS", 22)
+    assert redblue_exact_enum(g, range(6), range(6), 1, max_k=2) is None
+    monkeypatch.setattr(oracles, "MAX_REDBLUE_SUBSETS", 21)
+    monkeypatch.setattr(oracles, "_cover_masks", None)
+    with pytest.raises(SizeCapError, match="22 blue subsets of up to 2 vertices exceed cap 21"):
+        redblue_exact_enum(g, range(6), range(6), 1, max_k=2)
+    # no red needs no subset
+    assert redblue_exact_enum(g, [], range(6), 1, max_k=2) == frozenset()
