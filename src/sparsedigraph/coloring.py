@@ -231,49 +231,70 @@ def adm_exact(g: Digraph, r: int, max_n: int = 9) -> tuple[int, LinearOrder]:
 # transitive fraternal augmentations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Augmentation:
     """Layered arc sets E_1..E_depth over the base graph's vertices.
 
     E_1 re-orients the base arcs; deeper layers hold the oriented
     fraternal/transitive closures.  No two arcs of the layers join the
     same two vertices, in either direction, so a vertex's out-degrees
-    summed over the layers are its out-degree in the union.  ``graphs[i]``
-    is E_{i+1} as a ``Digraph``, the last one has an arc, and every layer
-    past ``len(graphs)`` is empty; ``layers`` derives all ``depth`` arc
-    frozensets for the definition checker in ``acceptance``.
+    summed over the layers are its out-degree in the union.  ``out[i][u]``
+    lists u's out-neighbors in E_{i+1} in no particular order, as the
+    peel left them; the last layer in ``out`` has an arc, and every layer
+    past ``len(out)`` is empty.  Both views are derived on each access,
+    and nothing on the order's path reads them: ``graphs``, each layer as
+    a ``Digraph`` (this is where the rows get sorted), and ``layers``, all
+    ``depth`` arc frozensets, for the definition checker in ``acceptance``.
 
     ``partners[u]`` is the set of vertices that some layer joins to u in
     either direction: the union's undirected adjacency, which
     ``order_from_augmentation`` peels.  ``tfa_augment`` hands over the
-    closure's own sets without a copy, so they are read-only by contract:
-    nothing may change them.  The field is required and takes no part in
-    ``==`` or ``repr``.
+    closure's own lists and sets without a copy, so ``out`` and
+    ``partners`` are read-only by contract: nothing may change them.
+    ``==`` and ``hash`` compare n, depth and the layers' arcs, so neither
+    row order nor the partner sets count; ``repr`` shows n and depth.
     """
 
     n: int
     depth: int
-    graphs: tuple[Digraph, ...]
-    partners: tuple[set, ...] = field(compare=False, repr=False)
+    out: tuple[list, ...] = field(repr=False)
+    partners: tuple[set, ...] = field(repr=False)
+
+    @property
+    def graphs(self) -> tuple[Digraph, ...]:
+        return tuple(Digraph.__new__(Digraph)._fill(self.n, [sorted(a) for a in rows])
+                     for rows in self.out)
 
     @property
     def layers(self) -> tuple[frozenset, ...]:
-        return (tuple(frozenset(h.arcs()) for h in self.graphs)
-                + (frozenset(),) * (self.depth - len(self.graphs)))
+        return (tuple(frozenset((u, v) for u, heads in enumerate(rows) for v in heads)
+                      for rows in self.out)
+                + (frozenset(),) * (self.depth - len(self.out)))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Augmentation)
+                and (self.n, self.depth, self.layers) == (other.n, other.depth, other.layers))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.depth, self.layers))
 
 
 def tfa_augment(g: Digraph, r: int) -> Augmentation:
     """Depth-r transitive fraternal augmentation of g.
 
     Layer t (for t >= 2) closes every fraternal pattern (w,u) in E_j1,
-    (w,v) in E_j2 and every transitive pattern (u,v) in E_j1, (v,w) in
+    (w,v) in E_j2 and every transitive pattern (u,w) in E_j1, (w,v) in
     E_j2 with j1 + j2 = t, provided the base graph joins the new pair by
     a directed path of length at most t in some direction and the pair is
-    not already augmented.  Each layer's pairs go as undirected lists,
-    sorted ascending, through ``_peel_lists``, whose live-neighbor lists
-    are the layer's out-lists towards the vertices peeled later; they
-    fill its ``Digraph`` as they are, and later layers index its adjacency
-    tuples.  A layer that gains no pair is filled with no peel.
+    not already augmented.  Every layer is kept as ``_peel_lists`` returns
+    its live lists, the out-lists towards the vertices peeled later: layer
+    1 peels the partner sets below, the base graph's underlying adjacency,
+    and a later layer peels its pairs, listed at both ends in the order
+    the closure finds them.  The closure reads out-lists only, so no
+    in-list, ``Digraph`` or sorted row is made per layer; the peel's
+    removal order and the set in each live list do not depend on row
+    order, so neither do the layers' arcs.  A layer that gains no pair is
+    kept with no peel.
 
     ``partners[u]`` is the set of vertices that some layer so far pairs
     with u: a proposed pair is new when v is not in ``partners[u]``, and
@@ -281,72 +302,75 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     or both ways.  The sets become ``Augmentation.partners``, the union
     that ``order_from_augmentation`` peels; they are handed over as they
     are, not frozen.
-    Transitive patterns are scanned for every split j1 + j2 = t;
-    fraternal ones only once per unordered split: out_j1(w) x out_j2(w)
-    for j1 < j2, the 2-combinations of the one out-list for j1 = j2, and
-    none for j1 > j2, which the split (j2, j1) already proposes.  A
-    pattern with u == v would need the pair {u, w} joined twice, or u
-    twice in one out-list, so none arises and none is tested for.
+    Transitive patterns are walked source-major, u, then w in out_j1(u),
+    then v in out_j2(w), for every split j1 + j2 = t; fraternal ones only
+    once per unordered split: out_j1(w) x out_j2(w) for j1 < j2, the
+    2-combinations of the one out-list for j1 = j2, and none for j1 > j2,
+    which the split (j2, j1) already proposes.  A pattern with u == v
+    would need the pair {u, w} joined twice, or u twice in one out-list,
+    so none arises and none is tested for.  The distance tables, r-capped
+    out-searches from every vertex, are made after layer 1's peel and
+    dropped before layer r's, so neither of those peels holds memory
+    beside them.
 
     Once layers a .. 2a - 1 are all empty, so is every later one: each
     split j1 + j2 = t >= 2a has its larger part in a .. t - 1, empty by
-    induction.  The loop stops there, and ``graphs`` ends at the last
-    layer with an arc; the depth r is kept only in ``Augmentation.depth``,
-    so a radius past the closure's depth costs no time or memory.  A
-    closure that never empties still scans every split of every layer,
+    induction.  The loop stops there, and ``out`` ends at the last layer
+    with an arc; the depth r is kept only in ``Augmentation.depth``, so a
+    radius past the closure's depth costs no time or memory.  A closure
+    that never empties still scans every split of every layer,
     O(r^2 * n) before any candidate pair.
     """
     if r < 1:
         raise ValueError("augmentation depth must be at least 1")
     n = g.n
-    dist = list(_bfs_each(g._out, range(n), r))
+    partners = [{*o, *i} for o, i in zip(g._out, g._in)]
+    if not g.m:
+        return Augmentation(n, r, (), tuple(partners))
+    layers = [_peel_lists(partners)[1]]
+    dist = list(_bfs_each(g._out, range(n), r)) if r > 1 else None
     far = r + 1
 
-    # ascending neighbor lists peel into ascending out-lists, as ``_fill`` needs
-    und = [g.underlying_neighbors(v) for v in range(n)]
-    layers = [Digraph.__new__(Digraph)._fill(n, _peel_lists(und)[1] if g.m else und)]
-    partners = [set(a) for a in und]
-
-    empty_from = 2 if layers[0].m else 1  # the trailing run of empty layers starts here
+    empty_from = 2  # the trailing run of empty layers starts here
     for t in range(2, r + 1):
         if t >= 2 * empty_from:
             break
         und = [[] for _ in range(n)]  # this layer's pairs, listed at both ends
         for j1 in range(1, t):
             j2 = t - j1
-            i1 = layers[j1 - 1]._in
-            o1 = layers[j1 - 1]._out
-            o2 = layers[j2 - 1]._out
-            for w in range(n):
-                ends = o2[w]
-                if not ends:
-                    continue
-                # transitive: u -> w in E_j1 followed by w -> v in E_j2, every split;
-                # fraternal: w -> u in E_j1 and w -> v in E_j2, the split j1 <= j2 only
-                for u in i1[w] + o1[w] if j1 < j2 else i1[w]:
-                    pu = partners[u]
-                    du = dist[u]
-                    for v in ends:
+            o1, o2 = layers[j1 - 1], layers[j2 - 1]
+            # transitive: u -> w in E_j1 followed by w -> v in E_j2, every split
+            for u, mids in enumerate(o1):
+                pu = partners[u]
+                du = dist[u]
+                for w in mids:
+                    for v in o2[w]:
                         if v not in pu and (du.get(v, far) <= t or dist[v].get(u, far) <= t):
                             pu.add(v)
                             partners[v].add(u)
                             und[u].append(v)
                             und[v].append(u)
-                if j1 == j2:
-                    for u, v in combinations(ends, 2):
-                        if v not in partners[u] and (
-                            dist[u].get(v, far) <= t or dist[v].get(u, far) <= t
-                        ):
-                            partners[u].add(v)
-                            partners[v].add(u)
-                            und[u].append(v)
-                            und[v].append(u)
+            if j1 > j2:
+                continue
+            # fraternal: w -> u in E_j1 and w -> v in E_j2, the split j1 <= j2 only
+            for starts, ends in zip(o1, o2):
+                if not ends:
+                    continue
+                for u, v in (combinations(ends, 2) if j1 == j2
+                             else ((u, v) for u in starts for v in ends)):
+                    if v not in partners[u] and (
+                        dist[u].get(v, far) <= t or dist[v].get(u, far) <= t
+                    ):
+                        partners[u].add(v)
+                        partners[v].add(u)
+                        und[u].append(v)
+                        und[v].append(u)
+        if t == r:
+            dist = None  # the last closure has run
         if any(und):
-            for a in und:
-                a.sort()
             und = _peel_lists(und)[1]
             empty_from = t + 1
-        layers.append(Digraph.__new__(Digraph)._fill(n, und))
+        layers.append(und)
 
     return Augmentation(n, r, tuple(layers[:empty_from - 1]), tuple(partners))
 
@@ -358,7 +382,7 @@ class WcolOrder:
     ``guarantee`` bounds every weak-reachability set of the order at the
     augmentation depth: (max_outdegree + 1) * smaller_neighbors + 1.  The
     augmentation itself is not kept: orders are memoised on their graph,
-    and its layer graphs would live as long.
+    and its layers would live as long.
     """
 
     order: LinearOrder
@@ -372,12 +396,12 @@ def order_from_augmentation(g: Digraph, aug: Augmentation) -> WcolOrder:
 
     The union is never built as a graph.  The smallest-last peel runs on
     ``aug.partners``, and d, the union's largest out-degree, is the
-    largest sum of a vertex's out-degrees over the layers, which the
-    never-twice invariant of the layers makes exact.
+    largest sum of a vertex's out-list lengths over ``aug.out``, which
+    the never-twice invariant of the layers makes exact.
     """
     if aug.n != g.n:
         raise ValueError("augmentation does not fit the graph")
-    d = max(map(sum, zip(*(map(len, h._out) for h in aug.graphs))), default=0)
+    d = max(map(sum, zip(*(map(len, rows) for rows in aug.out))), default=0)
     c, order, _ = _smallest_last(aug.partners)
     return WcolOrder(order=order, guarantee=(d + 1) * c + 1, smaller_neighbors=c, max_outdegree=d)
 
@@ -389,8 +413,9 @@ def compute_wcol_order(g: Digraph, r: int) -> WcolOrder:
     the same graph object and radius return the same ``WcolOrder`` in
     O(1); the first call costs the augmentation plus the bucket-queue
     peel of the union the augmentation's partner sets already hold,
-    O(n + m' log n) for m' union arcs, with no rebuild of the union.  The
-    computation is deterministic, so the memo changes no output.
+    O(n + m' log n) for m' union arcs, with no rebuild of the union and
+    no ``Digraph`` built at all.  The computation is deterministic, so
+    the memo changes no output.
 
     At r = 0 the augmentation has no layers: the order is the peel of the
     edgeless union, with guarantee 1, since every vertex weakly 0-reaches

@@ -62,8 +62,8 @@ class Digraph:
         free of duplicates and of u, with entries in ``0..n-1``.  The tails
         are visited in ascending order, so the in-lists come out sorted.
         Package code builds these: ``contract`` and ``induced_subgraph``
-        here, the kernel graph in ``duality`` and, from the peel's live
-        lists, the augmentation's layer graphs in ``coloring``.
+        here, the kernel graph in ``duality`` and, from the layers' sorted
+        rows, ``Augmentation.graphs`` in ``coloring``.
         """
         inc: list[list[int]] = [[] for _ in range(n)]
         for u, heads in enumerate(out):
@@ -525,12 +525,16 @@ def _peel_lists(neighbors: Sequence[Collection[int]]) -> tuple[list[int], list[l
     ``neighbors[v]`` lists v's neighbors, repeats counting with
     multiplicity, and v appears in ``neighbors[u]`` as often as u in
     ``neighbors[v]``; a ``set`` is read in its iteration order.  The
-    lists are only read, so ``Augmentation.partners``, the closure's own
-    sets, are peeled as they are, with no copy.
+    lists are only read, so the augmentation's partner sets are peeled
+    as they are, with no copy.
     ``len(later[v])`` is v's degree at its removal, so the degrees in
-    removal order are ``[len(later[v]) for v in removed]``.  For ascending
-    lists without repeats, ``later[v]`` is v's out-list in the orientation
-    towards the vertices removed after it, ready for ``Digraph._fill``.
+    removal order are ``[len(later[v]) for v in removed]``.  Without
+    repeats, ``later[v]`` is v's out-list in the orientation towards the
+    vertices removed after it.  Rows need not be ascending: row order
+    moves only the order within each ``later[v]``, never ``removed`` or
+    the set ``later[v]`` holds, so ``coloring.tfa_augment`` keeps its
+    layers unsorted.  Ascending rows give ascending live lists, ready for
+    ``Digraph._fill``; ``Augmentation.graphs`` sorts the layers' rows.
 
     Each step removes the live vertex of smallest current degree, ties
     broken towards the smallest index.  A bucket queue (Matula and Beck
@@ -582,11 +586,12 @@ def _smallest_last(und: Sequence[Collection[int]]) -> tuple[int, LinearOrder, li
 
     Returns ``(d, order, out)``.  ``order`` is the peel reversed, and
     ``out[u]`` keeps u's neighbors earlier in ``order`` (those removed
-    after u) in ``und[u]``'s order: ``_peel_lists``' live lists, so
-    ascending lists give out-lists ready for ``Digraph._fill``.  d, the
-    largest degree at removal, is the length of the longest of them, so
-    every vertex has at most d earlier neighbors.  Like the peel, it only
-    reads ``und`` and costs O(n + m log n).
+    after u) in ``und[u]``'s order: ``_peel_lists``' live lists, so only
+    their order within each row depends on ``und``'s, and ascending lists
+    give out-lists ready for ``Digraph._fill``.  d, the largest degree at
+    removal, is the length of the longest of them, so every vertex has at
+    most d earlier neighbors.  Like the peel, it only reads ``und`` and
+    costs O(n + m log n).
     """
     removed, later = _peel_lists(und)
     return max(map(len, later), default=0), LinearOrder(removed[::-1]), later

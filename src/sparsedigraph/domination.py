@@ -235,6 +235,8 @@ def scds_approx(g: Digraph, r: int, stats_out: Optional[dict] = None) -> frozens
             raise InternalInvariantError("stitched dominator is not strongly connected")
         if best is None or len(result) < len(best):
             best, best_center = result, c
+            if len(best) == 1:
+                break  # every answer holds its center, and ties keep the first
     if stats_out is not None:
         stats_out.update(k_guess=least, center=best_center)
     return best

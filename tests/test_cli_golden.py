@@ -23,11 +23,25 @@ from test_steiner import planted_hub_instance
 
 TIMING_LINE = re.compile(r'^  "timing_ms": .*\n', re.M)
 
+
+def _bidirected_grid(k: int) -> Digraph:
+    """The k x k grid with both arcs along every edge: planar, the paper's
+    bounded-expansion class; vertex i * k + j sits in row i, column j."""
+    arcs = set()
+    for v in range(k * k):
+        if v % k + 1 < k:
+            arcs |= {(v, v + 1), (v + 1, v)}
+        if v + k < k * k:
+            arcs |= {(v, v + k), (v + k, v)}
+    return Digraph(k * k, arcs)
+
+
 GRAPHS = {
     "random60-1": lambda: random_digraph(60, 180, 1),
     "random60-2": lambda: random_digraph(60, 180, 2),
     "random60-3": lambda: random_digraph(60, 180, 3),
     "apex10": lambda: apex_crown(10),
+    "grid8": lambda: _bidirected_grid(8),
 }
 
 # subcommand arguments after the graph path; "RED" is replaced by a file
@@ -93,6 +107,17 @@ EXPECTED = {
     ("apex10", "domset-r2-red-blue"): (0, "534b0d17ad4b0f1d"),
     ("apex10", "kernel-r1-k3"): (0, "8aa5b9f01759814c"),
     ("apex10", "kernel-r2-k3"): (0, "7ff82667e27f2145"),
+    ("grid8", "wcol-r2"): (0, "da8684b88936a6b6"),
+    ("grid8", "wcol-r3"): (0, "ea23defe580825bf"),
+    ("grid8", "wcol-r4"): (0, "9384e6077f15b022"),
+    ("grid8", "domset-r1"): (0, "c9a8d7fd07af537d"),
+    ("grid8", "domset-r1-red"): (0, "8d498f145a215b06"),
+    ("grid8", "domset-r1-red-blue"): (0, "8d498f145a215b06"),
+    ("grid8", "domset-r2"): (0, "4538d583f14ae4f8"),
+    ("grid8", "domset-r2-red"): (0, "e713befce73b19f0"),
+    ("grid8", "domset-r2-red-blue"): (0, "0e88e6f9f29348df"),
+    ("grid8", "kernel-r1-k3"): (1, "09031cf59e617054"),
+    ("grid8", "kernel-r2-k3"): (1, "d9039c4251ef5213"),
 }
 
 

@@ -422,13 +422,15 @@ def test_order_from_augmentation_matches_union_digraph(n, raw_layers):
     d, union = _layer_union(n, graphs)
     assert union == partners
     c, order, _ = degeneracy(Digraph(n, frozenset().union(*layers)))
-    aug = Augmentation(n=n, depth=len(layers), graphs=graphs, partners=tuple(partners))
+    # the layers' rows in descending order: row order must not matter
+    out = tuple([sorted(h.out_neighbors(u), reverse=True) for u in range(n)] for h in graphs)
+    aug = Augmentation(n=n, depth=len(layers), out=out, partners=tuple(partners))
     res = order_from_augmentation(Digraph(n), aug)
     assert (res.order, res.smaller_neighbors, res.max_outdegree) == (order, c, d)
     assert res.guarantee == (d + 1) * c + 1
 
 
-# The pair-list augmentation the layer graphs replaced, kept as a
+# The pair-list augmentation the peeled layers replaced, kept as a
 # reference: per-layer out/in sets, fresh pairs sorted into undirected
 # neighbor lists and peeled directly, and the union peeled the same way.
 
@@ -538,8 +540,10 @@ def test_augmentation_arc_views_match_layer_graphs(g, r):
     layers = aug.layers
     assert len(layers) == r and len(aug.graphs) <= r
     assert not aug.graphs or aug.graphs[-1].m
-    for h, layer in zip(aug.graphs, layers):
+    assert len(aug.out) == len(aug.graphs)
+    for rows, h, layer in zip(aug.out, aug.graphs, layers):
         assert h == Digraph(g.n, layer)
+        assert [sorted(a) for a in rows] == [list(a) for a in h._out]
     assert not any(layers[len(aug.graphs):])
 
 
@@ -551,6 +555,7 @@ def test_wcol_order_reads_no_arc_view(monkeypatch):
     g = random_digraph(200, 600, 1)
     expected = order_from_augmentation(g, tfa_augment(g, 3))
     monkeypatch.setattr(Augmentation, "layers", property(_refuse_arc_view))
+    monkeypatch.setattr(Augmentation, "graphs", property(_refuse_arc_view))
     assert compute_wcol_order(random_digraph(200, 600, 1), 3) == expected
 
 
@@ -615,14 +620,16 @@ def test_partner_sets_are_the_layer_union(g, r):
         union[u].add(v)
         union[v].add(u)
     assert list(aug.partners) == union
-    # the partner sets take no part in ``==``, ``hash`` or ``repr``
-    other = Augmentation(n=aug.n, depth=aug.depth, graphs=aug.graphs, partners=())
+    # neither the partner sets nor row order takes part in ``==``, ``hash``
+    # or ``repr``
+    out = tuple([a[::-1] for a in rows] for rows in aug.out)
+    other = Augmentation(n=aug.n, depth=aug.depth, out=out, partners=())
     assert other == aug and hash(other) == hash(aug) and repr(other) == repr(aug)
 
 
 def test_augmentation_requires_partner_sets():
     with pytest.raises(TypeError):
-        Augmentation(n=1, depth=1, graphs=(Digraph(1),))
+        Augmentation(n=1, depth=1, out=([[]],))
 
 
 _TINY_GRAPHS = [
@@ -669,21 +676,23 @@ def test_wcol_order_memory_is_flat_in_the_radius():
 
 
 def test_augmentation_builds_no_layer_past_its_closure(monkeypatch):
+    # every split j1 + j2 = t walks E_j1's out-lists once, with
+    # ``enumerate``: the count stops growing where the closure stops, short
+    # of the 39 * 40 / 2 splits of layers 2..40
     g = random_digraph(30, 60, 4)
-    fills = []
-    real = Digraph._fill
+    scans = []
 
-    def counted(self, n, out):
-        fills.append(n)
-        return real(self, n, out)
+    def counted(rows):
+        scans.append(rows)
+        return enumerate(rows)
 
-    monkeypatch.setattr(Digraph, "_fill", counted)
+    monkeypatch.setattr(coloring, "enumerate", counted, raising=False)
     counts = []
     for r in (40, 400, 4000):
-        fills.clear()
+        scans.clear()
         tfa_augment(g, r)
-        counts.append(len(fills))
-    assert counts[0] == counts[1] == counts[2] < 40
+        counts.append(len(scans))
+    assert 0 < counts[0] == counts[1] == counts[2] < 39 * 40 // 2
 
 
 def test_order_guarantee_holds():
@@ -753,18 +762,22 @@ def test_coloring_radius_cap():
         low_treedepth_coloring(directed_path(4), 9)
 
 
+def _refuse_digraph(*args, **kwargs):
+    raise AssertionError("the wcol order builds no Digraph")
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_wcol_order_fills_one_graph_per_layer(monkeypatch, r):
-    # the layers are the only graphs built: no graph of a layer's new
-    # pairs, none of the union
+def test_wcol_order_builds_no_digraph(monkeypatch, r):
+    # the layers stay the peel's out-lists: no graph of a layer, of its
+    # new pairs or of the union is built; the derived views still match
+    # the pair-list reference
     g = random_digraph(200, 600, 1)
-    fill = Digraph._fill
-    calls = []
-
-    def counting_fill(self, n, out):
-        calls.append(n)
-        return fill(self, n, out)
-
-    monkeypatch.setattr(Digraph, "_fill", counting_fill)
-    compute_wcol_order(g, r)
-    assert len(calls) == r
+    monkeypatch.setattr(Digraph, "__init__", _refuse_digraph)
+    monkeypatch.setattr(Digraph, "_fill", _refuse_digraph)
+    aug = tfa_augment(g, r)
+    res = compute_wcol_order(g, r)
+    monkeypatch.undo()
+    ref_layers = _ref_tfa_augment(g, r)
+    assert aug.layers == tuple(ref_layers)
+    assert aug.graphs == tuple(Digraph(g.n, layer) for layer in ref_layers[:len(aug.graphs)])
+    assert (res.order, res.smaller_neighbors, res.max_outdegree) == _ref_order(g.n, ref_layers)

@@ -438,12 +438,23 @@ def multigraph_lists(draw, max_n=30):
     return nbrs
 
 
-@given(multigraph_lists())
+@given(multigraph_lists(), st.randoms(use_true_random=False))
 @settings(max_examples=400, deadline=None, derandomize=True)
-def test_bucket_peel_matches_heap_peel(nbrs):
+def test_bucket_peel_matches_heap_peel(nbrs, rnd):
     removed, later = _peel_lists(nbrs)
     assert isinstance(removed, list) and isinstance(later, list)
     assert (removed, later) == _heap_peel_reference(nbrs)
+    # row order moves nothing but the order within each live list: rows
+    # shuffled, and the simple graph's rows as sets, as the augmentation
+    # hands them over
+    shuffled = _peel_lists([rnd.sample(a, len(a)) for a in nbrs])
+    assert shuffled[0] == removed
+    assert list(map(sorted, shuffled[1])) == list(map(sorted, later))
+    simple = [sorted(set(a)) for a in nbrs]
+    removed, later = _peel_lists(simple)
+    as_sets = _peel_lists([set(a) for a in simple])
+    assert as_sets[0] == removed
+    assert list(map(set, as_sets[1])) == list(map(set, later))
 
 
 @pytest.mark.parametrize("nbrs", [

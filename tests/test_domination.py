@@ -441,12 +441,26 @@ def bidirected_star(n):
     return Digraph(n, [(0, i) for i in range(1, n)] + [(i, 0) for i in range(1, n)])
 
 
-def test_scds_bidirected_star():
-    # vertex 0 dominates from its strong 0-ball, yet radii start at 1
+def test_scds_bidirected_star(monkeypatch):
+    # vertex 0 dominates from its strong 0-ball, yet radii start at 1; on
+    # the star all five centers tie at k = 1, but nothing beats {0}, so
+    # red-blue runs for center 0 alone
+    import sparsedigraph.domination as dom
+
+    covers = []
+    real = dom._redblue_cover
+
+    def counted(*args):
+        covers.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dom, "_redblue_cover", counted)
     for g in (bidirected_star(5), Digraph(1)):
+        covers.clear()
         stats = {}
         assert scds_approx(g, 1, stats_out=stats) == frozenset({0})
         assert stats == {"k_guess": 1, "center": 0}
+        assert len(covers) == 1
 
 
 def scds_exact_enum(g, r, max_size):
