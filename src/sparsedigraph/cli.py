@@ -122,8 +122,7 @@ def _cmd_wcol(args) -> tuple[int, dict]:
 
 def _cmd_minor(args) -> tuple[int, dict]:
     g = _read_graph(args.graph)
-    pattern = instances.crown(args.crown)
-    model = minors.is_depth_r_minor(pattern, g, args.depth, max_n=args.max_n)
+    model = minors.crown_model(g, args.crown, args.depth, max_n=args.max_n)
     found = model is not None
     report = {"crown": args.crown, "depth": args.depth, "found": found}
     if found:
@@ -185,7 +184,7 @@ def _cmd_kernel(args) -> tuple[int, dict]:
         "budget": args.budget,
         "kernel_budget": res.budget,
         "infeasible": res.infeasible,
-        "core_size": res.core_size,
+        "core_size": len(res.core),
         "removed": list(res.removed),
         "representatives": list(res.representatives),
         "iterations": res.iterations,

@@ -185,6 +185,8 @@ def _max_disjoint(groups: list[list[frozenset]]) -> int:
 def adm_of_order(g: Digraph, order: LinearOrder, v: int, r: int) -> int:
     """Largest family of length-<=r paths leaving v towards L-smaller
     endpoints, pairwise meeting only in v."""
+    if len(order) != g.n:
+        raise ValueError("order size does not match the graph")
     _check_radius(r)
     _check_vertices(g.n, (v,))
     smaller = frozenset(
@@ -241,42 +243,28 @@ class Augmentation:
     summed over the layers are its out-degree in the union.  ``out[i][u]``
     lists u's out-neighbors in E_{i+1} in no particular order, as the
     peel left them; the last layer in ``out`` has an arc, and every layer
-    past ``len(out)`` is empty.  Both views are derived on each access,
-    and nothing on the order's path reads them: ``graphs``, each layer as
-    a ``Digraph`` (this is where the rows get sorted), and ``layers``, all
-    ``depth`` arc frozensets, for the definition checker in ``acceptance``.
+    past ``len(out)`` is empty.  ``layers``, all ``depth`` arc frozensets
+    for the definition checker in ``acceptance`` and the benchmark's arc
+    count, is derived on each access; nothing on the order's path reads
+    it.
 
     ``partners[u]`` is the set of vertices that some layer joins to u in
     either direction: the union's undirected adjacency, which
-    ``order_from_augmentation`` peels.  ``tfa_augment`` hands over the
-    closure's own lists and sets without a copy, so ``out`` and
-    ``partners`` are read-only by contract: nothing may change them.
-    ``==`` and ``hash`` compare n, depth and the layers' arcs, so neither
-    row order nor the partner sets count; ``repr`` shows n and depth.
+    ``order_from_augmentation`` peels, and ``len(partners)`` is the
+    vertex count.  ``tfa_augment`` hands over the closure's own lists and
+    sets without a copy, so ``out`` and ``partners`` are read-only by
+    contract: nothing may change them.  Equality is identity.
     """
 
-    n: int
     depth: int
     out: tuple[list, ...] = field(repr=False)
     partners: tuple[set, ...] = field(repr=False)
-
-    @property
-    def graphs(self) -> tuple[Digraph, ...]:
-        return tuple(Digraph.__new__(Digraph)._fill(self.n, [sorted(a) for a in rows])
-                     for rows in self.out)
 
     @property
     def layers(self) -> tuple[frozenset, ...]:
         return (tuple(frozenset((u, v) for u, heads in enumerate(rows) for v in heads)
                       for rows in self.out)
                 + (frozenset(),) * (self.depth - len(self.out)))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Augmentation)
-                and (self.n, self.depth, self.layers) == (other.n, other.depth, other.layers))
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.depth, self.layers))
 
 
 def tfa_augment(g: Digraph, r: int) -> Augmentation:
@@ -326,7 +314,7 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
     n = g.n
     partners = [{*o, *i} for o, i in zip(g._out, g._in)]
     if not g.m:
-        return Augmentation(n, r, (), tuple(partners))
+        return Augmentation(r, (), tuple(partners))
     layers = [_peel_lists(partners)[1]]
     dist = list(_bfs_each(g._out, range(n), r)) if r > 1 else None
     far = r + 1
@@ -372,7 +360,7 @@ def tfa_augment(g: Digraph, r: int) -> Augmentation:
             empty_from = t + 1
         layers.append(und)
 
-    return Augmentation(n, r, tuple(layers[:empty_from - 1]), tuple(partners))
+    return Augmentation(r, tuple(layers[:empty_from - 1]), tuple(partners))
 
 
 @dataclass(frozen=True)
@@ -399,7 +387,7 @@ def order_from_augmentation(g: Digraph, aug: Augmentation) -> WcolOrder:
     largest sum of a vertex's out-list lengths over ``aug.out``, which
     the never-twice invariant of the layers makes exact.
     """
-    if aug.n != g.n:
+    if len(aug.partners) != g.n:
         raise ValueError("augmentation does not fit the graph")
     d = max(map(sum, zip(*(map(len, rows) for rows in aug.out))), default=0)
     c, order, _ = _smallest_last(aug.partners)
@@ -427,7 +415,7 @@ def compute_wcol_order(g: Digraph, r: int) -> WcolOrder:
         if r:
             aug = tfa_augment(g, r)
         else:
-            aug = Augmentation(g.n, 0, (), tuple(set() for _ in range(g.n)))
+            aug = Augmentation(0, (), tuple(set() for _ in range(g.n)))
         g._derived[key] = order_from_augmentation(g, aug)
     return g._derived[key]
 

@@ -62,8 +62,7 @@ class Digraph:
         free of duplicates and of u, with entries in ``0..n-1``.  The tails
         are visited in ascending order, so the in-lists come out sorted.
         Package code builds these: ``contract`` and ``induced_subgraph``
-        here, the kernel graph in ``duality`` and, from the layers' sorted
-        rows, ``Augmentation.graphs`` in ``coloring``.
+        here and the kernel graph in ``duality``.
         """
         inc: list[list[int]] = [[] for _ in range(n)]
         for u, heads in enumerate(out):
@@ -533,8 +532,8 @@ def _peel_lists(neighbors: Sequence[Collection[int]]) -> tuple[list[int], list[l
     vertices removed after it.  Rows need not be ascending: row order
     moves only the order within each ``later[v]``, never ``removed`` or
     the set ``later[v]`` holds, so ``coloring.tfa_augment`` keeps its
-    layers unsorted.  Ascending rows give ascending live lists, ready for
-    ``Digraph._fill``; ``Augmentation.graphs`` sorts the layers' rows.
+    layers unsorted and never sorts them.  Ascending rows give ascending
+    live lists, ready for ``Digraph._fill``.
 
     Each step removes the live vertex of smallest current degree, ties
     broken towards the smallest index.  A bucket queue (Matula and Beck

@@ -162,7 +162,6 @@ class IndependenceTree:
         self.graph = g
         self.radius = radius
         self.nodes: list[_Node] = []
-        self.sequence: list[int] = []
         self._spine_of: list[int] = []  # node index -> its left spine
         self._tails: list[int] = []  # left spine -> its last node
         self._holders: dict[int, list[int]] = {}  # u -> nodes whose r-in-ball holds u
@@ -186,7 +185,6 @@ class IndependenceTree:
 
     def insert(self, v: int):
         _check_vertices(self.graph.n, (v,))
-        self.sequence.append(v)
         ball = _bfs(self.graph.in_neighbors, (v,), self.radius)
         spine_of = self._spine_of
         first: dict[int, int] = {}  # spine -> its first node that turns right
@@ -515,7 +513,6 @@ class KernelResult:
     graph: Digraph
     budget: int
     infeasible: bool
-    core_size: int
     removed: tuple
     representatives: tuple
     core: frozenset = frozenset()
@@ -568,7 +565,6 @@ def kernelize(g: Digraph, r: int, k: int) -> KernelResult:
         graph=graph,
         budget=k + 1,
         infeasible=result.kind == "no-instance",
-        core_size=len(core),
         removed=result.removed,
         representatives=reps,
         core=core,

@@ -191,9 +191,7 @@ def validate_model(h: Digraph, g: Digraph, r: int, model: DirectedModel) -> bool
 def is_depth_r_minor(h: Digraph, g: Digraph, r: int,
                      max_n: int = 12) -> Optional[DirectedModel]:
     """Exhaustive search for a directed model of h in g at depth r."""
-    _check_cap("is_depth_r_minor", g.n, max_n)
-    if r < 0:
-        raise ValueError("depth must be nonnegative")
+    _check_minor_search(g, r, max_n)
     if h.n == 0:
         return DirectedModel(r, {}, {}, {}, {})
     if h.n > g.n:
@@ -252,9 +250,26 @@ def is_depth_r_minor(h: Digraph, g: Digraph, r: int,
     return None
 
 
+def _check_minor_search(g: Digraph, r: int, max_n: int):
+    _check_cap("is_depth_r_minor", g.n, max_n)
+    if r < 0:
+        raise ValueError("depth must be nonnegative")
+
+
+def crown_model(g: Digraph, q: int, r: int, max_n: int = 12) -> Optional[DirectedModel]:
+    """A directed model of the order-q crown in g at depth r, or None.
+
+    A crown with more vertices than g, q + q(q-1)/2, is never built: it
+    answers None after the checks that come first (q, host cap, depth)."""
+    if q >= 2 and q + q * (q - 1) // 2 > g.n:
+        _check_minor_search(g, r, max_n)
+        return None
+    return is_depth_r_minor(crown(q), g, r, max_n=max_n)
+
+
 def contains_crown(g: Digraph, q: int, r: int, max_n: int = 12) -> bool:
     """Is the order-q crown a depth-r minor of g?"""
-    return is_depth_r_minor(crown(q), g, r, max_n=max_n) is not None
+    return crown_model(g, q, r, max_n=max_n) is not None
 
 
 # ---------------------------------------------------------------------------

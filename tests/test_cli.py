@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sparsedigraph import cli, duality, minors
+from sparsedigraph import cli, duality, instances, minors
 
 from sparsedigraph.cli import main
 from sparsedigraph import format_digraph, parse_digraph, random_digraph
@@ -89,8 +89,6 @@ def test_gen_to_file(tmp_path, capsys):
 def test_gen_past_the_parse_cap_is_refused_before_building(capsys, monkeypatch,
                                                            family, size, n):
     # no reader accepts more than MAX_PARSE_N vertices, so gen builds none
-    from sparsedigraph import instances
-
     def refuse(*args):
         raise AssertionError("a graph was built")
 
@@ -190,6 +188,36 @@ def test_minor_found_and_not(tmp_path, capsys):
     code, out, _ = run(capsys, "minor", path2, "--crown", "3", "--depth", "2")
     assert code == 1
     assert json_out(out)["found"] is False
+
+
+@pytest.mark.parametrize("command, depth, depth_error", [
+    (["minor"], "--depth", "depth must be nonnegative"),
+    (["oracle", "crown"], "--radius", "radius must be nonnegative"),
+], ids=["minor", "oracle"])
+def test_crown_larger_than_the_host_is_not_built(tmp_path, capsys, monkeypatch,
+                                                  command, depth, depth_error):
+    path = write_graph(tmp_path, directed_path(4))
+
+    def call(q, *options):
+        return run(capsys, command[0], path, *command[1:], "--crown", str(q), *options)
+
+    # the checks that come first keep their order: crown order, host cap,
+    # depth (``oracle`` checks its radius before all three)
+    assert call(1, depth, "0", "--max-n", "3") == (2, "", "error: crown order must be at least 2\n")
+
+    def refuse(q):
+        raise AssertionError("a crown was built")
+
+    monkeypatch.setattr(minors, "crown", refuse)
+    monkeypatch.setattr(instances, "crown", refuse)
+    capped = (3, "", "size cap: is_depth_r_minor: size 4 exceeds cap 3; "
+                     "pass max_n to override (slow)\n")
+    assert call(100000, depth, "0", "--max-n", "3") == capped
+    if command == ["minor"]:
+        assert call(100000, depth, "-1", "--max-n", "3") == capped
+    assert call(100000, depth, "-1") == (2, "", f"error: {depth_error}\n")
+    code, out, err = call(100000, depth, "0")
+    assert (code, json_out(out)["found"], json_out(out)["crown"], err) == (1, False, 100000, "")
 
 
 def test_dst_fpt_and_exact(tmp_path, capsys):

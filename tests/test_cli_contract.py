@@ -10,9 +10,9 @@ a documented code and prints on stdout what that code promises.
   on stdout.
 
 Inputs are every subcommand on graphs with at most 6 vertices, with
-radii, budgets and the other integer options in -2..3, vertex lists with
-entries out of range, and graph and DST files with lines dropped,
-repeated or overwritten.
+radii, budgets and the other integer options in -2..3, crown orders up to
+10^6, vertex lists with entries out of range, and graph and DST files
+with lines dropped, repeated or overwritten.
 """
 import io
 import json
@@ -31,6 +31,9 @@ SMALL = st.sampled_from(["2", "1", "3", "0", "-1", "-2"])
 # a radius past MAX_PARSE_N: wcol and domset must not grow with it, and the
 # kernel refuses its length-r paths
 RADIUS = SMALL | st.just("1000000")
+# crown orders whose crown has more vertices than any fuzzed host: ``minor``
+# and ``oracle crown`` must answer from the order alone, building no crown
+CROWN = SMALL | st.integers(4, 10**6).map(str)
 TOKENS = st.sampled_from(["-1", "0", "2", "7", "x", "1.5", "", "digraph", "root", "budget",
                           "terminal", "99999999999"])
 
@@ -84,14 +87,15 @@ def graph_lines(draw):
 
 def options(draw, *flags, values=()):
     """Each flag of ``flags`` perhaps, and each option of ``values``
-    perhaps, with a value drawn from -2..3."""
+    perhaps, with a value drawn from -2..3, or from ``CROWN`` for
+    ``--crown``."""
     argv = []
     for flag in flags:
         if draw(st.booleans()):
             argv.append(flag)
     for option in values:
         if draw(st.booleans()):
-            argv += [option, draw(SMALL)]
+            argv += [option, draw(CROWN if option == "--crown" else SMALL)]
     return argv
 
 
@@ -118,7 +122,7 @@ def cli_runs(draw, command):
         argv = ["wcol", "{graph}", "--radius", draw(RADIUS)]
         argv += options(draw, "--exact", "--tfa", values=("--coloring", "--max-n"))
     elif command == "minor":
-        argv = ["minor", "{graph}", "--crown", draw(SMALL), "--depth", draw(SMALL)]
+        argv = ["minor", "{graph}", "--crown", draw(CROWN), "--depth", draw(SMALL)]
         argv += options(draw, values=("--max-n",))
     elif command == "dst":
         argv = ["dst", "{inst}"] + draw(st.sampled_from([[], ["--fpt"], ["--exact"],

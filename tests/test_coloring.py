@@ -240,6 +240,19 @@ def test_adm_of_order_range_checks_its_vertex(bad):
         adm_of_order(directed_path(3), LinearOrder.identity(3), bad, 1)
 
 
+@pytest.mark.parametrize("size", [3, 5])
+@pytest.mark.parametrize("call", [
+    lambda g, order: wreach_all(g, order, 1),
+    lambda g, order: wcol_of_order(g, order, 1),
+    lambda g, order: adm_of_order(g, order, 0, 1),
+], ids=["wreach_all", "wcol_of_order", "adm_of_order"])
+def test_order_of_another_size_is_refused(call, size):
+    # shorter and longer than the graph: no IndexError, no answer for
+    # another order
+    with pytest.raises(ValueError, match="^order size does not match the graph$"):
+        call(directed_path(4), LinearOrder.identity(size))
+
+
 def test_adm_edgeless():
     g = Digraph(5)
     order = LinearOrder.identity(5)
@@ -424,7 +437,7 @@ def test_order_from_augmentation_matches_union_digraph(n, raw_layers):
     c, order, _ = degeneracy(Digraph(n, frozenset().union(*layers)))
     # the layers' rows in descending order: row order must not matter
     out = tuple([sorted(h.out_neighbors(u), reverse=True) for u in range(n)] for h in graphs)
-    aug = Augmentation(n=n, depth=len(layers), out=out, partners=tuple(partners))
+    aug = Augmentation(depth=len(layers), out=out, partners=tuple(partners))
     res = order_from_augmentation(Digraph(n), aug)
     assert (res.order, res.smaller_neighbors, res.max_outdegree) == (order, c, d)
     assert res.guarantee == (d + 1) * c + 1
@@ -534,17 +547,16 @@ def test_augmentation_matches_pair_list_reference(g, r):
 @given(_GRAPHS, st.integers(1, 3))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_augmentation_arc_views_match_layer_graphs(g, r):
-    # the graphs end at the closure's last arc; the arc view runs on to
+    # the out-lists end at the closure's last arc; the arc view runs on to
     # depth r with empty layers
     aug = tfa_augment(g, r)
     layers = aug.layers
-    assert len(layers) == r and len(aug.graphs) <= r
-    assert not aug.graphs or aug.graphs[-1].m
-    assert len(aug.out) == len(aug.graphs)
-    for rows, h, layer in zip(aug.out, aug.graphs, layers):
-        assert h == Digraph(g.n, layer)
-        assert [sorted(a) for a in rows] == [list(a) for a in h._out]
-    assert not any(layers[len(aug.graphs):])
+    assert len(layers) == r and len(aug.out) <= r
+    assert not aug.out or any(aug.out[-1])
+    for rows, layer in zip(aug.out, layers):
+        # sorted, each layer's rows are its graph's: no repeats, no loops
+        assert [sorted(a) for a in rows] == [list(a) for a in Digraph(g.n, layer)._out]
+    assert not any(layers[len(aug.out):])
 
 
 def _refuse_arc_view(*args, **kwargs):
@@ -555,7 +567,6 @@ def test_wcol_order_reads_no_arc_view(monkeypatch):
     g = random_digraph(200, 600, 1)
     expected = order_from_augmentation(g, tfa_augment(g, 3))
     monkeypatch.setattr(Augmentation, "layers", property(_refuse_arc_view))
-    monkeypatch.setattr(Augmentation, "graphs", property(_refuse_arc_view))
     assert compute_wcol_order(random_digraph(200, 600, 1), 3) == expected
 
 
@@ -586,7 +597,7 @@ def test_augmentation_peels_each_nonempty_layer_once(monkeypatch, g, r):
     peels = _count_calls(monkeypatch, coloring, "_peel_lists")
     aug = tfa_augment(g, r)
     assert orders == []
-    assert len(peels) == sum(1 for h in aug.graphs if h.m)
+    assert len(peels) == sum(1 for layer in aug.layers if layer)
 
 
 def test_wcol_order_builds_one_linear_order(monkeypatch):
@@ -620,16 +631,16 @@ def test_partner_sets_are_the_layer_union(g, r):
         union[u].add(v)
         union[v].add(u)
     assert list(aug.partners) == union
-    # neither the partner sets nor row order takes part in ``==``, ``hash``
-    # or ``repr``
+    # row order does not reach the arc view; equality is identity
     out = tuple([a[::-1] for a in rows] for rows in aug.out)
-    other = Augmentation(n=aug.n, depth=aug.depth, out=out, partners=())
-    assert other == aug and hash(other) == hash(aug) and repr(other) == repr(aug)
+    other = Augmentation(depth=aug.depth, out=out, partners=aug.partners)
+    assert other.layers == aug.layers and other != aug
 
 
 def test_augmentation_requires_partner_sets():
+    assert len(Augmentation(depth=1, out=([[]],), partners=(set(),)).partners) == 1
     with pytest.raises(TypeError):
-        Augmentation(n=1, depth=1, out=([[]],))
+        Augmentation(depth=1, out=([[]],))
 
 
 _TINY_GRAPHS = [
@@ -654,10 +665,10 @@ def test_augmentation_past_its_closure_matches_pair_list_reference(g, r):
 
 @pytest.mark.parametrize("g", _TINY_GRAPHS, ids=["point", "path3", "pair-and-arc", "apex-crown3"])
 def test_large_radius_augmentation_is_a_padded_small_run(g):
-    # the layer graphs stop with the closure; only the arc view is padded
+    # the out-lists stop with the closure; only the arc view is padded
     small, big = tfa_augment(g, 12), tfa_augment(g, 2000)
     assert big.depth == len(big.layers) == 2000
-    assert big.graphs == small.graphs
+    assert (big.out, big.partners) == (small.out, small.partners)
     assert big.layers == small.layers + (frozenset(),) * (2000 - 12)
     assert order_from_augmentation(g, big) == order_from_augmentation(g, small)
 
@@ -769,7 +780,7 @@ def _refuse_digraph(*args, **kwargs):
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_wcol_order_builds_no_digraph(monkeypatch, r):
     # the layers stay the peel's out-lists: no graph of a layer, of its
-    # new pairs or of the union is built; the derived views still match
+    # new pairs or of the union is built; the arc view still matches
     # the pair-list reference
     g = random_digraph(200, 600, 1)
     monkeypatch.setattr(Digraph, "__init__", _refuse_digraph)
@@ -779,5 +790,4 @@ def test_wcol_order_builds_no_digraph(monkeypatch, r):
     monkeypatch.undo()
     ref_layers = _ref_tfa_augment(g, r)
     assert aug.layers == tuple(ref_layers)
-    assert aug.graphs == tuple(Digraph(g.n, layer) for layer in ref_layers[:len(aug.graphs)])
     assert (res.order, res.smaller_neighbors, res.max_outdegree) == _ref_order(g.n, ref_layers)

@@ -60,7 +60,7 @@ def test_span_hooks_accept_real_return_values():
     tracer = spans.Tracer()
     for name, (args, result) in calls.items():
         spans.HOOKS[name](tracer, args, result)
-    assert tracer.counters["coloring.aug_arcs"] == sum(h.m for h in aug.graphs)
+    assert tracer.counters["coloring.aug_arcs"] == sum(map(len, aug.layers))
     assert tracer.counters["coloring.wreach_total"] == sum(map(len, sets))
     assert tracer.counters["duality.anchors"] == len(duality.anchors)
     assert tracer.counters["steiner.dst_fpt.nodes"] == sum(fpt.nodes_per_budget)
