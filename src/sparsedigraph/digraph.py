@@ -16,7 +16,8 @@ The plain-text exchange format is::
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
@@ -172,12 +173,28 @@ class SccDecomposition:
     the members of component i (components are numbered by their smallest
     member, ascending).  ``diameters[i]`` is the largest directed distance
     between an ordered pair of vertices of component i, measured inside the
-    component; singletons have diameter 0.
+    component; singletons have diameter 0.  The diameters cost one search
+    per vertex of every component with two or more members, so they are
+    computed from ``graph``, the decomposed graph, on first read: a caller
+    that needs only the components pays for Tarjan's pass alone.
     """
 
     component_of: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
-    diameters: tuple[int, ...]
+    graph: Digraph = field(repr=False, compare=False)
+
+    @cached_property
+    def diameters(self) -> tuple[int, ...]:
+        found = []
+        for comp in self.components:
+            members = frozenset(comp)
+            diam = 0
+            if len(comp) > 1:
+                for v in comp:
+                    dist = out_distances(self.graph, v, within=members)
+                    diam = max(diam, max(dist.values()))
+            found.append(diam)
+        return tuple(found)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +384,7 @@ def _walk_back(g: Digraph, dist: dict[int, int], rank: dict[int, int], v: int) -
 
 
 def scc(g: Digraph) -> SccDecomposition:
-    """Tarjan's algorithm (iterative) plus per-component diameters."""
+    """Tarjan's algorithm (iterative); the diameters are read on demand."""
     n = g.n
     index = [-1] * n
     low = [0] * n
@@ -408,19 +425,10 @@ def scc(g: Digraph) -> SccDecomposition:
     for cid, comp in enumerate(comps):
         for v in comp:
             component_of[v] = cid
-    diameters = []
-    for comp in comps:
-        members = frozenset(comp)
-        diam = 0
-        if len(comp) > 1:
-            for v in comp:
-                dist = out_distances(g, v, within=members)
-                diam = max(diam, max(dist.values()))
-        diameters.append(diam)
     return SccDecomposition(
         component_of=tuple(component_of),
         components=tuple(tuple(c) for c in comps),
-        diameters=tuple(diameters),
+        graph=g,
     )
 
 

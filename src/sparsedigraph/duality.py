@@ -394,12 +394,14 @@ def _density_xi(g: Digraph) -> int:
 def default_core_threshold(g: Digraph, r: int, k: int) -> int:
     """Size below which a target set is accepted as a core outright; c is
     the guarantee of ``compute_wcol_order(g, 2r)``.  The value is kept in
-    ``g._derived`` under ``("core_threshold", r, k)``, as orders are."""
+    ``g._derived`` under ``("core_threshold", r, k)``, as orders are.
+    The density bound's factor r - 1 is 0 at r = 1, where it is not peeled."""
     key = ("core_threshold", r, k)
     if key not in g._derived:
         c = compute_wcol_order(g, 2 * r).guarantee
         q = complexity_threshold(r, k, c)
-        g._derived[key] = q(((r - 1) * _density_xi(g) + 1) * c * k) * (k + 2)
+        spread = (r - 1) * _density_xi(g) if r > 1 else 0
+        g._derived[key] = q((spread + 1) * c * k) * (k + 2)
     return g._derived[key]
 
 

@@ -25,6 +25,7 @@ from typing import Optional
 
 from .digraph import (
     Digraph,
+    SccDecomposition,
     _bfs,
     _content_lines,
     _smallest_last,
@@ -52,11 +53,19 @@ def preprocess_contract(inst: DstInstance, dead: frozenset = frozenset()
     ``remove_vertices(inst.graph, dead)``.  If that changes nothing,
     the reduced instance shares ``inst.graph`` (see ``contract``).
     """
+    reduced, mapping, dec = _contract_terminal_sccs(inst, dead)
+    return reduced, mapping, max(dec.diameters, default=0)
+
+
+def _contract_terminal_sccs(inst: DstInstance, dead: frozenset = frozenset()
+                            ) -> tuple[DstInstance, list[int], SccDecomposition]:
+    """``preprocess_contract`` with G[T]'s decomposition in place of s,
+    for the callers that drop s: its diameters, one search per vertex of
+    each terminal component, are computed only if read."""
     g = inst.graph
     term = sorted(inst.terminals)
     sub, old_of = induced_subgraph(g, term)
     dec = scc(sub)
-    s = max(dec.diameters, default=0)
     blocks = [
         [old_of[v] for v in comp] for comp in dec.components if len(comp) > 1
     ]
@@ -68,7 +77,7 @@ def preprocess_contract(inst: DstInstance, dead: frozenset = frozenset()
         terminals=new_terminals,
         budget=inst.budget,
     )
-    return reduced, mapping, s
+    return reduced, mapping, dec
 
 
 def _lift(mapping: list[int], terminals, solution) -> frozenset:
@@ -131,15 +140,21 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
     improve no lane.
 
     Each row dp[mask] is one int with a w-bit lane per vertex: lane v is
-    bits w*v to w*v + w - 1.  A split is merged into the row for all
-    vertices at once: with ``high`` holding bit w - 1 of every lane, the
-    lanes of ``((acc | high) - cand) & high`` are set exactly where
-    cand <= acc, and subtracting that shifted down by w - 1 widens each
-    set bit into a mask of its lane's low w - 1 bits, which selects
-    cand.  The row starts at INF in every lane, so acc <= INF and
-    cand <= 2 * INF; w is the narrowest of 8, 16 and 32 with
-    2 * INF < 2^(w-1), so both stay below bit w - 1 and no subtraction
-    borrows across lanes.  With k >= 1 the cell cap keeps
+    bits w*v to w*v + w - 1.  A split's candidate cand = dp[sub] +
+    dp[rest], rest = mask ^ sub, is merged into the row for all vertices
+    at once, and only the accumulator carries a guard: it starts at INF
+    plus ``high``, bit w - 1, in every lane.  Its lanes, less the guard,
+    only fall from INF, so acc_v <= INF, and a row's lanes hold at most
+    INF, so cand_v <= 2 * INF.  w is the narrowest of 8, 16 and 32 with
+    4 * INF < 2^w, that is 2 * INF < 2^(w-1), so every lane of
+    d = acc - cand, 2^(w-1) + acc_v - cand_v, lies strictly between 0
+    and 2^w: no subtraction borrows across lanes, and the guard bit of d
+    survives exactly where cand_v <= acc_v.  With t = d & high,
+    ``t - (t >> (w-1))`` widens each surviving guard into a mask of its
+    lane's low w - 1 bits, which select acc_v - cand_v from d, and
+    subtracting that sets acc_v to cand_v and keeps the guard: seven
+    operations on n-lane ints per split, and ``^ high`` drops the guards
+    after the last one.  With k >= 1 the cell cap keeps
     n <= MAX_SUBSET_DP_CELLS / 2, so 32 bits always suffice.  The merge
     costs O(3^k) operations on n-lane ints, O(3^k * n * w / 64) word
     steps with a small constant.
@@ -151,6 +166,18 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
     non-terminal into the next one.  Vertices leave in (dist, v) order,
     the order of one heap keyed by both, so the tie-break does not
     depend on the queue; a mask costs O(INF + n + m log n), INF <= n + 1.
+
+    The buckets are seeded only with vertices whose first pop can lower
+    a lane.  A singleton mask seeds its source alone.  A merged row M
+    seeds only its paid vertices (the non-terminals), in ascending
+    order, so every bucket starts as a valid heap.  Every earlier row is
+    closed under relaxation: dp[A][w] <= min(dp[A][x] + cost(x), INF)
+    for each in-neighbour w of x, bypass arcs included.  For a free x, cost
+    0, adding this over the two halves of every split gives
+    M[w] <= M[x], so a pop of x at M[x] would lower no lane, set no
+    parent and push nothing; leaving it out changes no value, no parent
+    and no other vertex's place in the pop order.  A free vertex whose
+    value drops below M[x] is pushed then, as any vertex is.
 
     Bypass arcs from each source to the first non-terminals along
     terminal-internal paths are laid over the in-lists of their heads
@@ -201,6 +228,7 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
         in_nb[y] = tuple(sorted(in_nb[y] + tuple(tails)))
 
     cost = [0 if (v == root or v in terminals) else 1 for v in range(n)]
+    paid = [v for v in range(n) if cost[v]]
     src = sorted(sources)
     k = len(src)
     full = (1 << k) - 1
@@ -217,28 +245,32 @@ def dst_exact_subset(g: Digraph, root: int, terminals, sources, budget: int) -> 
 
     all_inf = pack(rows, [INF] * n)
     high = pack(rows, [1 << top] * n)
+    guarded_inf = all_inf | high
     dp = [all_inf] * (full + 1)
     # lane v of step_parent[mask]: the vertex whose relaxation set dp[mask][v], or n
     step_parent = [0] * (full + 1)
 
     for mask in range(1, full + 1):
+        buckets: list[list[int]] = [[] for _ in range(INF)]
         if mask & (mask - 1) == 0:
             row = [INF] * n
-            row[src[mask.bit_length() - 1]] = 0
+            row[s := src[mask.bit_length() - 1]] = 0
+            buckets[0].append(s)
         else:
-            acc = all_inf
+            acc = guarded_inf
             sub = (mask - 1) & mask
-            while sub > (mask ^ sub):
-                cand = dp[sub] + dp[mask ^ sub]
-                t = ((acc | high) - cand) & high
-                acc ^= (acc ^ cand) & (t - (t >> top))
+            rest = mask ^ sub
+            while sub > rest:
+                d = acc - (dp[sub] + dp[rest])
+                t = d & high
+                acc -= d & (t - (t >> top))
                 sub = (sub - 1) & mask
-            row = list(rows.unpack(acc.to_bytes(rows.size, "little")))
-        # filled in ascending v, every bucket starts as a valid heap
-        buckets: list[list[int]] = [[] for _ in range(INF)]
-        for v, d in enumerate(row):
-            if d < INF:
-                buckets[d].append(v)
+                rest = mask ^ sub
+            row = list(rows.unpack((acc ^ high).to_bytes(rows.size, "little")))
+            # paid vertices in ascending v, so every bucket starts as a valid heap
+            for v in paid:
+                if (at := row[v]) < INF:
+                    buckets[at].append(v)
         parent = [n] * n
         for dist, here in enumerate(buckets):
             while here:
@@ -345,7 +377,7 @@ def dst_fpt(inst: DstInstance, *, _degeneracy: Optional[int] = None) -> DstFptRe
         its preprocessing hands back ``g`` and builds no graph.
         """
         inner = DstInstance(g, root, terminals | absorbed, inst.budget)
-        inner2, inner_map, _ = preprocess_contract(inner, everything - alive)
+        inner2, inner_map, _ = _contract_terminal_sccs(inner, everything - alive)
         t0 = source_terminals(inner2.graph, inner2.terminals)
         sol = dst_exact_subset(inner2.graph, inner2.root, inner2.terminals, t0, inst.budget)
         if sol is None:
@@ -438,7 +470,7 @@ def scss_2approx(g: Digraph, terminals, budget: int) -> Optional[frozenset]:
     if not term:
         raise ValueError("at least one terminal is required")
     anchor = min(term)
-    reduced, mapping, _ = preprocess_contract(DstInstance(g, anchor, term - {anchor}, budget))
+    reduced, mapping, _ = _contract_terminal_sccs(DstInstance(g, anchor, term - {anchor}, budget))
     fwd = dst_fpt(reduced)
     if fwd.solution is None:
         return None

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sparsedigraph import cli, duality, instances, minors
+from sparsedigraph import cli, digraph, duality, instances, minors
 
 from sparsedigraph.cli import main
 from sparsedigraph import format_digraph, parse_digraph, random_digraph
@@ -250,6 +250,31 @@ def test_dst_fpt_unreachable_root_past_inf_budget(tmp_path, capsys):
     rep = json_out(out)
     assert rep["feasible"] is False
     assert len(rep["nodes_expanded"]) == 5
+
+
+@pytest.mark.parametrize("mode, searches, code, extra", [
+    ("--scss", 0, 1, {"feasible": False}),
+    ("--fpt", 299, 0, {"feasible": True, "solution": [], "d": 2, "s": 298, "nodes_expanded": [1]}),
+])
+def test_dst_searches_terminal_diameters_only_for_the_report(
+        tmp_path, capsys, monkeypatch, mode, searches, code, extra):
+    # root 0 -> 1 -> ... -> 299 -> 1: the terminals form one strongly
+    # connected set of 299 vertices.  Only --fpt reports its diameter s,
+    # one search per member; the leaf and --scss contract it and search none
+    n = 300
+    arcs = [(0, 1), (n - 1, 1)] + [(v, v + 1) for v in range(1, n - 1)]
+    path = tmp_path / "cycle.dst"
+    path.write_text(format_dst_instance(DstInstance(Digraph(n, arcs), 0, frozenset(range(1, n)), 2)))
+    real = digraph.out_distances
+    calls = []
+    monkeypatch.setattr(digraph, "out_distances", lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
+    got, out, err = run(capsys, "dst", str(path), mode)
+    rep = json_out(out)
+    del rep["timing_ms"]
+    assert (got, err) == (code, "")
+    assert rep == {"command": "dst", "schema": 1, "n": n, "root": 0,
+                   "terminals": list(range(1, n)), "budget": 2, **extra}
+    assert sorted(calls) == list(range(searches))
 
 
 def test_domset_redblue_files(tmp_path, capsys):

@@ -769,8 +769,34 @@ def test_core_threshold_computed_once_per_graph(monkeypatch):
     g = bidirected_star(9)
     res = domination_core(g, 1, 1)
     assert (res.kind, res.removed, res.iterations) == ("core", (4, 3, 2, 1), 5)
-    assert calls == [g]
+    assert calls == []  # r = 1: the density bound's factor r - 1 is 0
     assert g._derived[("core_threshold", 1, 1)] == 6
+
+
+def _raise(*args):
+    raise AssertionError("no density peel at r = 1")
+
+
+@pytest.mark.parametrize("g", [random_digraph(40, 120, 11), directed_path(12), apex_crown(12)],
+                         ids=["random", "path", "apex-crown"])
+def test_radius_one_kernel_peels_no_density_bound(monkeypatch, g):
+    want = kernelize(Digraph(g.n, g.arcs()), 1, 2)
+    monkeypatch.setattr(duality, "grad_lower_bound", _raise)
+    got = kernelize(g, 1, 2)
+    assert (got.threshold, got.core, got.representatives, got.removed, got.infeasible) == (
+        want.threshold, want.core, want.representatives, want.removed, want.infeasible)
+    assert sorted(got.graph.arcs()) == sorted(want.graph.arcs())
+
+
+def test_radius_two_core_threshold_peels_once_per_graph(monkeypatch):
+    g = random_digraph(30, 90, 4)
+    calls = []
+    real = duality.grad_lower_bound
+    monkeypatch.setattr(duality, "grad_lower_bound", lambda h: calls.append(h) or real(h))
+    for _ in range(2):
+        for k in (1, 2):
+            duality.default_core_threshold(g, 2, k)
+    assert calls.count(g) == 2  # one peel per (graph, r, k), none on repeats
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,24 @@ def test_packed_subset_dp_matches_reference_at_ten_sources(seed):
             == _root_value(_dst_exact_subset_reference, g, root, t, sources) == 2)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("contracted", [True, False], ids=["10-sources", "11-sources"])
+def test_subset_dp_matches_reference_on_desk_hosts(seed, contracted):
+    # the benchmark's desk leaf: the contracted host's 10 source terminals,
+    # or all 11 terminals of the raw host as sources, at the desk budgets
+    inst = planted_hub_instance(seed)
+    g, root, t = inst.graph, inst.root, inst.terminals
+    sources = t
+    if contracted:
+        inst = preprocess_contract(inst)[0]
+        g, root, t = inst.graph, inst.root, inst.terminals
+        sources = source_terminals(g, t)
+    assert len(sources) == (10 if contracted else 11)
+    for budget in (1, 4, 5, g.n):
+        got = dst_exact_subset(g, root, t, sources, budget)
+        assert got == _dst_exact_subset_reference(g, root, t, sources, budget), budget
+
+
 def test_subset_dp_lanes_hold_costs_past_16_bits():
     # root 0 -> 1 -> ... -> n-3 forks to the sources n-2 and n-1: the tree
     # costs n-3 > 2^16, and merged lanes reach twice that
